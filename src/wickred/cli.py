@@ -26,12 +26,15 @@ from .poly import VarSpace
 from .wick import StarContext, wick_product
 
 
+DEFAULT_ORDER = 6
+
+
 @dataclass
 class CliConfig:
     space: str = "cpn"
     n: int = 1
     mu: Fraction = Fraction(-1, 2)
-    order: int = 6
+    order: int = DEFAULT_ORDER
     D: tuple = (Fraction(1),)
     seed: int = 0
     fmt: str = "json"
@@ -49,12 +52,15 @@ class CliConfig:
 
 def _default_order() -> int:
     env = os.environ.get("WICKRED_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 6
+    if not env:
+        return DEFAULT_ORDER
+    try:
+        order = int(env)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise ValueError(f"WICKRED_ORDER must be a positive integer, got {env!r}")
+    return order
 
 
 def _parse_d_series(text: str) -> tuple:
@@ -66,7 +72,7 @@ def _config_from_args(args) -> CliConfig:
         space=getattr(args, "space", "cpn"),
         n=getattr(args, "n", 1),
         mu=Fraction(getattr(args, "mu", "-1/2")),
-        order=getattr(args, "order", None) or _default_order(),
+        order=_default_order() if getattr(args, "order", None) is None else args.order,
         D=_parse_d_series(getattr(args, "d_series", "1")),
         seed=getattr(args, "seed", 0),
         fmt=getattr(args, "format", "json"),
@@ -217,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=str, default="-1/2",
                        help="negative rational level, e.g. --mu=-1/2")
         p.add_argument("--order", type=int, default=None,
-                       help=f"truncation order (default {_default_order()})")
+                       help=f"truncation order (default {DEFAULT_ORDER}, "
+                            "or the WICKRED_ORDER environment variable)")
         p.add_argument("--d-series", type=str, default="1",
                        help="comma-separated d_r coefficients, e.g. '1,1'")
         p.add_argument("--seed", type=int, default=0)

@@ -254,7 +254,12 @@ class Poly:
         Reduction by the single divisor x under the packed graded order
         (leading monomial z^n*zb^n, unit leading coefficient): remainder
         zero is an exact divisibility test for a principal ideal.  A fixed
-        integer point with x = 0 rejects most non-multiples first.
+        integer point with x = 0 rejects most non-multiples first: a
+        multiple of x vanishes there, so a nonzero value proves x does not
+        divide.  That value is computed exactly by ``sparse.teval`` on
+        integer triples (one power table per coordinate other than 1, one
+        normalization per call), so the certificate costs a few int
+        multiplies per term; a zero value falls through to the division.
         """
         if not self.terms:
             return Poly.zero(self.space)

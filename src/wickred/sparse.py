@@ -13,9 +13,19 @@ zero coefficients are never stored.
 Exponents must stay below 128 so that one addition can never carry across
 slots; the degree field is checked once per product, which bounds every
 slot.  Degrees that large never occur in this package.
+
+Evaluation (``teval``) never builds a scalar per term: it works on the
+integer triples (p + q*i)/d underneath the coefficients and the point,
+keeps one numerator sum per denominator and normalizes once at the end.
+This is what makes the null-point certificate of ``Poly.divided_by_x``
+cheap.
 """
 
 from __future__ import annotations
+
+import math
+
+from .scalar import ZERO, GaussianRational
 
 SLOT = 8
 MASK = 0xFF
@@ -133,14 +143,53 @@ def tdiff(a: dict, var: int, nvars: int) -> dict:
     return out
 
 
-def teval(a: dict, values, nvars: int):
-    """Evaluate at a point; `values` entries multiply like the coefficients."""
-    total = None
+def teval(a: dict, values, nvars: int) -> GaussianRational:
+    """Exact value of the polynomial at a point.
+
+    Every coefficient and every entry of ``values`` (ints, Fractions or
+    GaussianRationals) is an integer triple (p + q*i)/d.  One power table
+    is built per slot whose value is not exactly 1; each term then
+    multiplies its numerator pair by table entries in plain int arithmetic,
+    and the numerators are summed per denominator.  A single normalization
+    over the lcm of those denominators closes the sum, so no gcd is taken
+    and no scalar object is built per term.
+    """
+    if not a:
+        return ZERO
+    top = max(a) >> (SLOT * nvars)  # graded keys: bounds every exponent
+    slots = []
+    for i in range(nvars):
+        v = GaussianRational.coerce(values[i])
+        p, q, d = v.p, v.q, v.d
+        if p == 1 and q == 0 and d == 1:
+            continue
+        table = [(1, 0, 1)]
+        tp, tq, td = 1, 0, 1
+        for _ in range(top):
+            tp, tq, td = tp * p - tq * q, tp * q + tq * p, td * d
+            table.append((tp, tq, td))
+        slots.append((SLOT * i, table))
+    sums = {}
     for k, c in a.items():
-        term = c
-        for i in range(nvars):
-            e = (k >> (SLOT * i)) & MASK
-            if e:
-                term = term * (values[i] ** e)
-        total = term if total is None else total + term
-    return total
+        p, q, d = c.p, c.q, c.d
+        for shift, table in slots:
+            tp, tq, td = table[(k >> shift) & MASK]
+            if tq:
+                p, q = p * tp - q * tq, p * tq + q * tp
+            else:
+                p *= tp
+                q *= tp
+            d *= td
+        acc = sums.get(d)
+        if acc is None:
+            sums[d] = [p, q]
+        else:
+            acc[0] += p
+            acc[1] += q
+    den = math.lcm(*sums)
+    num_p = num_q = 0
+    for d, (p, q) in sums.items():
+        f = den // d
+        num_p += p * f
+        num_q += q * f
+    return GaussianRational._norm(num_p, num_q, den)

@@ -189,3 +189,37 @@ def test_cli_tilde_and_wick_products(capsys):
     )
     assert code == 0
     assert out.strip() == "((1)*x^2)"
+
+
+def test_cli_order_zero_is_rejected(capsys):
+    # an explicit --order 0 must not fall back to the default order
+    code = main(["verify", "lemma21", "--order", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "need n >= 1 and order >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_cli_env_order_rejects_bad_value(capsys, monkeypatch, value):
+    monkeypatch.setenv("WICKRED_ORDER", value)
+    code = main(["mul", "--lhs", "x", "--rhs", "x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: WICKRED_ORDER must be a positive integer, got {value!r}" in err
+
+
+def test_cli_env_order_bad_value_with_help_building(capsys, monkeypatch):
+    # building the parser (and its --order help text) must not read the
+    # environment, so a bad value cannot escape main's error handling
+    monkeypatch.setenv("WICKRED_ORDER", "abc")
+    code = main(["table", "a-coeff", "--rmax", "1"])
+    assert code == 0
+    code = main(["verify", "moreno", "--order", "2", "--rmax", "2"])
+    assert code == 0
+
+
+def test_cli_explicit_order_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("WICKRED_ORDER", "2")
+    code, out = run_cli(capsys, "mul", "--order", "3", "--lhs", "x", "--rhs", "x")
+    assert code == 0
+    assert json.loads(out)["order"] == 3
