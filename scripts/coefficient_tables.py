@@ -9,10 +9,8 @@ the Laplacian polynomials k~_r(Delta) for the sphere.
 
 import argparse
 
-from wickred.cli import _latex_frac
-from wickred.equiv import a_coeff
+from wickred.cli import a_table_latex, k_table_latex
 from wickred.moreno import k_poly
-from wickred.reduction import k_coeff
 
 
 def main():
@@ -23,25 +21,11 @@ def main():
     rmax = args.rmax
 
     print("% A^{(r)}_s for r (rows) and s (columns) up to", rmax)
-    print(r"\begin{pmatrix}")
-    for r in range(rmax + 1):
-        row = " & ".join(_latex_frac(a_coeff(r, s)) for s in range(rmax + 1))
-        print(row + (r" \\" if r < rmax else ""))
-    print(r"\end{pmatrix}")
+    print("\n".join(a_table_latex(rmax, rmax)))
     print()
 
     print("% reduced-product coefficients: K~_r as combinations of M~_s")
-    print(r"\begin{align*}")
-    for r in range(1, rmax + 1):
-        body = ""
-        for s in range(1, r + 1):
-            c = k_coeff(r, s)
-            if not c:
-                continue
-            part = _latex_frac(c) + rf"\,\tilde{{M}}_{{{s}}}"
-            body += part if not body else (part if part.startswith("-") else "+" + part)
-        print(rf"\tilde{{K}}_{{{r}}} &= {body} \\")
-    print(r"\end{align*}")
+    print("\n".join(k_table_latex(rmax)))
     print()
 
     print(f"% Laplacian polynomials on the n = {args.n} reduced space")

@@ -119,32 +119,30 @@ def cmd_mul(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    fmt = args.format
-    if args.which == "a-coeff":
-        rmax, smax = args.rmax, args.smax if args.smax is not None else args.rmax
-        entries = [
-            {"r": r, "s": s, "value": str(equiv.a_coeff(r, s))}
-            for r in range(rmax + 1)
-            for s in range(smax + 1)
-        ]
-        obj = {"table": "a-coeff", "rmax": rmax, "smax": smax, "entries": entries}
-        latex = [r"\begin{pmatrix}"]
-        for r in range(rmax + 1):
-            row = " & ".join(_latex_frac(equiv.a_coeff(r, s)) for s in range(smax + 1))
-            latex.append(row + (r" \\" if r < rmax else ""))
-        latex.append(r"\end{pmatrix}")
-        _emit(obj, fmt, latex_lines=latex,
-              text_lines=[f"A({r},{s}) = {equiv.a_coeff(r, s)}"
-                          for r in range(rmax + 1) for s in range(smax + 1)])
-        return 0
-    rmax = args.rmax
-    entries = [
-        {"r": r, "s": s, "value": str(reduction.k_coeff(r, s))}
-        for r in range(1, rmax + 1)
-        for s in range(1, r + 1)
-    ]
-    obj = {"table": "k-coeff", "rmax": rmax, "entries": entries}
+def _latex_frac(f: Fraction) -> str:
+    if f.denominator == 1:
+        return str(f.numerator)
+    sign = "-" if f < 0 else ""
+    return sign + rf"\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+
+
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"--{flag} must be >= {least}, got {value}")
+
+
+def a_table_latex(rmax: int, smax: int) -> list:
+    """The A^(r)_s matrix (rows r = 0..rmax, columns s = 0..smax) as LaTeX lines."""
+    latex = [r"\begin{pmatrix}"]
+    for r in range(rmax + 1):
+        row = " & ".join(_latex_frac(equiv.a_coeff(r, s)) for s in range(smax + 1))
+        latex.append(row + (r" \\" if r < rmax else ""))
+    latex.append(r"\end{pmatrix}")
+    return latex
+
+
+def k_table_latex(rmax: int) -> list:
+    """K~_r = sum_s c_{r,s} M~_s for r = 1..rmax as LaTeX align lines."""
     latex = [r"\begin{align*}"]
     for r in range(1, rmax + 1):
         body = ""
@@ -156,21 +154,42 @@ def cmd_table(args) -> int:
             body += part if not body else (part if part.startswith("-") else "+" + part)
         latex.append(rf"\tilde{{K}}_{{{r}}} &= " + body + r" \\")
     latex.append(r"\end{align*}")
-    _emit(obj, fmt, latex_lines=latex,
+    return latex
+
+
+def cmd_table(args) -> int:
+    fmt = args.format
+    if args.which == "a-coeff":
+        rmax, smax = args.rmax, args.smax if args.smax is not None else args.rmax
+        _require_at_least("rmax", rmax, 0)
+        _require_at_least("smax", smax, 0)
+        entries = [
+            {"r": r, "s": s, "value": str(equiv.a_coeff(r, s))}
+            for r in range(rmax + 1)
+            for s in range(smax + 1)
+        ]
+        obj = {"table": "a-coeff", "rmax": rmax, "smax": smax, "entries": entries}
+        _emit(obj, fmt, latex_lines=a_table_latex(rmax, smax),
+              text_lines=[f"A({r},{s}) = {equiv.a_coeff(r, s)}"
+                          for r in range(rmax + 1) for s in range(smax + 1)])
+        return 0
+    rmax = args.rmax
+    _require_at_least("rmax", rmax, 1)
+    entries = [
+        {"r": r, "s": s, "value": str(reduction.k_coeff(r, s))}
+        for r in range(1, rmax + 1)
+        for s in range(1, r + 1)
+    ]
+    obj = {"table": "k-coeff", "rmax": rmax, "entries": entries}
+    _emit(obj, fmt, latex_lines=k_table_latex(rmax),
           text_lines=[f"c({r},{s}) = {reduction.k_coeff(r, s)}"
                       for r in range(1, rmax + 1) for s in range(1, r + 1)])
     return 0
 
 
-def _latex_frac(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return sign + rf"\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
 def cmd_moreno(args) -> int:
     rmax = args.rmax
+    _require_at_least("rmax", rmax, 1)
     residuals = [moreno.moreno_recursion_residual(r) for r in range(1, rmax + 1)]
     ok = all(r.is_zero() for r in residuals)
     obj = {
@@ -192,6 +211,7 @@ def cmd_moreno(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
+    _require_at_least("rmax", args.rmax, 1)
     report = suites.run_suite(
         args.suite, n=cfg.n, order=cfg.order, mu=cfg.mu, seed=cfg.seed, rmax=args.rmax
     )

@@ -9,10 +9,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import LaurentElem, VarSpace
-from .scalar import GaussianRational, Rational, binomial, factorial
+from . import sparse
+from .poly import LaurentElem
+from .scalar import GaussianRational, binomial, factorial
 from .series import Series, UnivarPoly
-from .wick import StarContext, m_op, radial_elem, radial_star, wick_product
+from .wick import DerivCache, StarContext, m_op, radial_elem, radial_star, wick_product
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +43,8 @@ def a_table(rmax: int, smax: int) -> list:
 
 # ----------------------------------------------------------------------
 # sparse polynomials in (x, alpha) and (x, alpha, beta); the x exponent
-# may be negative, so these do not use the packed kernel
+# may be negative, so the keys are plain tuples rather than packed ints
+# (the dict-level sums and products are the kernel's)
 
 
 class SparsePoly:
@@ -71,48 +73,24 @@ class SparsePoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return SparsePoly(self.arity, out)
+        return SparsePoly(self.arity, sparse.tadd(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SparsePoly(self.arity, {k: -c for k, c in self.terms.items()})
+        return SparsePoly(self.arity, sparse.tneg(self.terms))
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                c = ca * cb
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return SparsePoly(self.arity, out)
+        return SparsePoly(self.arity, sparse.tcollect(
+            (tuple(a + b for a, b in zip(ka, kb)), ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items()
+        ))
 
     def scale(self, c):
-        c = GaussianRational.coerce(c)
-        if not c:
-            return SparsePoly(self.arity, {})
-        return SparsePoly(self.arity, {k: v * c for k, v in self.terms.items()})
+        return SparsePoly(self.arity, sparse.tscale(self.terms, GaussianRational.coerce(c)))
 
     def one(self):
         return SparsePoly.constant(self.arity, 1)
@@ -348,31 +326,35 @@ def tilde_star_elems(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Series
     return tilde_star(Series.const(f, ctx.K), Series.const(g, ctx.K), ctx)
 
 
+def closed_weights(u: Series, K: int) -> list:
+    """The radial weights of the closed formula, [w_0, ..., w_K] with
+    w_r = (1/r!) u^r prod_{k=1..r} (1 + k u)^(-1), so w_0 = 1."""
+    one = u.one()
+    weights = [one]
+    upow = one
+    prodinv = one
+    fact = 1
+    for r in range(1, K + 1):
+        upow = upow * u
+        prodinv = prodinv * (one + u.scale(r)).invert()
+        fact *= r
+        weights.append((upow * prodinv).scale(Fraction(1, fact)))
+    return weights
+
+
 def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Series:
     """Closed formula on homogeneous arguments:
     sum_r (1/r!) u^r prod_{k=1..r} (1 + k u)^(-1) M_r(f, g), u = lambda/(Dx)."""
     if not (f.is_homogeneous() and g.is_homogeneous()):
         raise ValueError("the closed formula wants homogeneous arguments")
-    from .wick import DerivCache
-
-    space = ctx.space
     K = ctx.K
-    u = lam_over_dx(ctx)
-    one = Series.const(LaurentElem.one_of(space), K)
+    weights = closed_weights(lam_over_dx(ctx), K)
     acc = Series.const(f * g, K)
-    upow = one
-    prodinv = one
-    fact = 1
     dF, dG = DerivCache(f, "z"), DerivCache(g, "zb")
     for r in range(1, K + 1):
-        upow = upow * u
-        prodinv = prodinv * (one + u.scale(r)).invert()
-        fact *= r
         mr = m_op(f, g, r, ctx, dF, dG)
-        if mr.is_zero():
-            continue
-        radial = (upow * prodinv).scale(Fraction(1, fact))
-        acc = acc + radial.map(lambda c, mr=mr: mr * c)
+        if not mr.is_zero():
+            acc = acc + weights[r].map(lambda c, mr=mr: mr * c)
     return acc
 
 

@@ -209,23 +209,16 @@ class ChartElem:
     def restrict_diagonal(self) -> "ChartElem":
         """u -> v, ub -> vb; all denominator factors collapse onto D4."""
         n = self.n
-        out = {}
-        for key, c in self.num.items():
+
+        def merged(key):
             exps = sparse.unpack(key, self.nvars)
-            merged = [0] * self.nvars
+            diag = [0] * self.nvars
             for k in range(n):
-                merged[self.iv(k)] = exps[self.iv(k)] + exps[self.iu(k)]
-                merged[self.ivb(k)] = exps[self.ivb(k)] + exps[self.iub(k)]
-            kk = sparse.pack(merged)
-            prev = out.get(kk)
-            if prev is None:
-                out[kk] = c
-            else:
-                s = prev + c
-                if s:
-                    out[kk] = s
-                else:
-                    del out[kk]
+                diag[self.iv(k)] = exps[self.iv(k)] + exps[self.iu(k)]
+                diag[self.ivb(k)] = exps[self.ivb(k)] + exps[self.iub(k)]
+            return sparse.pack(diag)
+
+        out = sparse.tcollect((merged(key), c) for key, c in self.num.items())
         return ChartElem(n, out, (0, 0, 0, sum(self.den)))
 
     def __eq__(self, other):
@@ -285,23 +278,16 @@ def hom_to_chart(f: LaurentElem, mode: str) -> ChartElem:
         zslot, zbslot, den_idx = dummy.iv, dummy.iub, 1
     else:
         raise ValueError(mode)
-    out = {}
-    for key, c in f.num.terms.items():
+
+    def chart_key(key):
         exps = sparse.unpack(key, space.nvars)
         chart = [0] * (4 * n)
         for k in range(1, n + 1):
             chart[zslot(k - 1)] = exps[space.iz(k)]
             chart[zbslot(k - 1)] = exps[space.izb(k)]
-        kk = sparse.pack(chart)
-        prev = out.get(kk)
-        if prev is None:
-            out[kk] = c
-        else:
-            s = prev + c
-            if s:
-                out[kk] = s
-            else:
-                del out[kk]
+        return sparse.pack(chart)
+
+    out = sparse.tcollect((chart_key(key), c) for key, c in f.num.terms.items())
     den = [0, 0, 0, 0]
     den[den_idx] = d
     return ChartElem(n, out, tuple(den))

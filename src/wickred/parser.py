@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 
+from . import sparse
 from .poly import LaurentElem, VarSpace
 from .scalar import GaussianRational
 from .series import Series
@@ -203,8 +204,6 @@ def format_elem(e: LaurentElem) -> str:
     space = e.space
     if e.num.is_zero():
         return "0"
-    from . import sparse
-
     parts = []
     for key, c in e.num.sorted_items():
         factors = [_format_coeff(c)]

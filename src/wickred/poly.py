@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import sparse
-from .scalar import GaussianRational, ONE, ZERO
+from .scalar import GaussianRational, ONE, ZERO, power
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class Poly:
     def pow(self, e: int):
         if e == 0:
             return Poly.one(self.space)
-        return Poly(self.space, sparse.tpow(self.terms, e, self.space.nvars))
+        return power(self, e)
 
     def diff(self, var: int):
         return Poly(self.space, sparse.tdiff(self.terms, var, self.space.nvars))
@@ -441,17 +441,8 @@ class LaurentElem:
         if e == 0:
             return LaurentElem.one_of(self.space)
         if e < 0:
-            return self.inverse().pow(-e)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                break
-            base = base * base
-        return result
+            return power(self.inverse(), -e)
+        return power(self, e)
 
     def inverse(self):
         """Inverse when the element is a unit c * x^j of the localization."""
@@ -669,16 +660,10 @@ class LaurentElem:
 def _x_pow_poly(space: VarSpace, ez: int, ew: int = 0) -> Poly:
     p = Poly.one(space)
     if ez:
-        p = p * Poly.x(space).pow(ez) if ez > 1 else p * Poly.x(space)
+        p = p * Poly.x(space).pow(ez)
     if ew:
-        xw = Poly(space, dict(space.xw_terms))
-        p = p * xw.pow(ew) if ew > 1 else p * xw
+        p = p * Poly(space, dict(space.xw_terms)).pow(ew)
     return p
-
-
-def euler_ops(p: LaurentElem, which: str) -> LaurentElem:
-    """Euler/rotation operators E, Ebar, Y, H on a Laurent element."""
-    return p.euler(which)
 
 
 def is_radial(elem: LaurentElem) -> bool:
@@ -687,7 +672,3 @@ def is_radial(elem: LaurentElem) -> bool:
     if not elem.is_invariant():
         return False
     return all(h.num.is_scalar() for h in elem.peel().values())
-
-
-def dx_invariant(elem: LaurentElem) -> LaurentElem:
-    return elem.dx()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .equiv import s_apply, tilde_star
+from .equiv import closed_weights, s_apply, tilde_star
 from .poly import LaurentElem, VarSpace
 from .scalar import GaussianRational, factorial
 from .series import Series, scalar_series
@@ -30,10 +30,6 @@ def momentum_map(ctx: StarContext) -> LaurentElem:
 def is_invariant(F: LaurentElem, ctx: StarContext = None) -> bool:
     """Invariance under the circle action (termwise equal z/zb degrees)."""
     return F.is_invariant()
-
-
-def is_reduced(F: LaurentElem) -> bool:
-    return F.is_homogeneous()
 
 
 def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:
@@ -75,6 +71,21 @@ def _geometric_cofactor(space: VarSpace, j: int, c: Fraction) -> LaurentElem:
     return acc.mul_xpow(-k).scale(-(c ** (-k)))
 
 
+def _split(F: LaurentElem, ctx: StarContext) -> tuple:
+    """(p, g) with F = p + (J - mu) g for one invariant element: p is F
+    with x -> -2 mu slice by slice, g the exact quotient of F - p by
+    J - mu = (x + 2 mu)/(-2)."""
+    c = -2 * ctx.mu
+    p = LaurentElem.zero_of(ctx.space)
+    g = LaurentElem.zero_of(ctx.space)
+    for j, h in F.peel().items():
+        p = p + h.scale(c ** j)
+        w = _geometric_cofactor(ctx.space, j, c)
+        if not w.is_zero():
+            g = g + h * w
+    return p, g.scale(-2)
+
+
 def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:
     """Split an invariant series as pullback + multiple of (J - mu).
 
@@ -83,19 +94,7 @@ def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:
     pointwise in the transformed product, the same multiplier witnesses
     membership in the transformed ideal.
     """
-    c = -2 * ctx.mu
-    proj = []
-    mult = []
-    for Fm in F.coeffs:
-        p = LaurentElem.zero_of(ctx.space)
-        g = LaurentElem.zero_of(ctx.space)
-        for j, h in Fm.peel().items():
-            p = p + h.scale(c ** j)
-            w = _geometric_cofactor(ctx.space, j, c)
-            if not w.is_zero():
-                g = g + h * w
-        proj.append(p)
-        mult.append(g.scale(-2))
+    proj, mult = zip(*(_split(Fm, ctx) for Fm in F.coeffs))
     return DecompResult(Series(proj), Series(mult))
 
 
@@ -121,6 +120,16 @@ def k_coeff(r: int, s: int) -> Fraction:
 
 def k_coeff_table(rmax: int) -> list:
     return [[k_coeff(r, s) for s in range(1, r + 1)] for r in range(1, rmax + 1)]
+
+
+def _k_tilde(r: int, ms) -> LaurentElem:
+    """K~_r = sum_{s=1..r} c_{r,s} M~_s, given ms[s] = M~_s for 1 <= s <= r."""
+    acc = ms[1].zero()
+    for s in range(1, r + 1):
+        c = k_coeff(r, s)
+        if c and not ms[s].is_zero():
+            acc = acc + ms[s].scale(c)
+    return acc
 
 
 def _require_reduced(F: Series):
@@ -152,15 +161,9 @@ def mu_star(phi: Series, psi: Series, ctx: StarContext) -> Series:
                 continue
             dG = DerivCache(gb, "zb")
             out[a + b] = out[a + b] + fa * gb
-            ms = {}
+            ms = [None] + [m_op(fa, gb, s, ctx, dF, dG) for s in range(1, K + 1 - a - b)]
             for r in range(1, K + 1 - a - b):
-                acc = LaurentElem.zero_of(space)
-                for s in range(1, r + 1):
-                    if s not in ms:
-                        ms[s] = m_op(fa, gb, s, ctx, dF, dG)
-                    c = k_coeff(r, s)
-                    if c and not ms[s].is_zero():
-                        acc = acc + ms[s].scale(c)
+                acc = _k_tilde(r, ms)
                 if not acc.is_zero():
                     out[a + b + r] = out[a + b + r] + acc.scale(cinv ** r)
     return Series(out)
@@ -208,19 +211,11 @@ def wick_reduce_by_division(phi: LaurentElem, psi: LaurentElem, ctx: StarContext
         raise ValueError("direct separation is set up for D == 1")
     if not (phi.is_homogeneous() and psi.is_homogeneous()):
         raise ValueError("wick_reduce wants degree-(0,0) representatives")
-    c = -2 * ctx.mu
     W = wick_product(Series.const(phi, ctx.K), Series.const(psi, ctx.K), ctx)
     rem = list(W.coeffs)
     out = []
     for m in range(len(rem)):
-        p = LaurentElem.zero_of(ctx.space)
-        g = LaurentElem.zero_of(ctx.space)
-        for j, h in rem[m].peel().items():
-            p = p + h.scale(c ** j)
-            w = _geometric_cofactor(ctx.space, j, c)
-            if not w.is_zero():
-                g = g + h * w
-        g = g.scale(-2)
+        p, g = _split(rem[m], ctx)
         out.append(reduce_elem(p, ctx))
         if m + 1 < len(rem) and not g.is_zero():
             # cancel (J-mu)*G exactly at this order; its star-product tail
@@ -250,7 +245,6 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
     if not (phi.is_homogeneous() and psi.is_homogeneous()):
         raise ValueError("reparametrize_check wants degree-(0,0) representatives")
     K = ctx.K
-    space = ctx.space
     D = tuple(Fraction(d) for d in D)
     c = -2 * ctx.mu
     # scalar series D(-2mu, lambda) and u = lambda/(c D)
@@ -258,32 +252,18 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
     u = Dc.scale(c).invert().times_lambda(1)
 
     dF, dG = DerivCache(phi, "z"), DerivCache(psi, "zb")
-    ms = [None] * (K + 1)
-    for s in range(1, K + 1):
-        ms[s] = reduce_elem(m_op(phi, psi, s, ctx, dF, dG), ctx)
+    ms = [None] + [reduce_elem(m_op(phi, psi, s, ctx, dF, dG), ctx) for s in range(1, K + 1)]
 
-    one = Series.const(GaussianRational.coerce(1), K)
     # route A: closed formula with x -> -2mu
+    weights = closed_weights(u, K)
     routeA = Series.const(phi * psi, K)
-    upow = one
-    prodinv = one
-    fact = 1
     for r in range(1, K + 1):
-        upow = upow * u
-        prodinv = prodinv * (one + u.scale(r)).invert()
-        fact *= r
-        coeffs = (upow * prodinv).scale(Fraction(1, fact))
-        routeA = routeA + coeffs.map(lambda sc, mr=ms[r]: mr.scale(sc))
+        routeA = routeA + weights[r].map(lambda sc, mr=ms[r]: mr.scale(sc))
     # route B: canonical product in powers of lambda/(-2mu), then
     # lambda -> lambda / D(-2mu, lambda), i.e. powers of u directly
     routeB = Series.const(phi * psi, K)
-    upow = one
+    upow = u.one()
     for r in range(1, K + 1):
         upow = upow * u
-        acc = LaurentElem.zero_of(space)
-        for s in range(1, r + 1):
-            cc = k_coeff(r, s)
-            if cc and not ms[s].is_zero():
-                acc = acc + ms[s].scale(cc)
-        routeB = routeB + upow.map(lambda sc, mr=acc: mr.scale(sc))
+        routeB = routeB + upow.map(lambda sc, mr=_k_tilde(r, ms): mr.scale(sc))
     return routeA - routeB

@@ -28,6 +28,24 @@ def binomial(r: int, k: int) -> int:
     return math.comb(r, k)
 
 
+def power(base, e: int):
+    """base^e for e >= 1 by binary powering, over any carrier with `*`.
+
+    The one routine behind every `pow` in the package; callers supply their
+    own one for e == 0 and decide what a negative exponent means.
+    """
+    if e < 1:
+        raise ValueError(f"power needs an exponent >= 1, got {e}")
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 class GaussianRational:
     """a + b*i with rational a and b.
 
@@ -167,16 +185,11 @@ class GaussianRational:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise TypeError("GaussianRational powers must be integers")
+        if e == 0:
+            return ONE
         if e < 0:
-            return self.inverse() ** (-e)
-        result = ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return power(self.inverse(), -e)
+        return power(self, e)
 
     # ------------------------------------------------------------------
     # protocol used by Series and the polynomial layers

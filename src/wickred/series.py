@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import GaussianRational
+from .scalar import GaussianRational, power
 
 
 class Series:
@@ -90,10 +90,9 @@ class Series:
         return Series(self.coeffs[: order + 1])
 
     def pow(self, e: int) -> "Series":
-        result = self.one()
-        for _ in range(e):
-            result = result * self
-        return result
+        if e == 0:
+            return self.one()
+        return power(self, e)
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.coeffs == other.coeffs
@@ -232,14 +231,9 @@ class UnivarPoly:
         return UnivarPoly([v * c for v in self.coeffs], self.var)
 
     def pow(self, e: int):
-        result = UnivarPoly([1], self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return self.one()
+        return power(self, e)
 
     def shift(self, k: int):
         """Multiply by var^k."""

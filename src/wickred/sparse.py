@@ -75,6 +75,25 @@ def tadd(a: dict, b: dict) -> dict:
     return out
 
 
+def tcollect(pairs) -> dict:
+    """Terms from (key, nonzero coefficient) pairs: coefficients of a
+    repeated key are summed and a sum of zero drops the key.  This is the
+    merge behind every re-keying map (diagonal restriction, chart maps)."""
+    out = {}
+    get = out.get
+    for k, c in pairs:
+        prev = get(k)
+        if prev is None:
+            out[k] = c
+        else:
+            s = prev + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 def tneg(a: dict) -> dict:
     return {k: -c for k, c in a.items()}
 
@@ -112,23 +131,6 @@ def tmul(a: dict, b: dict, nvars: int) -> dict:
                 else:
                     del out[k]
     return out
-
-
-def tpow(a: dict, e: int, nvars: int) -> dict:
-    if e < 0:
-        raise ValueError("negative power of a polynomial")
-    result = None
-    base = a
-    while True:
-        if e & 1:
-            result = base if result is None else tmul(result, base, nvars)
-        e >>= 1
-        if not e:
-            break
-        base = tmul(base, base, nvars)
-    if result is None:
-        raise AssertionError("tpow(a, 0) must be handled by the caller")
-    return result
 
 
 def tdiff(a: dict, var: int, nvars: int) -> dict:

@@ -14,15 +14,14 @@ from random import Random
 
 from . import equiv, moreno, reduction
 from .parser import format_series
-from .poly import LaurentElem, VarSpace, is_radial
+from .poly import LaurentElem, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
 from .series import Series, UnivarPoly
 from .wick import (
-    StarContext,
     commutator_check,
+    default_context,
     m_op,
-    poisson,
     product_formula_check,
     radial_elem,
     radial_invariant_expansion,
@@ -78,15 +77,6 @@ def _add(checks: list, name: str, residual_is_zero, residual=None):
     checks.append(Check(name, ok, detail))
 
 
-def _series_zero(s: Series) -> bool:
-    return s.is_zero()
-
-
-def _ctx(space_kind: str, n: int, K: int, mu, D=(1,)) -> StarContext:
-    space = VarSpace.cpn(n) if space_kind == "cpn" else VarSpace.dn(n)
-    return StarContext(space=space, K=K, D=tuple(Fraction(d) for d in D), mu=Fraction(mu))
-
-
 # ----------------------------------------------------------------------
 
 
@@ -97,7 +87,7 @@ def _check_associativity(checks, ctx, rng, count, tag, max_deg=3):
         H = rand_poly(ctx.space, rng, max_deg=max_deg)
         left = wick_product(wick_product_elems(F, G, ctx), Series.const(H, ctx.K), ctx)
         right = wick_product(Series.const(F, ctx.K), wick_product_elems(G, H, ctx), ctx)
-        _add(checks, f"{tag}/wick-assoc-{t}", _series_zero(left - right), left - right)
+        _add(checks, f"{tag}/wick-assoc-{t}", (left - right).is_zero(), left - right)
 
 
 def _check_radial_tuple(checks, ctx, rng, idx, tag):
@@ -111,19 +101,19 @@ def _check_radial_tuple(checks, ctx, rng, idx, tag):
     lhs = wick_product_elems(R1, F, ctx)
     expansion = radial_invariant_expansion(rho1, F, ctx)
     sym = wick_product_elems(F, R1, ctx)
-    _add(checks, f"{tag}/radial-invariant-expansion-{idx}", _series_zero(lhs - expansion), lhs - expansion)
-    _add(checks, f"{tag}/radial-invariant-symmetric-{idx}", _series_zero(lhs - sym), lhs - sym)
+    _add(checks, f"{tag}/radial-invariant-expansion-{idx}", (lhs - expansion).is_zero(), lhs - expansion)
+    _add(checks, f"{tag}/radial-invariant-symmetric-{idx}", (lhs - sym).is_zero(), lhs - sym)
 
     r12 = wick_product_elems(R1, R2, ctx)
     r21 = wick_product_elems(R2, R1, ctx)
-    _add(checks, f"{tag}/radial-radial-commute-{idx}", _series_zero(r12 - r21), r12 - r21)
+    _add(checks, f"{tag}/radial-radial-commute-{idx}", (r12 - r21).is_zero(), r12 - r21)
     _add(checks, f"{tag}/radial-radial-closed-{idx}", all(is_radial(c) for c in r12.coeffs))
 
     prod = wick_product_elems(R1, f, ctx)
     pointwise = Series.const(R1 * f, ctx.K)
     rev = wick_product_elems(f, R1, ctx)
     _add(checks, f"{tag}/radial-homogeneous-pointwise-{idx}",
-         _series_zero(prod - pointwise) and _series_zero(rev - pointwise),
+         (prod - pointwise).is_zero() and (rev - pointwise).is_zero(),
          prod - pointwise)
 
     fg = wick_product_elems(f, g, ctx)
@@ -138,7 +128,7 @@ def _check_radial_tuple(checks, ctx, rng, idx, tag):
         term = mr.mul_xpow(-r).scale(Fraction(1, fact))
         rebuilt.coeffs[r] = rebuilt.coeffs[r] + term
     _add(checks, f"{tag}/m-operators-homogeneous-{idx}", homog)
-    _add(checks, f"{tag}/m-operator-expansion-{idx}", _series_zero(fg - rebuilt), fg - rebuilt)
+    _add(checks, f"{tag}/m-operator-expansion-{idx}", (fg - rebuilt).is_zero(), fg - rebuilt)
 
 
 def _check_commutators(checks, ctx, rng, count, tag):
@@ -151,16 +141,28 @@ def _check_commutators(checks, ctx, rng, count, tag):
     J = reduction.momentum_map(ctx)
     for t in range(count):
         F = rand_poly(space, rng, max_deg=2)
-        lhs = wick_product_elems(F, J, ctx) - wick_product_elems(J, F, ctx)
-        half_i = GaussianRational(0, Fraction(1, 2))
-        rhs = Series.const(poisson(F, J, ctx).scale(half_i), ctx.K).times_lambda(1)
-        _add(checks, f"{tag}/momentum-commutator-exact-{t}", _series_zero(lhs - rhs), lhs - rhs)
+        res = commutator_check(F, J, ctx)
+        _add(checks, f"{tag}/momentum-commutator-exact-{t}", res.is_zero(), res)
+
+
+def _check_mu_star(checks, ctx, tag, phi, psi, chi):
+    """Associativity of the reduced product on (phi, psi, chi) and its
+    first-order commutator against the reduced Poisson bracket."""
+    K = ctx.K
+    left = reduction.mu_star(reduction.mu_star_elems(phi, psi, ctx), Series.const(chi, K), ctx)
+    right = reduction.mu_star(Series.const(phi, K), reduction.mu_star_elems(psi, chi, ctx), ctx)
+    _add(checks, f"{tag}/mu-star-assoc", (left - right).is_zero(), left - right)
+    prod = reduction.mu_star_elems(phi, psi, ctx)
+    prod_r = reduction.mu_star_elems(psi, phi, ctx)
+    half_i = GaussianRational(0, Fraction(1, 2))
+    comm1 = (prod - prod_r).coeffs[1] - reduction.reduced_poisson(phi, psi, ctx).scale(half_i)
+    _add(checks, f"{tag}/mu-star-commutator", comm1.is_zero(), comm1)
 
 
 def suite_lemma21(n, K, mu, seed, space_kind="cpn") -> list:
     rng = Random(seed)
     checks = []
-    ctx = _ctx(space_kind, n, K, mu)
+    ctx = default_context(n, K, mu, space_kind)
     tag = f"lemma21-n{n}-{space_kind}"
     _check_associativity(checks, ctx, rng, 3, tag)
     for idx in range(3):
@@ -192,8 +194,8 @@ def _a_table_oracle(rmax: int, smax: int) -> list:
 def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
     rng = Random(seed)
     checks = []
-    ctx = _ctx(space_kind, n, K, mu)
-    ctx_d = _ctx(space_kind, n, K, mu, D=(1, 1))
+    ctx = default_context(n, K, mu, space_kind)
+    ctx_d = default_context(n, K, mu, space_kind, D=(1, 1))
     space = ctx.space
     tag = f"equiv-n{n}"
 
@@ -217,18 +219,18 @@ def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
         worst = None
         for j in range(-3, 4):
             diff = equiv.s_apply_xpow(j, c) - equiv.standard_order_apply(j, c)
-            if not _series_zero(diff):
+            if not diff.is_zero():
                 ok = False
                 worst = diff
         _add(checks, f"{tag}/standard-ordering-{name}", ok, worst)
 
     F = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
     round_trip = equiv.s_apply(equiv.s_apply(F, ctx), ctx, inverse=True)
-    _add(checks, f"{tag}/s-inverse-roundtrip", _series_zero(round_trip - F), round_trip - F)
+    _add(checks, f"{tag}/s-inverse-roundtrip", (round_trip - F).is_zero(), round_trip - F)
 
     for t in range(2):
         res = equiv.equivalence_check(rand_radial(rng), rand_radial(rng), ctx)
-        _add(checks, f"{tag}/equivalence-transform-{t}", _series_zero(res), res)
+        _add(checks, f"{tag}/equivalence-transform-{t}", res.is_zero(), res)
 
     rho1, rho2 = rand_radial(rng), rand_radial(rng)
     R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
@@ -238,12 +240,12 @@ def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
     rel2 = equiv.tilde_star_elems(R1, F1, ctx) - Series.const(R1 * F1, ctx.K)
     rel2b = equiv.tilde_star_elems(F1, R1, ctx) - Series.const(R1 * F1, ctx.K)
     rel3 = equiv.tilde_star_elems(R1, f, ctx) - Series.const(R1 * f, ctx.K)
-    _add(checks, f"{tag}/tilde-radial-radial", _series_zero(rel1), rel1)
+    _add(checks, f"{tag}/tilde-radial-radial", rel1.is_zero(), rel1)
     _add(checks, f"{tag}/tilde-radial-invariant",
-         _series_zero(rel2) and _series_zero(rel2b), rel2)
-    _add(checks, f"{tag}/tilde-radial-homog", _series_zero(rel3), rel3)
+         rel2.is_zero() and rel2b.is_zero(), rel2)
+    _add(checks, f"{tag}/tilde-radial-homog", rel3.is_zero(), rel3)
     closed = equiv.tilde_star_closed(f, g, ctx) - equiv.tilde_star_elems(f, g, ctx)
-    _add(checks, f"{tag}/tilde-closed-formula", _series_zero(closed), closed)
+    _add(checks, f"{tag}/tilde-closed-formula", closed.is_zero(), closed)
 
     for t in range(1):
         A = Series.const(rand_invariant(space, rng), ctx.K)
@@ -251,7 +253,7 @@ def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
         C = Series.const(rand_invariant(space, rng), ctx.K)
         left = equiv.tilde_star(equiv.tilde_star(A, B, ctx), C, ctx)
         right = equiv.tilde_star(A, equiv.tilde_star(B, C, ctx), ctx)
-        _add(checks, f"{tag}/tilde-assoc-{t}", _series_zero(left - right), left - right)
+        _add(checks, f"{tag}/tilde-assoc-{t}", (left - right).is_zero(), left - right)
     return checks
 
 
@@ -261,7 +263,7 @@ def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
 def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
     rng = Random(seed)
     checks = []
-    ctx = _ctx(space_kind, n, K, mu)
+    ctx = default_context(n, K, mu, space_kind)
     space = ctx.space
     tag = f"reduce-n{n}-{space_kind}"
 
@@ -278,47 +280,39 @@ def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
 
     one = Series.const(LaurentElem.one_of(space), ctx.K)
     unit = reduction.mu_star(Series.const(phi, ctx.K), one, ctx) - Series.const(phi, ctx.K)
-    _add(checks, f"{tag}/mu-star-unit", _series_zero(unit), unit)
+    _add(checks, f"{tag}/mu-star-unit", unit.is_zero(), unit)
 
-    prod = reduction.mu_star_elems(phi, psi, ctx)
-    prod_r = reduction.mu_star_elems(psi, phi, ctx)
-    half_i = GaussianRational(0, Fraction(1, 2))
-    comm1 = (prod - prod_r).coeffs[1] - reduction.reduced_poisson(phi, psi, ctx).scale(half_i)
-    _add(checks, f"{tag}/mu-star-commutator", comm1.is_zero(), comm1)
+    _check_mu_star(checks, ctx, tag, phi, psi, chi)
 
     conj_res = reduction.mu_star_elems(phi, psi, ctx).map(lambda c: c.conj()) - \
         reduction.mu_star_elems(psi.conj(), phi.conj(), ctx)
-    _add(checks, f"{tag}/mu-star-conjugation", _series_zero(conj_res), conj_res)
-
-    left = reduction.mu_star(reduction.mu_star_elems(phi, psi, ctx), Series.const(chi, ctx.K), ctx)
-    right = reduction.mu_star(Series.const(phi, ctx.K), reduction.mu_star_elems(psi, chi, ctx), ctx)
-    _add(checks, f"{tag}/mu-star-assoc", _series_zero(left - right), left - right)
+    _add(checks, f"{tag}/mu-star-conjugation", conj_res.is_zero(), conj_res)
 
     F = Series.const(rand_invariant(space, rng), ctx.K)
     G = Series.const(rand_invariant(space, rng), ctx.K)
     compat = reduction.reduction_compatibility(F, G, ctx)
-    _add(checks, f"{tag}/reduce-compatibility", _series_zero(compat), compat)
+    _add(checks, f"{tag}/reduce-compatibility", compat.is_zero(), compat)
 
     t1 = reduction.mu_star_elems(phi, psi, ctx)
     t2 = reduction.wick_reduce(phi, psi, ctx)
     t3 = reduction.wick_reduce_by_division(phi, psi, ctx)
-    _add(checks, f"{tag}/triangle-wick-reduce", _series_zero(t1 - t2), t1 - t2)
-    _add(checks, f"{tag}/triangle-division", _series_zero(t1 - t3), t1 - t3)
+    _add(checks, f"{tag}/triangle-wick-reduce", (t1 - t2).is_zero(), t1 - t2)
+    _add(checks, f"{tag}/triangle-division", (t1 - t3).is_zero(), t1 - t3)
 
     inv = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
     dec = reduction.ideal_decompose(inv, ctx)
     Jmu = reduction.momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
     rebuilt = dec.projection + dec.multiplier.map(lambda c: Jmu * c)
-    _add(checks, f"{tag}/ideal-decomposition", _series_zero(rebuilt - inv), rebuilt - inv)
+    _add(checks, f"{tag}/ideal-decomposition", (rebuilt - inv).is_zero(), rebuilt - inv)
     inv_ok = all(c.is_invariant() for c in dec.multiplier.coeffs)
     _add(checks, f"{tag}/ideal-multiplier-invariant", inv_ok)
 
     for name, D in (("D1", (1,)), ("D1+l/x", (1, 1))):
-        c = _ctx(space_kind, n, K, mu, D=D)
+        c = default_context(n, K, mu, space_kind, D=D)
         qres = reduction.quantum_momentum_check(F, c)
-        _add(checks, f"{tag}/quantum-momentum-{name}", _series_zero(qres), qres)
+        _add(checks, f"{tag}/quantum-momentum-{name}", qres.is_zero(), qres)
     rres = reduction.reparametrize_check(phi, psi, (1, 1), ctx)
-    _add(checks, f"{tag}/reparametrization", _series_zero(rres), rres)
+    _add(checks, f"{tag}/reparametrization", rres.is_zero(), rres)
 
     for t in range(2):
         fh = rand_homogeneous(space, rng)
@@ -356,7 +350,7 @@ def suite_moreno(rmax: int = 10, seed: int = 0, K: int = 4, mu=Fraction(-1, 2)) 
             if expansion != moreno.k_poly(r, nn):
                 ok = False
         _add(checks, f"{tag}/k-poly-vs-k-coeff-n{nn}", ok)
-    ctx = _ctx("cpn", 1, K, mu)
+    ctx = default_context(1, K, mu)
     for t in range(3):
         phi = rand_homogeneous(ctx.space, rng, deg=1)
         psi = rand_homogeneous(ctx.space, rng, deg=1)
@@ -369,7 +363,7 @@ def suite_moreno(rmax: int = 10, seed: int = 0, K: int = 4, mu=Fraction(-1, 2)) 
 def suite_su1n(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = _ctx("dn", n, K, mu)
+    ctx = default_context(n, K, mu, "dn")
     space = ctx.space
     tag = f"su1n-n{n}"
     _check_associativity(checks, ctx, rng, 2, tag)
@@ -377,14 +371,7 @@ def suite_su1n(n, K, mu, seed) -> list:
         _check_radial_tuple(checks, ctx, rng, idx, tag)
     _check_commutators(checks, ctx, rng, 1, tag)
     phi, psi, chi = (rand_homogeneous(space, rng) for _ in range(3))
-    left = reduction.mu_star(reduction.mu_star_elems(phi, psi, ctx), Series.const(chi, ctx.K), ctx)
-    right = reduction.mu_star(Series.const(phi, ctx.K), reduction.mu_star_elems(psi, chi, ctx), ctx)
-    _add(checks, f"{tag}/mu-star-assoc", _series_zero(left - right), left - right)
-    prod = reduction.mu_star_elems(phi, psi, ctx)
-    prod_r = reduction.mu_star_elems(psi, phi, ctx)
-    half_i = GaussianRational(0, Fraction(1, 2))
-    comm1 = (prod - prod_r).coeffs[1] - reduction.reduced_poisson(phi, psi, ctx).scale(half_i)
-    _add(checks, f"{tag}/mu-star-commutator", comm1.is_zero(), comm1)
+    _check_mu_star(checks, ctx, tag, phi, psi, chi)
     return checks
 
 
@@ -394,24 +381,15 @@ def suite_su1n(n, K, mu, seed) -> list:
 def run_suite(name: str, n: int = 1, order: int = 4, mu=Fraction(-1, 2), seed: int = 0,
               rmax: int = 10) -> Report:
     mu = Fraction(mu)
-    if name == "lemma21":
-        checks = suite_lemma21(n, order, mu, seed)
-    elif name == "equiv":
-        checks = suite_equiv(n, order, mu, seed)
-    elif name == "reduce":
-        checks = suite_reduce(n, order, mu, seed)
-    elif name == "moreno":
-        checks = suite_moreno(rmax=rmax, seed=seed, K=order, mu=mu)
-    elif name == "su1n":
-        checks = suite_su1n(n, order, mu, seed)
-    elif name == "all":
-        checks = (
-            suite_lemma21(n, order, mu, seed)
-            + suite_equiv(n, order, mu, seed)
-            + suite_reduce(n, order, mu, seed)
-            + suite_moreno(rmax=rmax, seed=seed, K=order, mu=mu)
-            + suite_su1n(n, order, mu, seed)
-        )
-    else:
+    runners = {
+        "lemma21": lambda: suite_lemma21(n, order, mu, seed),
+        "equiv": lambda: suite_equiv(n, order, mu, seed),
+        "reduce": lambda: suite_reduce(n, order, mu, seed),
+        "moreno": lambda: suite_moreno(rmax=rmax, seed=seed, K=order, mu=mu),
+        "su1n": lambda: suite_su1n(n, order, mu, seed),
+    }
+    if name == "all":
+        return Report(name, [c for s in SUITE_NAMES for c in runners[s]()])
+    if name not in runners:
         raise ValueError(f"unknown suite {name!r}")
-    return Report(name, checks)
+    return Report(name, runners[name]())

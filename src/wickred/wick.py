@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import sparse
 from .poly import LaurentElem, Poly, VarSpace
 from .scalar import GaussianRational, MINUS_TWO_I
 from .series import Series, UnivarPoly
@@ -275,16 +276,10 @@ def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
 # two-point operators
 
 
-def to_two_point(space: VarSpace) -> VarSpace:
-    return space.with_two_point()
-
-
 def tensor(f: LaurentElem, g: LaurentElem) -> LaurentElem:
     """f(z) * g(w) on the two-point space."""
     if f.space != g.space or f.space.two_point:
         raise ValueError("tensor takes two one-point elements of one space")
-    from . import sparse
-
     sp2 = f.space.with_two_point()
     nv2 = 2 * f.space.nv
     low_mask = (1 << (sparse.SLOT * nv2)) - 1
@@ -304,30 +299,18 @@ def tensor(f: LaurentElem, g: LaurentElem) -> LaurentElem:
 
 def restrict_diagonal(F: LaurentElem) -> LaurentElem:
     """Substitute w -> z, wb -> zb, landing on the one-point space."""
-    from . import sparse
-
     sp2 = F.space
     if not sp2.two_point:
         raise ValueError("needs a two-point element")
-    sp1 = sp2.one_point()
     nv = sp2.nv
-    out = {}
-    for key, c in F.num.terms.items():
+
+    def merged(key):
         exps = sparse.unpack(key, sp2.nvars)
-        merged = [exps[i] + exps[2 * nv + i] for i in range(nv)] + [
-            exps[nv + i] + exps[3 * nv + i] for i in range(nv)
-        ]
-        k = sparse.pack(merged)
-        prev = out.get(k)
-        if prev is None:
-            out[k] = c
-        else:
-            s = prev + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return LaurentElem(Poly(sp1, out), F.mz + F.mw)
+        return sparse.pack([exps[i] + exps[2 * nv + i] for i in range(nv)]
+                           + [exps[nv + i] + exps[3 * nv + i] for i in range(nv)])
+
+    out = sparse.tcollect((merged(k), c) for k, c in F.num.terms.items())
+    return LaurentElem(Poly(sp2.one_point(), out), F.mz + F.mw)
 
 
 def op_n(F: LaurentElem, ctx: StarContext) -> LaurentElem:
@@ -359,8 +342,6 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
 
 
 def _zwb_poly(sp2: VarSpace) -> Poly:
-    from . import sparse
-
     terms = {}
     for k in range(sp2.nv):
         exps = [0] * sp2.nvars

@@ -1,15 +1,19 @@
-"""Property tests for the sparse kernel: exact evaluation, exponent packing
-and the null-point certificate in front of division by x."""
+"""Property tests for the sparse kernel: exact evaluation, exponent packing,
+the null-point certificate in front of division by x, the re-keying merge
+and the one power routine."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
-from wickred.poly import Poly, VarSpace
-from wickred.scalar import ONE, ZERO, GaussianRational
+from wickred.poly import LaurentElem, Poly, VarSpace
+from wickred.scalar import ONE, ZERO, GaussianRational, power
+from wickred.series import Series, UnivarPoly
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
@@ -190,3 +194,66 @@ def test_pack_rejects_total_degree_128(slot, a, data):
     exps[j] = 128 - a
     with pytest.raises(ValueError, match="total degree"):
         sparse.pack(exps)
+
+
+# ----------------------------------------------------------------------
+# the re-keying merge
+
+# few keys and a few coefficients closed under negation, so repeated keys
+# and sums that cancel to zero are common
+merge_pairs = st.lists(st.tuples(
+    st.integers(0, 5),
+    st.sampled_from([ONE, -ONE, GaussianRational(2), GaussianRational(0, 1),
+                     GaussianRational(0, -1), GaussianRational(Fraction(1, 2), -1)]),
+), max_size=12)
+
+
+@props
+@given(merge_pairs)
+@example([(7, GaussianRational(0, 1)), (3, ONE), (7, GaussianRational(0, -1))])
+@example([(1, ONE), (1, -ONE), (1, ONE)])
+def test_tcollect_matches_folded_tadd(pairs):
+    folded = reduce(lambda acc, kc: sparse.tadd(acc, {kc[0]: kc[1]}), pairs, {})
+    got = sparse.tcollect(pairs)
+    assert got == folded
+    assert all(got.values())
+
+
+# ----------------------------------------------------------------------
+# the power routine
+
+SP = VarSpace.cpn(1)
+# total degree 8 * 15 stays below the packing cap of 128
+small_terms = term_dicts(SP.nvars, max_deg=15, max_terms=3)
+univar_polys = st.builds(UnivarPoly, st.lists(gaussians, max_size=3))
+polys = st.builds(lambda t: Poly(SP, t), small_terms)
+laurents = st.builds(lambda t, m: LaurentElem(Poly(SP, t), m), small_terms, st.integers(-2, 2))
+laurent_series = st.builds(
+    lambda cs: Series(cs),
+    st.lists(st.builds(lambda t: LaurentElem(Poly(SP, t)), term_dicts(SP.nvars, max_deg=3,
+                                                                       max_terms=2)),
+             min_size=1, max_size=3),
+)
+power_settings = settings(deadline=None, max_examples=40)
+
+
+def repeated_product(base, e):
+    return reduce(operator.mul, [base] * e)
+
+
+@power_settings
+@given(st.one_of(gaussians, univar_polys, polys, laurents, laurent_series), st.integers(1, 8))
+def test_power_is_repeated_multiplication(base, e):
+    assert power(base, e) == repeated_product(base, e)
+
+
+@pytest.mark.parametrize("e", [0, -1, -4])
+def test_power_rejects_exponents_below_one(e):
+    with pytest.raises(ValueError):
+        power(GaussianRational(2), e)
+
+
+def test_poly_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        Poly.x(SP).pow(-1)
+    assert Poly.x(SP).pow(0) == Poly.one(SP)

@@ -223,3 +223,55 @@ def test_cli_explicit_order_overrides_env(capsys, monkeypatch):
     code, out = run_cli(capsys, "mul", "--order", "3", "--lhs", "x", "--rhs", "x")
     assert code == 0
     assert json.loads(out)["order"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "moreno", "--rmax", "0", "--order", "2", "--format", "text"],
+    ["verify", "lemma21", "--rmax", "-5", "--order", "2"],
+    ["table", "k-coeff", "--rmax", "0"],
+    ["table", "k-coeff", "--rmax", "-1"],
+    ["moreno", "--rmax", "0"],
+])
+def test_cli_rmax_below_one_is_rejected(capsys, argv):
+    # an empty range of r must not print an empty table or drop the
+    # moreno/recursion-r* checks while reporting every check passed
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    value = argv[argv.index("--rmax") + 1]
+    assert f"error: --rmax must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "a-coeff", "--rmax", "-1"], "error: --rmax must be >= 0, got -1"),
+    (["table", "a-coeff", "--rmax", "2", "--smax", "-3"], "error: --smax must be >= 0, got -3"),
+])
+def test_cli_a_coeff_rejects_negative_bounds(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_cli_a_coeff_rmax_zero_is_one_entry(capsys):
+    code, out = run_cli(capsys, "table", "a-coeff", "--rmax", "0")
+    assert code == 0
+    assert json.loads(out)["entries"] == [{"r": 0, "s": 0, "value": "1"}]
+
+
+def test_coefficient_tables_script_matches_cli(capsys, monkeypatch):
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "coefficient_tables.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--rmax", "6"])
+    runpy.run_path(str(script), run_name="__main__")
+    blocks = [b.splitlines() for b in capsys.readouterr().out.split("\n\n")]
+    # each block opens with one "% ..." comment line
+    a_block, k_block = blocks[0][1:], blocks[1][1:]
+    for which, block in (("a-coeff", a_block), ("k-coeff", k_block)):
+        code, out = run_cli(capsys, "table", which, "--rmax", "6", "--format", "latex")
+        assert code == 0
+        assert block == out.splitlines()

@@ -142,3 +142,23 @@ def test_univar_subst_elem(sp1):
     x = LaurentElem.x_power(sp1, 1)
     p = UnivarPoly([Fraction(1, 2), 0, 1])
     assert p.subst_elem(x) == x * x + LaurentElem.scalar(sp1, Fraction(1, 2))
+
+
+def test_negative_powers_raise(sp1):
+    # a negative exponent once returned the one series silently and made
+    # UnivarPoly.pow loop forever
+    with pytest.raises(ValueError):
+        Series([2]).pow(-2)
+    with pytest.raises(ValueError):
+        s_of([2]).pow(-2)
+    with pytest.raises(ValueError):
+        Series.const(LaurentElem.x_power(sp1, 1), 2).pow(-1)
+    with pytest.raises(ValueError):
+        UnivarPoly([1, 1]).pow(-1)
+    with pytest.raises(ValueError):
+        UnivarPoly([1, 1]).pow(-3)
+
+
+def test_zero_power_is_one(sp1):
+    assert s_of([2, 1], 3).pow(0) == s_of([1], 3)
+    assert UnivarPoly([1, 1], "alpha").pow(0) == UnivarPoly([1], "alpha")
