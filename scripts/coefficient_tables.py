@@ -9,7 +9,7 @@ the Laplacian polynomials k~_r(Delta) for the sphere.
 
 import argparse
 
-from wickred.cli import a_table_latex, k_table_latex
+from wickred.cli import _require_at_least, a_table_latex, k_table_latex
 from wickred.moreno import k_poly
 
 
@@ -18,6 +18,10 @@ def main():
     ap.add_argument("--rmax", type=int, default=8)
     ap.add_argument("--n", type=int, default=1, help="dimension for the k~ table")
     args = ap.parse_args()
+    try:
+        _require_at_least("rmax", args.rmax, 1)
+    except ValueError as e:
+        ap.error(str(e))
     rmax = args.rmax
 
     print("% A^{(r)}_s for r (rows) and s (columns) up to", rmax)

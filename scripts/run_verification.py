@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 
+from wickred.cli import _require_at_least
 from wickred.suites import SUITE_NAMES, run_suite
 
 
@@ -21,6 +22,10 @@ def main():
     ap.add_argument("--rmax", type=int, default=10)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
+    try:
+        _require_at_least("rmax", args.rmax, 1)
+    except ValueError as e:
+        ap.error(str(e))
 
     all_ok = True
     for name in SUITE_NAMES:

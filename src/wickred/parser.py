@@ -4,7 +4,7 @@ formatter.
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
     unary  := '-' unary | power
-    power  := atom ('^' ['-'] INT)?
+    power  := atom ('^' ['-'] INT)?        (|INT| <= MAX_EXPONENT)
     atom   := INT | IDENT | '(' expr ')'
 
 Identifiers: z0..z9, zb0..zb9, x (and its alias y, the metric quadratic),
@@ -29,6 +29,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
+
+# largest |e| accepted in `base^e`: binary powering of 2^e alone builds an
+# e-bit integer, so an unbounded exponent would ask for unbounded work
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
 
@@ -135,6 +139,10 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be an integer", pos)
             e = sign * val
+            if abs(e) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {e} is out of range: |e| must be <= {MAX_EXPONENT}", pos
+                )
             if e >= 0:
                 return base.pow(e)
             try:

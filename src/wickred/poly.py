@@ -96,6 +96,11 @@ class VarSpace:
         return self._quad_terms("w")
 
     @cached_property
+    def x_pow_memo(self) -> dict:
+        # (ez, ew) -> the Poly x^ez * xw^ew, filled by _x_pow_poly
+        return {}
+
+    @cached_property
     def x_lead_key(self) -> int:
         return max(self.x_terms)
 
@@ -345,18 +350,23 @@ class LaurentElem:
         if not canonical:
             self._canonicalize()
 
-    def _canonicalize(self):
+    def _canonicalize(self, z: bool = True, w: bool = True):
+        """Divide x (and xw) out of the numerator while they divide it.
+
+        A block passed as False is not tested; the caller must have proved
+        that its quadratic does not divide the numerator.
+        """
         if self.num.is_zero():
             self.mz = 0
             self.mw = 0
             return
-        while True:
+        while z:
             q = self.num.divided_by_x("z")
             if q is None:
                 break
             self.num = q
             self.mz -= 1
-        if self.space.two_point:
+        if w and self.space.two_point:
             while True:
                 q = self.num.divided_by_x("w")
                 if q is None:
@@ -399,6 +409,10 @@ class LaurentElem:
 
     def __add__(self, other):
         self._check(other)
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         mz = max(self.mz, other.mz)
         mw = max(self.mw, other.mw)
         a = self.num
@@ -407,7 +421,12 @@ class LaurentElem:
             a = a * _x_pow_poly(self.space, mz - self.mz, mw - self.mw)
         if mz > other.mz or mw > other.mw:
             b = b * _x_pow_poly(self.space, mz - other.mz, mw - other.mw)
-        return LaurentElem(a + b, mz, mw)
+        # Unequal powers in a block: the sum is (one numerator) * xw^j mod x,
+        # and x is prime and divides neither factor, so that block is
+        # already canonical.  Likewise for xw.
+        out = LaurentElem(a + b, mz, mw, canonical=True)
+        out._canonicalize(z=self.mz == other.mz, w=self.mw == other.mw)
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -497,8 +516,12 @@ class LaurentElem:
             sign = space.metric[k]
             partner = space.izb(k) if var < space.nv else space.iz(k)
             dx = Poly.variable(space, partner).scale(sign)
-            num = dnum * Poly.x(space) - (self.num * dx).scale(self.mz)
-            return LaurentElem(num, self.mz + 1, self.mw)
+            num = dnum * _x_pow_poly(space, 1) - (self.num * dx).scale(self.mz)
+            # num = -mz * P * dx mod x with mz != 0, and the prime x divides
+            # neither P nor the variable dx: only the xw block needs the test
+            out = LaurentElem(num, self.mz + 1, self.mw, canonical=True)
+            out._canonicalize(z=False)
+            return out
         dnum = self.num.diff(var)
         if self.mw == 0:
             return LaurentElem(dnum, self.mz, 0)
@@ -510,9 +533,11 @@ class LaurentElem:
             partner = space.iwb(k)
         sign = space.metric[k]
         dx = Poly.variable(space, partner).scale(sign)
-        xw = Poly(space, dict(space.xw_terms))
-        num = dnum * xw - (self.num * dx).scale(self.mw)
-        return LaurentElem(num, self.mz, self.mw + 1)
+        num = dnum * _x_pow_poly(space, 0, 1) - (self.num * dx).scale(self.mw)
+        # the same argument in the xw block: only the x block needs the test
+        out = LaurentElem(num, self.mz, self.mw + 1, canonical=True)
+        out._canonicalize(w=False)
+        return out
 
     # ------------------------------------------------------------------
     # homogeneity structure
@@ -658,11 +683,17 @@ class LaurentElem:
 
 
 def _x_pow_poly(space: VarSpace, ez: int, ew: int = 0) -> Poly:
-    p = Poly.one(space)
-    if ez:
-        p = p * Poly.x(space).pow(ez)
-    if ew:
-        p = p * Poly(space, dict(space.xw_terms)).pow(ew)
+    """x^ez * xw^ew (ez, ew >= 0), built once per space.  The Poly is
+    shared by every caller, so it must never be mutated."""
+    memo = space.x_pow_memo
+    p = memo.get((ez, ew))
+    if p is None:
+        p = Poly.one(space)
+        if ez:
+            p = p * Poly.x(space).pow(ez)
+        if ew:
+            p = p * Poly(space, dict(space.xw_terms)).pow(ew)
+        memo[(ez, ew)] = p
     return p
 
 

@@ -109,28 +109,43 @@ def tscale(a: dict, c) -> dict:
 
 
 def tmul(a: dict, b: dict, nvars: int) -> dict:
+    """Product of two term dicts.
+
+    Each output coefficient is summed as an integer triple (p, q, d): a
+    product of two coefficients is plain int arithmetic, terms over equal
+    denominators add directly and unequal ones meet at their lcm.  One
+    normalization per output term closes the sum; zero sums are dropped.
+    """
     if not a or not b:
         return {}
     da = max(k >> (SLOT * nvars) for k in a)
     db = max(k >> (SLOT * nvars) for k in b)
     if da + db >= DEG_CAP:
         raise ValueError(f"product degree {da + db} exceeds packing capacity")
-    out = {}
-    get = out.get
+    bt = [(kb, cb.p, cb.q, cb.d) for kb, cb in b.items()]
+    acc = {}
+    get = acc.get
+    gcd = math.gcd
     for ka, ca in a.items():
-        for kb, cb in b.items():
+        pa, qa, den_a = ca.p, ca.q, ca.d
+        for kb, pb, qb, den_b in bt:
             k = ka + kb
-            c = ca * cb
+            p = pa * pb - qa * qb
+            q = pa * qb + qa * pb
+            d = den_a * den_b
             prev = get(k)
             if prev is None:
-                out[k] = c
+                acc[k] = (p, q, d)
             else:
-                s = prev + c
-                if s:
-                    out[k] = s
+                p0, q0, d0 = prev
+                if d0 == d:
+                    acc[k] = (p0 + p, q0 + q, d)
                 else:
-                    del out[k]
-    return out
+                    g = gcd(d0, d)
+                    f0, f = d // g, d0 // g
+                    acc[k] = (p0 * f0 + p * f, q0 * f0 + q * f, d0 * f0)
+    norm = GaussianRational._norm
+    return {k: norm(p, q, d) for k, (p, q, d) in acc.items() if p or q}
 
 
 def tdiff(a: dict, var: int, nvars: int) -> dict:

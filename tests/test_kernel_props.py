@@ -1,6 +1,8 @@
 """Property tests for the sparse kernel: exact evaluation, exponent packing,
-the null-point certificate in front of division by x, the re-keying merge
-and the one power routine."""
+the null-point certificate in front of division by x, the re-keying merge,
+the one power routine and the product; and for the Laurent class: sums and
+derivatives that skip divisibility tests by proof agree with the full
+canonicalization, the Leibniz rule, and uniqueness of the canonical form."""
 
 import operator
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
-from wickred.poly import LaurentElem, Poly, VarSpace
+from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
 
@@ -257,3 +259,205 @@ def test_poly_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         Poly.x(SP).pow(-1)
     assert Poly.x(SP).pow(0) == Poly.one(SP)
+
+
+# ----------------------------------------------------------------------
+# the product of term dicts
+
+# few small keys and coefficients with unlike denominators, imaginary
+# parts and their negatives, so repeated keys, lcm merges and products
+# that cancel to zero are common
+mul_coeffs = st.sampled_from([
+    ONE, -ONE, GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-1, 3)),
+    GaussianRational(0, 1), GaussianRational(0, Fraction(-1, 6)),
+    GaussianRational(Fraction(2, 3), Fraction(1, 2)), GaussianRational(Fraction(-2, 3), Fraction(-1, 2)),
+])
+mul_terms = st.dictionaries(
+    st.lists(st.integers(0, 2), min_size=2, max_size=2).map(sparse.pack), mul_coeffs, max_size=5,
+)
+
+
+def naive_tmul(a, b):
+    """Reference: one GaussianRational product per pair, merged by tcollect."""
+    return sparse.tcollect((ka + kb, ca * cb) for ka, ca in a.items() for kb, cb in b.items())
+
+
+@props
+@given(st.one_of(mul_terms, term_dicts(2, max_deg=63)), st.one_of(mul_terms, term_dicts(2, max_deg=63)))
+# x0*x1 - x1*x0: the only output key cancels
+@example({sparse.pack([1, 0]): ONE, sparse.pack([0, 1]): ONE},
+         {sparse.pack([0, 1]): ONE, sparse.pack([1, 0]): -ONE})
+# (1/2 + i/3) over unlike denominators meeting at their lcm
+@example({sparse.pack([1, 0]): GaussianRational(Fraction(1, 2)), 0: GaussianRational(0, Fraction(1, 3))},
+         {0: GaussianRational(Fraction(1, 5)), sparse.pack([1, 0]): GaussianRational(0, Fraction(-3, 7))})
+def test_tmul_matches_naive_reference(a, b):
+    got = sparse.tmul(a, b, 2)
+    assert got == naive_tmul(a, b)
+    for c in got.values():
+        assert c and c == GaussianRational._norm(c.p, c.q, c.d)
+
+
+# ----------------------------------------------------------------------
+# the Laurent class: canonical form without redundant divisibility tests
+
+TWO_POINT = VarSpace.cpn(1, two_point=True)
+LAURENT_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), TWO_POINT]
+laurent_settings = settings(deadline=None, max_examples=100)
+
+
+@st.composite
+def laurent_elems(draw, space, mz=None, mw=None):
+    """A canonical element built by the full canonicalization; its numerator
+    is sometimes a multiple of x or xw, so the stored powers vary."""
+    num = Poly(space, draw(term_dicts(space.nvars, max_deg=3, max_terms=4)))
+    if draw(st.booleans()):
+        num = num * divisor(space, "z")
+    if space.two_point and draw(st.booleans()):
+        num = num * divisor(space, "w")
+    mz = draw(st.integers(-2, 2)) if mz is None else mz
+    mw = (draw(st.integers(-2, 2)) if mw is None else mw) if space.two_point else 0
+    return LaurentElem(num, mz, mw)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(a, b) on one space: b shares a's powers, or is -a plus a multiple of
+    x (the sum then cancels or divides by x), or is drawn independently."""
+    space = draw(st.sampled_from(LAURENT_SPACES))
+    a = draw(laurent_elems(space))
+    kind = draw(st.sampled_from(["same", "cancel", "free"]))
+    if kind == "same":
+        b = draw(laurent_elems(space, a.mz, a.mw))
+    elif kind == "cancel":
+        c = draw(laurent_elems(space, a.mz - 1, a.mw))
+        b = LaurentElem(-a.num, a.mz, a.mw) + c
+    else:
+        b = draw(laurent_elems(space))
+    return space, a, b
+
+
+def full_sum(a, b):
+    """Reference sum: both numerators over the common powers, then the
+    full canonicalization with every block tested."""
+    space = a.space
+    mz, mw = max(a.mz, b.mz), max(a.mw, b.mw)
+    nums = []
+    for e in (a, b):
+        num = e.num
+        if mz > e.mz:
+            num = num * divisor(space, "z").pow(mz - e.mz)
+        if mw > e.mw:
+            num = num * divisor(space, "w").pow(mw - e.mw)
+        nums.append(num)
+    return LaurentElem(nums[0] + nums[1], mz, mw)
+
+
+def full_diff(a, v):
+    """Reference derivative of P / (x^mz xw^mw) over the common denominator
+    x^(mz+1) xw^(mw+1), then the full canonicalization."""
+    space = a.space
+    x = divisor(space, "z")
+    xw = divisor(space, "w") if space.two_point else Poly.one(space)
+    dxw = xw.diff(v) if space.two_point else Poly.zero(space)
+    p = a.num
+    num = p.diff(v) * x * xw - (p * x.diff(v) * xw).scale(a.mz) - (p * dxw * x).scale(a.mw)
+    return LaurentElem(num, a.mz + 1, a.mw + (1 if space.two_point else 0))
+
+
+def assert_same(got, want):
+    assert (got.num, got.mz, got.mw) == (want.num, want.mz, want.mw)
+
+
+@laurent_settings
+@given(laurent_pairs())
+def test_laurent_add_matches_full_canonicalization(case):
+    space, a, b = case
+    assert_same(a + b, full_sum(a, b))
+    assert_same(b + a, full_sum(b, a))
+
+
+@pytest.mark.parametrize("space", LAURENT_SPACES, ids=str)
+def test_laurent_add_zero_operand_is_the_other(space):
+    zero = LaurentElem.zero_of(space)
+    a = LaurentElem(Poly.variable(space, 0), -2)  # x^2 * z0
+    assert_same(zero + a, a)
+    assert_same(a + zero, a)
+    assert_same(zero + zero, zero)
+
+
+@laurent_settings
+@given(st.sampled_from(LAURENT_SPACES).flatmap(laurent_elems))
+def test_laurent_diff_matches_full_canonicalization(a):
+    for v in range(a.space.nvars):
+        assert_same(a.diff(v), full_diff(a, v))
+
+
+def test_two_point_diff_divides_the_other_block():
+    # d/dz0 of (x*w0 + xw)/x = -zb0 * xw / x^2: the z block of the quotient
+    # rule is canonical by proof, but xw divides the numerator
+    sp = TWO_POINT
+    f = LaurentElem(divisor(sp, "z") * Poly.variable(sp, sp.iw(0)) + divisor(sp, "w"), 1)
+    assert (f.mz, f.mw) == (1, 0)
+    d = f.diff(sp.iz(0))
+    assert (d.mz, d.mw) == (2, -1)
+    assert d.num == -Poly.variable(sp, sp.izb(0))
+
+
+@st.composite
+def other_block_cases(draw):
+    """(f, block): f = (x*P + xw*Q)/x with P free of z and zb, or the same
+    with the blocks swapped.  Differentiating in that block leaves the
+    other quadratic dividing the numerator, as in the pinned example."""
+    sp = TWO_POINT
+    block = draw(st.sampled_from(["z", "w"]))
+    other = "w" if block == "z" else "z"
+    half = 2 * sp.nv  # slots per block
+    exps = draw(st.lists(exponent_vectors(half, max_deg=3), min_size=1, max_size=3))
+    coeffs = draw(st.lists(nonzero_gaussians, min_size=len(exps), max_size=len(exps)))
+    pad = [0] * half
+    p = Poly.from_exponent_map(sp, {
+        tuple(pad + e if block == "z" else e + pad): c for e, c in zip(exps, coeffs)})
+    q = Poly(sp, draw(term_dicts(sp.nvars, max_deg=3, max_terms=3).filter(bool)))
+    num = divisor(sp, block) * p + divisor(sp, other) * q
+    f = LaurentElem(num, 1, 0) if block == "z" else LaurentElem(num, 0, 1)
+    return f, block
+
+
+@laurent_settings
+@given(other_block_cases())
+def test_laurent_diff_tests_the_other_block(case):
+    f, block = case
+    half = 2 * f.space.nv
+    for v in (range(half) if block == "z" else range(half, 2 * half)):
+        assert_same(f.diff(v), full_diff(f, v))
+
+
+@laurent_settings
+@given(st.sampled_from(LAURENT_SPACES).flatmap(
+    lambda sp: st.tuples(laurent_elems(sp), laurent_elems(sp))))
+def test_laurent_diff_leibniz_rule(pair):
+    a, b = pair
+    for v in range(a.space.nvars):
+        assert (a * b).diff(v) == a.diff(v) * b + a * b.diff(v)
+
+
+def test_x_pow_memo_matches_direct_powers():
+    sp = VarSpace.cpn(1, two_point=True)  # a new space: its memo starts empty
+    for ez in range(3):
+        for ew in range(3):
+            want = divisor(sp, "z").pow(ez) * divisor(sp, "w").pow(ew)
+            assert _x_pow_poly(sp, ez, ew) == want
+            assert _x_pow_poly(sp, ez, ew) == want  # served by the memo
+
+
+@laurent_settings
+@given(st.sampled_from(LAURENT_SPACES).flatmap(laurent_elems), st.integers(0, 3), st.integers(0, 3))
+def test_canonical_form_is_unique(a, k, j):
+    # P * x^k * xw^j / (x^(m+k) xw^(mw+j)) canonicalizes back to P / (x^m xw^mw)
+    space = a.space
+    num = a.num * divisor(space, "z").pow(k)
+    if not space.two_point:
+        j = 0
+    elif j:
+        num = num * divisor(space, "w").pow(j)
+    assert_same(LaurentElem(num, a.mz + k, a.mw + j), a)

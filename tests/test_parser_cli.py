@@ -275,3 +275,47 @@ def test_coefficient_tables_script_matches_cli(capsys, monkeypatch):
         code, out = run_cli(capsys, "table", which, "--rmax", "6", "--format", "latex")
         assert code == 0
         assert block == out.splitlines()
+
+
+@pytest.mark.parametrize("text, e", [("2^200000", 200000), ("x^1001", 1001), ("(1 + l*x)^-1001", -1001)])
+def test_parse_rejects_exponent_beyond_bound(sp1, text, e):
+    # a parsed exponent must not ask for an integer or a product of any size
+    with pytest.raises(ParseError, match=f"exponent {e} is out of range"):
+        parse_expr(text, sp1, 2)
+
+
+def test_parse_accepts_exponent_at_bound(sp1):
+    assert parse_expr("2^1000", sp1, 2).coeffs[0] == LaurentElem.scalar(sp1, 2**1000)
+    assert parse_expr("x^-1000", sp1, 2).coeffs[0] == LaurentElem.x_power(sp1, -1000)
+
+
+def test_cli_huge_exponent_is_rejected(capsys):
+    code = main(["mul", "--n", "1", "--order", "2", "--lhs", "2^200000", "--rhs", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: exponent 200000 is out of range" in err
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_verification.py", ["--order", "2", "--rmax", "0"]),
+    ("run_verification.py", ["--order", "2", "--rmax", "-5"]),
+    ("coefficient_tables.py", ["--rmax", "0"]),
+    ("coefficient_tables.py", ["--rmax", "-1"]),
+])
+def test_scripts_reject_rmax_below_one(script, args):
+    # like the CLI: an empty range of r is an error, not an empty table or
+    # a suite run with its recursion checks silently dropped
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: --rmax must be >= 1, got {args[-1]}" in proc.stderr
