@@ -8,8 +8,9 @@ which is handy when tuning the truncation order.
 import argparse
 import sys
 import time
+from fractions import Fraction
 
-from wickred.cli import _require_at_least
+from wickred.cli import CliConfig, _require_at_least
 from wickred.suites import SUITE_NAMES, run_suite
 
 
@@ -23,15 +24,16 @@ def main():
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
     try:
+        cfg = CliConfig(n=args.n, mu=Fraction(args.mu), order=args.order, seed=args.seed)
         _require_at_least("rmax", args.rmax, 1)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         ap.error(str(e))
 
     all_ok = True
     for name in SUITE_NAMES:
         t0 = time.time()
-        report = run_suite(name, n=args.n, order=args.order, mu=args.mu,
-                           seed=args.seed, rmax=args.rmax)
+        report = run_suite(name, n=cfg.n, order=cfg.order, mu=cfg.mu,
+                           seed=cfg.seed, rmax=args.rmax)
         ok = report.ok
         all_ok = all_ok and ok
         npass = sum(c.ok for c in report.checks)

@@ -1,7 +1,7 @@
 """Exact star-products on complex projective space by phase-space
 reduction of the Wick product, over Gaussian rationals."""
 
-from .poly import LaurentElem, Poly, VarSpace, divide_by_x, is_radial
+from .poly import LaurentElem, Poly, VarSpace, is_radial
 from .scalar import GaussianRational, Rational, binomial, factorial, gauss
 from .series import Series, UnivarPoly, scalar_series
 from .wick import StarContext, default_context
@@ -17,7 +17,6 @@ __all__ = [
     "VarSpace",
     "binomial",
     "default_context",
-    "divide_by_x",
     "factorial",
     "gauss",
     "is_radial",

@@ -37,10 +37,6 @@ def a_coeff(r: int, s: int) -> Fraction:
     return Fraction(total, factorial(r - 1))
 
 
-def a_table(rmax: int, smax: int) -> list:
-    return [[a_coeff(r, s) for s in range(smax + 1)] for r in range(rmax + 1)]
-
-
 # ----------------------------------------------------------------------
 # sparse polynomials in (x, alpha) and (x, alpha, beta); the x exponent
 # may be negative, so the keys are plain tuples rather than packed ints

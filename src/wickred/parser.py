@@ -208,20 +208,21 @@ def _format_coeff(c: GaussianRational) -> str:
     return f"({re_}{sign}{abs(im)}*i)"
 
 
+def format_term(c: GaussianRational, exps, names) -> str:
+    """The monomial c * prod names[k]^exps[k]."""
+    factors = [_format_coeff(c)]
+    for name, exp in zip(names, exps):
+        if exp:
+            factors.append(name if exp == 1 else f"{name}^{exp}")
+    return "*".join(factors)
+
+
 def format_elem(e: LaurentElem) -> str:
     space = e.space
     if e.num.is_zero():
         return "0"
-    parts = []
-    for key, c in e.num.sorted_items():
-        factors = [_format_coeff(c)]
-        exps = sparse.unpack(key, space.nvars)
-        for idx, exp in enumerate(exps):
-            if exp:
-                name = space.var_names[idx]
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-        parts.append("*".join(factors))
-    body = " + ".join(parts)
+    body = " + ".join(format_term(c, sparse.unpack(key, space.nvars), space.var_names)
+                      for key, c in e.num.sorted_items())
     if e.mz:
         xp = -e.mz
         body = f"({body})*x^{xp}" if xp != 1 else f"({body})*x"

@@ -324,12 +324,6 @@ class Poly:
         return f"Poly({len(self.terms)} terms)"
 
 
-def divide_by_x(p: Poly):
-    """Exact divisibility test by the metric quadratic; returns the
-    quotient or None.  See Poly.divided_by_x."""
-    return p.divided_by_x("z")
-
-
 class LaurentElem:
     """P * x^(-mz) (and * xw^(-mw) on two-point spaces), P a Poly.
 

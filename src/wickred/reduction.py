@@ -27,11 +27,6 @@ def momentum_map(ctx: StarContext) -> LaurentElem:
     return LaurentElem.x_power(ctx.space, 1).scale(Fraction(-1, 2))
 
 
-def is_invariant(F: LaurentElem, ctx: StarContext = None) -> bool:
-    """Invariance under the circle action (termwise equal z/zb degrees)."""
-    return F.is_invariant()
-
-
 def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:
     """Project one invariant element to its reduced representative by
     substituting x -> -2*mu in the homogeneous peel."""
@@ -116,10 +111,6 @@ def k_coeff(r: int, s: int) -> Fraction:
             factorial(s) * factorial(s - k) * factorial(k - 1),
         )
     return total
-
-
-def k_coeff_table(rmax: int) -> list:
-    return [[k_coeff(r, s) for s in range(1, r + 1)] for r in range(1, rmax + 1)]
 
 
 def _k_tilde(r: int, ms) -> LaurentElem:

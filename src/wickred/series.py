@@ -84,11 +84,6 @@ class Series:
         z = self.coeffs[0].zero()
         return Series([z] * k + self.coeffs[: len(self.coeffs) - k])
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.coeffs[: order + 1])
-
     def pow(self, e: int) -> "Series":
         if e == 0:
             return self.one()

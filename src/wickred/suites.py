@@ -1,19 +1,23 @@
-"""Named verification suites behind the `verify` CLI command.
+"""Named verification suites behind the `verify` CLI command, and the
+check builders they are made of.
 
-Each check evaluates one identity exactly and records pass/fail together
-with the offending residual when something is nonzero.  Suites draw their
-random inputs from a seeded generator, so a fixed seed gives a fixed
-report.
+Each `check_*` builder evaluates one identity exactly and appends one
+`Check` per instance to a list: pass/fail, and a one-line summary of the
+offending residual when something is nonzero.  The acceptance tests call
+the same builders, so each identity is assembled in one place.  A builder
+that takes `rng` draws its random inputs from it in a fixed order, so a
+fixed seed gives a fixed report.  Builders with a D variant take a context
+with D = 1 and also check it with D = 1 + lambda/x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 
-from . import equiv, moreno, reduction
-from .parser import format_series
+from . import equiv, moreno, reduction, sparse
+from .parser import format_term
 from .poly import LaurentElem, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
@@ -62,119 +66,125 @@ class Report:
         }
 
 
+def _first_term(res) -> tuple:
+    """(term count, first term) of a nonzero residual that is not a Series."""
+    if isinstance(res, equiv.SparsePoly):
+        key = min(res.terms)
+        return len(res.terms), str(equiv.SparsePoly(res.arity, {key: res.terms[key]}))
+    if isinstance(res, UnivarPoly):
+        k = next(k for k, c in enumerate(res.coeffs) if not c.is_zero())
+        count = sum(not c.is_zero() for c in res.coeffs)
+        return count, str(UnivarPoly.monomial(res.coeffs[k], k, res.var))
+    if isinstance(res, LaurentElem):
+        terms, nvars, names = res.num.terms, res.space.nvars, res.space.var_names
+        den = {"x": res.mz, "xw": res.mw}
+    else:  # moreno.ChartElem: num / (D1^a D2^b D3^c D4^d) in u, ub, v, vb
+        terms, nvars = res.num, res.nvars
+        names = [f"{b}{k}" for b in ("u", "ub", "v", "vb") for k in range(1, res.n + 1)]
+        den = {f"D{i}": d for i, d in enumerate(res.den, start=1)}
+    key, c = max(terms.items())
+    term = format_term(c, sparse.unpack(key, nvars), names)
+    return len(terms), term + "".join(f"*{b}^{-d}" for b, d in den.items() if d)
+
+
 def _residual_str(res) -> str:
-    try:
-        if isinstance(res, Series):
-            return format_series(res)
-        return str(res)
-    except Exception:
-        return repr(res)
+    """One line: for a Series its order and first nonzero lambda-power,
+    then that coefficient's term count and first term."""
+    prefix = ""
+    if isinstance(res, Series):
+        m = next(m for m, c in enumerate(res.coeffs) if not c.is_zero())
+        prefix = f"order {res.order}, first nonzero at l^{m}: "
+        res = res.coeffs[m]
+    count, first = _first_term(res)
+    return f"{prefix}{count} terms, first {first}"
 
 
-def _add(checks: list, name: str, residual_is_zero, residual=None):
-    ok = bool(residual_is_zero)
-    detail = "" if ok else _residual_str(residual)
-    checks.append(Check(name, ok, detail))
+def _add(checks: list, name: str, ok: bool):
+    checks.append(Check(name, bool(ok)))
+
+
+def _zero(checks: list, name: str, *residuals, K=None):
+    """Record that every residual vanishes identically.  A Series residual
+    must also have order K: Series arithmetic truncates to the shorter
+    operand, so a short residual would check fewer orders than asked for."""
+    for res in residuals:
+        if isinstance(res, Series) and res.order != K:
+            checks.append(Check(name, False, f"residual has order {res.order}, expected K = {K}"))
+            return
+    bad = next((res for res in residuals if not res.is_zero()), None)
+    checks.append(Check(name, bad is None, "" if bad is None else _residual_str(bad)))
+
+
+def _d_variants(ctx):
+    """ctx (D = 1) and its D = 1 + lambda/x variant, with their labels."""
+    return (("D1", ctx), ("D1+l/x", replace(ctx, D=(1, 1))))
 
 
 # ----------------------------------------------------------------------
+# Wick product (Lemma 2.1)
 
 
-def _check_associativity(checks, ctx, rng, count, tag, max_deg=3):
+def check_associativity(checks, ctx, rng, count, tag):
     for t in range(count):
-        F = rand_poly(ctx.space, rng, max_deg=max_deg)
-        G = rand_poly(ctx.space, rng, max_deg=max_deg)
-        H = rand_poly(ctx.space, rng, max_deg=max_deg)
+        F, G, H = (rand_poly(ctx.space, rng, max_deg=3) for _ in range(3))
         left = wick_product(wick_product_elems(F, G, ctx), Series.const(H, ctx.K), ctx)
         right = wick_product(Series.const(F, ctx.K), wick_product_elems(G, H, ctx), ctx)
-        _add(checks, f"{tag}/wick-assoc-{t}", (left - right).is_zero(), left - right)
+        _zero(checks, f"{tag}/wick-assoc-{t}", left - right, K=ctx.K)
 
 
-def _check_radial_tuple(checks, ctx, rng, idx, tag):
-    space = ctx.space
+def check_radial_tuple(checks, ctx, rng, idx, tag):
+    """Radial/invariant/homogeneous product relations and the M_r expansion
+    on one random tuple."""
+    space, K = ctx.space, ctx.K
     rho1, rho2 = rand_radial(rng), rand_radial(rng)
     R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
     F = rand_invariant(space, rng)
-    f = rand_homogeneous(space, rng)
-    g = rand_homogeneous(space, rng)
+    f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
 
     lhs = wick_product_elems(R1, F, ctx)
     expansion = radial_invariant_expansion(rho1, F, ctx)
     sym = wick_product_elems(F, R1, ctx)
-    _add(checks, f"{tag}/radial-invariant-expansion-{idx}", (lhs - expansion).is_zero(), lhs - expansion)
-    _add(checks, f"{tag}/radial-invariant-symmetric-{idx}", (lhs - sym).is_zero(), lhs - sym)
+    _zero(checks, f"{tag}/radial-invariant-expansion-{idx}", lhs - expansion, K=K)
+    _zero(checks, f"{tag}/radial-invariant-symmetric-{idx}", lhs - sym, K=K)
 
     r12 = wick_product_elems(R1, R2, ctx)
     r21 = wick_product_elems(R2, R1, ctx)
-    _add(checks, f"{tag}/radial-radial-commute-{idx}", (r12 - r21).is_zero(), r12 - r21)
+    _zero(checks, f"{tag}/radial-radial-commute-{idx}", r12 - r21, K=K)
     _add(checks, f"{tag}/radial-radial-closed-{idx}", all(is_radial(c) for c in r12.coeffs))
 
-    prod = wick_product_elems(R1, f, ctx)
-    pointwise = Series.const(R1 * f, ctx.K)
-    rev = wick_product_elems(f, R1, ctx)
-    _add(checks, f"{tag}/radial-homogeneous-pointwise-{idx}",
-         (prod - pointwise).is_zero() and (rev - pointwise).is_zero(),
-         prod - pointwise)
+    pointwise = Series.const(R1 * f, K)
+    _zero(checks, f"{tag}/radial-homogeneous-pointwise-{idx}",
+          wick_product_elems(R1, f, ctx) - pointwise,
+          wick_product_elems(f, R1, ctx) - pointwise, K=K)
 
     fg = wick_product_elems(f, g, ctx)
-    rebuilt = Series.const(LaurentElem.zero_of(space), ctx.K)
-    homog = True
-    fact = 1
-    for r in range(ctx.K + 1):
-        if r:
-            fact *= r
+    rebuilt, homog = [], True
+    for r in range(K + 1):
         mr = m_op(f, g, r, ctx)
         homog = homog and (mr.is_zero() or mr.is_homogeneous())
-        term = mr.mul_xpow(-r).scale(Fraction(1, fact))
-        rebuilt.coeffs[r] = rebuilt.coeffs[r] + term
+        rebuilt.append(mr.mul_xpow(-r).scale(Fraction(1, factorial(r))))
     _add(checks, f"{tag}/m-operators-homogeneous-{idx}", homog)
-    _add(checks, f"{tag}/m-operator-expansion-{idx}", (fg - rebuilt).is_zero(), fg - rebuilt)
+    _zero(checks, f"{tag}/m-operator-expansion-{idx}", fg - Series(rebuilt), K=K)
 
 
-def _check_commutators(checks, ctx, rng, count, tag):
+def check_commutators(checks, ctx, rng, count, tag):
     space = ctx.space
     for t in range(count):
         F = rand_poly(space, rng, max_deg=2)
         G = rand_poly(space, rng, max_deg=2)
         res = commutator_check(F, G, ctx)
-        _add(checks, f"{tag}/first-order-commutator-{t}", res.coeffs[1].is_zero(), res)
+        _zero(checks, f"{tag}/first-order-commutator-{t}", res.coeffs[1], K=ctx.K)
     J = reduction.momentum_map(ctx)
     for t in range(count):
         F = rand_poly(space, rng, max_deg=2)
-        res = commutator_check(F, J, ctx)
-        _add(checks, f"{tag}/momentum-commutator-exact-{t}", res.is_zero(), res)
-
-
-def _check_mu_star(checks, ctx, tag, phi, psi, chi):
-    """Associativity of the reduced product on (phi, psi, chi) and its
-    first-order commutator against the reduced Poisson bracket."""
-    K = ctx.K
-    left = reduction.mu_star(reduction.mu_star_elems(phi, psi, ctx), Series.const(chi, K), ctx)
-    right = reduction.mu_star(Series.const(phi, K), reduction.mu_star_elems(psi, chi, ctx), ctx)
-    _add(checks, f"{tag}/mu-star-assoc", (left - right).is_zero(), left - right)
-    prod = reduction.mu_star_elems(phi, psi, ctx)
-    prod_r = reduction.mu_star_elems(psi, phi, ctx)
-    half_i = GaussianRational(0, Fraction(1, 2))
-    comm1 = (prod - prod_r).coeffs[1] - reduction.reduced_poisson(phi, psi, ctx).scale(half_i)
-    _add(checks, f"{tag}/mu-star-commutator", comm1.is_zero(), comm1)
-
-
-def suite_lemma21(n, K, mu, seed, space_kind="cpn") -> list:
-    rng = Random(seed)
-    checks = []
-    ctx = default_context(n, K, mu, space_kind)
-    tag = f"lemma21-n{n}-{space_kind}"
-    _check_associativity(checks, ctx, rng, 3, tag)
-    for idx in range(3):
-        _check_radial_tuple(checks, ctx, rng, idx, tag)
-    _check_commutators(checks, ctx, rng, 2, tag)
-    return checks
+        _zero(checks, f"{tag}/momentum-commutator-exact-{t}", commutator_check(F, J, ctx), K=ctx.K)
 
 
 # ----------------------------------------------------------------------
+# the equivalence transformation S and the transformed product
 
 
-def _a_table_oracle(rmax: int, smax: int) -> list:
+def a_table_oracle(rmax: int, smax: int) -> list:
     """u-series of prod_{k=1..r}(1 + k u) inverted order by order."""
     rows = []
     for r in range(rmax + 1):
@@ -191,73 +201,208 @@ def _a_table_oracle(rmax: int, smax: int) -> list:
     return rows
 
 
-def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
-    rng = Random(seed)
-    checks = []
-    ctx = default_context(n, K, mu, space_kind)
-    ctx_d = default_context(n, K, mu, space_kind, D=(1, 1))
-    space = ctx.space
-    tag = f"equiv-n{n}"
+def check_a_table(checks, tag, rmax=6, smax=6):
+    oracle = a_table_oracle(rmax, smax)
+    _add(checks, f"{tag}/a-table-vs-inversion-oracle", all(
+        equiv.a_coeff(r, s) == oracle[r][s] for r in range(rmax + 1) for s in range(smax + 1)))
 
-    oracle = _a_table_oracle(6, 6)
-    ok = all(
-        equiv.a_coeff(r, s) == oracle[r][s] for r in range(7) for s in range(7)
-    )
-    _add(checks, f"{tag}/a-table-vs-inversion-oracle", ok)
 
-    sym0 = equiv.symbol_at_alpha_zero(ctx)
+def check_symbol_at_zero(checks, ctx, tag):
     one = Series.const(equiv.SparsePoly.constant(2, 1), ctx.K)
-    _add(checks, f"{tag}/symbol-at-zero-is-one", sym0 == one)
+    _add(checks, f"{tag}/symbol-at-zero-is-one", equiv.symbol_at_alpha_zero(ctx) == one)
 
-    for name, c in (("D1", ctx), ("D1+l/x", ctx_d)):
-        res = equiv.functional_equation_residual(c)
-        _add(checks, f"{tag}/functional-equation-{name}",
-             all(p.is_zero() for p in res.coeffs), res)
 
-    for name, c in (("D1", ctx), ("D1+l/x", ctx_d)):
-        ok = True
-        worst = None
-        for j in range(-3, 4):
-            diff = equiv.s_apply_xpow(j, c) - equiv.standard_order_apply(j, c)
-            if not diff.is_zero():
-                ok = False
-                worst = diff
-        _add(checks, f"{tag}/standard-ordering-{name}", ok, worst)
+def check_functional_equation(checks, ctx, tag):
+    for label, c in _d_variants(ctx):
+        _zero(checks, f"{tag}/functional-equation-{label}",
+              equiv.functional_equation_residual(c), K=c.K)
 
-    F = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
+
+def check_standard_ordering(checks, ctx, tag, js=range(-3, 4)):
+    """S on x^j against the standard-ordered action, for j in js."""
+    for label, c in _d_variants(ctx):
+        diffs = [equiv.s_apply_xpow(j, c) - equiv.standard_order_apply(j, c) for j in js]
+        _zero(checks, f"{tag}/standard-ordering-{label}", *diffs, K=c.K)
+
+
+def check_s_roundtrip(checks, ctx, rng, tag):
+    F = Series([rand_invariant(ctx.space, rng) for _ in range(ctx.K + 1)])
     round_trip = equiv.s_apply(equiv.s_apply(F, ctx), ctx, inverse=True)
-    _add(checks, f"{tag}/s-inverse-roundtrip", (round_trip - F).is_zero(), round_trip - F)
+    _zero(checks, f"{tag}/s-inverse-roundtrip", round_trip - F, K=ctx.K)
 
-    for t in range(2):
+
+def check_equivalence_transform(checks, ctx, rng, count, tag):
+    for t in range(count):
         res = equiv.equivalence_check(rand_radial(rng), rand_radial(rng), ctx)
-        _add(checks, f"{tag}/equivalence-transform-{t}", res.is_zero(), res)
+        _zero(checks, f"{tag}/equivalence-transform-{t}", res, K=ctx.K)
 
+
+def check_tilde_relations(checks, ctx, rng, tag):
+    """Radial functions multiply pointwise under the transformed product,
+    and its closed formula on homogeneous functions."""
+    space, K = ctx.space, ctx.K
     rho1, rho2 = rand_radial(rng), rand_radial(rng)
     R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
     F1 = rand_invariant(space, rng)
     f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
-    rel1 = equiv.tilde_star_elems(R1, R2, ctx) - Series.const(R1 * R2, ctx.K)
-    rel2 = equiv.tilde_star_elems(R1, F1, ctx) - Series.const(R1 * F1, ctx.K)
-    rel2b = equiv.tilde_star_elems(F1, R1, ctx) - Series.const(R1 * F1, ctx.K)
-    rel3 = equiv.tilde_star_elems(R1, f, ctx) - Series.const(R1 * f, ctx.K)
-    _add(checks, f"{tag}/tilde-radial-radial", rel1.is_zero(), rel1)
-    _add(checks, f"{tag}/tilde-radial-invariant",
-         rel2.is_zero() and rel2b.is_zero(), rel2)
-    _add(checks, f"{tag}/tilde-radial-homog", rel3.is_zero(), rel3)
-    closed = equiv.tilde_star_closed(f, g, ctx) - equiv.tilde_star_elems(f, g, ctx)
-    _add(checks, f"{tag}/tilde-closed-formula", closed.is_zero(), closed)
+    tilde = equiv.tilde_star_elems
+    _zero(checks, f"{tag}/tilde-radial-radial",
+          tilde(R1, R2, ctx) - Series.const(R1 * R2, K), K=K)
+    _zero(checks, f"{tag}/tilde-radial-invariant",
+          tilde(R1, F1, ctx) - Series.const(R1 * F1, K),
+          tilde(F1, R1, ctx) - Series.const(R1 * F1, K), K=K)
+    _zero(checks, f"{tag}/tilde-radial-homog", tilde(R1, f, ctx) - Series.const(R1 * f, K), K=K)
+    _zero(checks, f"{tag}/tilde-closed-formula",
+          equiv.tilde_star_closed(f, g, ctx) - tilde(f, g, ctx), K=K)
 
-    for t in range(1):
-        A = Series.const(rand_invariant(space, rng), ctx.K)
-        B = Series.const(rand_invariant(space, rng), ctx.K)
-        C = Series.const(rand_invariant(space, rng), ctx.K)
+
+def check_tilde_assoc(checks, ctx, rng, count, tag):
+    for t in range(count):
+        A, B, C = (Series.const(rand_invariant(ctx.space, rng), ctx.K) for _ in range(3))
         left = equiv.tilde_star(equiv.tilde_star(A, B, ctx), C, ctx)
         right = equiv.tilde_star(A, equiv.tilde_star(B, C, ctx), ctx)
-        _add(checks, f"{tag}/tilde-assoc-{t}", (left - right).is_zero(), left - right)
-    return checks
+        _zero(checks, f"{tag}/tilde-assoc-{t}", left - right, K=ctx.K)
 
 
 # ----------------------------------------------------------------------
+# the reduced product
+
+
+def check_k_coeff_routes(checks, tag):
+    """c_{r,s} against A^(s)_{r-s} / s! for r <= 10."""
+    _add(checks, f"{tag}/k-coeff-two-routes", all(
+        reduction.k_coeff(r, s) == equiv.a_coeff(s, r - s) / factorial(s)
+        for r in range(1, 11) for s in range(1, r + 1)))
+
+
+def check_mu_star_symmetries(checks, ctx, tag, phi, psi):
+    """1 is the unit of the reduced product, and conjugation reverses it."""
+    K = ctx.K
+    one = Series.const(LaurentElem.one_of(ctx.space), K)
+    unit = reduction.mu_star(Series.const(phi, K), one, ctx) - Series.const(phi, K)
+    _zero(checks, f"{tag}/mu-star-unit", unit, K=K)
+    conj = reduction.mu_star_elems(phi, psi, ctx).map(lambda c: c.conj()) - \
+        reduction.mu_star_elems(psi.conj(), phi.conj(), ctx)
+    _zero(checks, f"{tag}/mu-star-conjugation", conj, K=K)
+
+
+def check_mu_star(checks, ctx, tag, phi, psi, chi):
+    """Associativity of the reduced product on (phi, psi, chi) and its
+    first-order commutator against the reduced Poisson bracket."""
+    K = ctx.K
+    prod = reduction.mu_star_elems(phi, psi, ctx)
+    left = reduction.mu_star(prod, Series.const(chi, K), ctx)
+    right = reduction.mu_star(Series.const(phi, K), reduction.mu_star_elems(psi, chi, ctx), ctx)
+    _zero(checks, f"{tag}/mu-star-assoc", left - right, K=K)
+    prod_r = reduction.mu_star_elems(psi, phi, ctx)
+    half_i = GaussianRational(0, Fraction(1, 2))
+    comm1 = (prod - prod_r).coeffs[1] - reduction.reduced_poisson(phi, psi, ctx).scale(half_i)
+    _zero(checks, f"{tag}/mu-star-commutator", comm1, K=K)
+
+
+def check_reduce_compatibility(checks, ctx, tag, F, G):
+    _zero(checks, f"{tag}/reduce-compatibility",
+          reduction.reduction_compatibility(F, G, ctx), K=ctx.K)
+
+
+def check_reduction_routes(checks, ctx, tag, phi, psi):
+    """The closed reduced product against projecting the Wick product
+    through S and against order-by-order division by (J - mu)."""
+    t1 = reduction.mu_star_elems(phi, psi, ctx)
+    t2 = reduction.wick_reduce(phi, psi, ctx)
+    t3 = reduction.wick_reduce_by_division(phi, psi, ctx)
+    _zero(checks, f"{tag}/triangle-wick-reduce", t1 - t2, K=ctx.K)
+    _zero(checks, f"{tag}/triangle-division", t1 - t3, K=ctx.K)
+
+
+def check_ideal_decomposition(checks, ctx, rng, tag):
+    space = ctx.space
+    inv = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
+    dec = reduction.ideal_decompose(inv, ctx)
+    Jmu = reduction.momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
+    rebuilt = dec.projection + dec.multiplier.map(lambda c: Jmu * c)
+    _zero(checks, f"{tag}/ideal-decomposition", rebuilt - inv, K=ctx.K)
+    _add(checks, f"{tag}/ideal-multiplier-invariant",
+         all(c.is_invariant() for c in dec.multiplier.coeffs))
+
+
+def check_quantum_momentum(checks, ctx, tag, F):
+    for label, c in _d_variants(ctx):
+        _zero(checks, f"{tag}/quantum-momentum-{label}",
+              reduction.quantum_momentum_check(F, c), K=c.K)
+
+
+def check_reparametrization(checks, ctx, tag, phi, psi):
+    _zero(checks, f"{tag}/reparametrization",
+          reduction.reparametrize_check(phi, psi, (1, 1), ctx), K=ctx.K)
+
+
+def check_two_point(checks, ctx, rng, count, tag):
+    for t in range(count):
+        f, g = rand_homogeneous(ctx.space, rng), rand_homogeneous(ctx.space, rng)
+        for r in (1, 2, 3):
+            _zero(checks, f"{tag}/two-point-formula-r{r}-{t}", product_formula_check(r, f, g, ctx))
+
+
+# ----------------------------------------------------------------------
+# the sphere recursion and the inhomogeneous chart
+
+
+def check_sphere_recursion(checks, tag, rmax):
+    for r in range(1, rmax + 1):
+        _zero(checks, f"{tag}/recursion-r{r}", moreno.moreno_recursion_residual(r))
+    _add(checks, f"{tag}/coefficient-vanishing", all(
+        moreno.coeff_vanishing(r, s) == 0 for r in range(2, rmax + 1) for s in range(2, r + 1)))
+    _add(checks, f"{tag}/a-identity", all(
+        moreno.a_identity_check(s, t) == 0 for s in range(1, 9) for t in range(s, 13)))
+
+
+def check_k_polys(checks, tag, rmax):
+    """k~_r(Delta) against sum_s c_{r,s} p_s(Delta) on CP^1 and CP^2."""
+    for nn in (1, 2):
+        _add(checks, f"{tag}/k-poly-vs-k-coeff-n{nn}", all(
+            sum((moreno.p_poly(s, nn).scale(reduction.k_coeff(r, s)) for s in range(1, r + 1)),
+                UnivarPoly.zero_poly("Delta")) == moreno.k_poly(r, nn)
+            for r in range(1, rmax + 1)))
+
+
+def check_charts(checks, ctx, rng, count, tag, rs=(1, 2)):
+    for t in range(count):
+        phi, psi = (rand_homogeneous(ctx.space, rng, deg=1) for _ in range(2))
+        for r in rs:
+            _zero(checks, f"{tag}/chart-r{r}-{t}", moreno.chart_cross_check(phi, psi, r, ctx))
+
+
+# ----------------------------------------------------------------------
+# the suites
+
+
+def suite_lemma21(n, K, mu, seed, space_kind="cpn") -> list:
+    rng = Random(seed)
+    checks = []
+    ctx = default_context(n, K, mu, space_kind)
+    tag = f"lemma21-n{n}-{space_kind}"
+    check_associativity(checks, ctx, rng, 3, tag)
+    for idx in range(3):
+        check_radial_tuple(checks, ctx, rng, idx, tag)
+    check_commutators(checks, ctx, rng, 2, tag)
+    return checks
+
+
+def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
+    rng = Random(seed)
+    checks = []
+    ctx = default_context(n, K, mu, space_kind)
+    tag = f"equiv-n{n}"
+    check_a_table(checks, tag)
+    check_symbol_at_zero(checks, ctx, tag)
+    check_functional_equation(checks, ctx, tag)
+    check_standard_ordering(checks, ctx, tag)
+    check_s_roundtrip(checks, ctx, rng, tag)
+    check_equivalence_transform(checks, ctx, rng, 2, tag)
+    check_tilde_relations(checks, ctx, rng, tag)
+    check_tilde_assoc(checks, ctx, rng, 1, tag)
+    return checks
 
 
 def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
@@ -266,97 +411,27 @@ def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
     ctx = default_context(n, K, mu, space_kind)
     space = ctx.space
     tag = f"reduce-n{n}-{space_kind}"
-
-    ok = all(
-        reduction.k_coeff(r, s) == equiv.a_coeff(s, r - s) / factorial(s)
-        for r in range(1, 11)
-        for s in range(1, r + 1)
-    )
-    _add(checks, f"{tag}/k-coeff-two-routes", ok)
-
-    phi = rand_homogeneous(space, rng)
-    psi = rand_homogeneous(space, rng)
-    chi = rand_homogeneous(space, rng)
-
-    one = Series.const(LaurentElem.one_of(space), ctx.K)
-    unit = reduction.mu_star(Series.const(phi, ctx.K), one, ctx) - Series.const(phi, ctx.K)
-    _add(checks, f"{tag}/mu-star-unit", unit.is_zero(), unit)
-
-    _check_mu_star(checks, ctx, tag, phi, psi, chi)
-
-    conj_res = reduction.mu_star_elems(phi, psi, ctx).map(lambda c: c.conj()) - \
-        reduction.mu_star_elems(psi.conj(), phi.conj(), ctx)
-    _add(checks, f"{tag}/mu-star-conjugation", conj_res.is_zero(), conj_res)
-
-    F = Series.const(rand_invariant(space, rng), ctx.K)
-    G = Series.const(rand_invariant(space, rng), ctx.K)
-    compat = reduction.reduction_compatibility(F, G, ctx)
-    _add(checks, f"{tag}/reduce-compatibility", compat.is_zero(), compat)
-
-    t1 = reduction.mu_star_elems(phi, psi, ctx)
-    t2 = reduction.wick_reduce(phi, psi, ctx)
-    t3 = reduction.wick_reduce_by_division(phi, psi, ctx)
-    _add(checks, f"{tag}/triangle-wick-reduce", (t1 - t2).is_zero(), t1 - t2)
-    _add(checks, f"{tag}/triangle-division", (t1 - t3).is_zero(), t1 - t3)
-
-    inv = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
-    dec = reduction.ideal_decompose(inv, ctx)
-    Jmu = reduction.momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
-    rebuilt = dec.projection + dec.multiplier.map(lambda c: Jmu * c)
-    _add(checks, f"{tag}/ideal-decomposition", (rebuilt - inv).is_zero(), rebuilt - inv)
-    inv_ok = all(c.is_invariant() for c in dec.multiplier.coeffs)
-    _add(checks, f"{tag}/ideal-multiplier-invariant", inv_ok)
-
-    for name, D in (("D1", (1,)), ("D1+l/x", (1, 1))):
-        c = default_context(n, K, mu, space_kind, D=D)
-        qres = reduction.quantum_momentum_check(F, c)
-        _add(checks, f"{tag}/quantum-momentum-{name}", qres.is_zero(), qres)
-    rres = reduction.reparametrize_check(phi, psi, (1, 1), ctx)
-    _add(checks, f"{tag}/reparametrization", rres.is_zero(), rres)
-
-    for t in range(2):
-        fh = rand_homogeneous(space, rng)
-        gh = rand_homogeneous(space, rng)
-        for r in (1, 2, 3):
-            res = product_formula_check(r, fh, gh, ctx)
-            _add(checks, f"{tag}/two-point-formula-r{r}-{t}", res.is_zero(), res)
+    check_k_coeff_routes(checks, tag)
+    phi, psi, chi = (rand_homogeneous(space, rng) for _ in range(3))
+    check_mu_star_symmetries(checks, ctx, tag, phi, psi)
+    check_mu_star(checks, ctx, tag, phi, psi, chi)
+    F, G = (Series.const(rand_invariant(space, rng), ctx.K) for _ in range(2))
+    check_reduce_compatibility(checks, ctx, tag, F, G)
+    check_reduction_routes(checks, ctx, tag, phi, psi)
+    check_ideal_decomposition(checks, ctx, rng, tag)
+    check_quantum_momentum(checks, ctx, tag, F)
+    check_reparametrization(checks, ctx, tag, phi, psi)
+    check_two_point(checks, ctx, rng, 2, tag)
     return checks
-
-
-# ----------------------------------------------------------------------
 
 
 def suite_moreno(rmax: int = 10, seed: int = 0, K: int = 4, mu=Fraction(-1, 2)) -> list:
     rng = Random(seed)
     checks = []
     tag = "moreno"
-    for r in range(1, rmax + 1):
-        res = moreno.moreno_recursion_residual(r)
-        _add(checks, f"{tag}/recursion-r{r}", res.is_zero(), res)
-    ok = all(
-        moreno.coeff_vanishing(r, s) == 0 for r in range(2, rmax + 1) for s in range(2, r + 1)
-    )
-    _add(checks, f"{tag}/coefficient-vanishing", ok)
-    ok = all(
-        moreno.a_identity_check(s, t) == 0 for s in range(1, 9) for t in range(s, 13)
-    )
-    _add(checks, f"{tag}/a-identity", ok)
-    for nn in (1, 2):
-        ok = True
-        for r in range(1, rmax + 1):
-            expansion = UnivarPoly.zero_poly("Delta")
-            for s in range(1, r + 1):
-                expansion = expansion + moreno.p_poly(s, nn).scale(reduction.k_coeff(r, s))
-            if expansion != moreno.k_poly(r, nn):
-                ok = False
-        _add(checks, f"{tag}/k-poly-vs-k-coeff-n{nn}", ok)
-    ctx = default_context(1, K, mu)
-    for t in range(3):
-        phi = rand_homogeneous(ctx.space, rng, deg=1)
-        psi = rand_homogeneous(ctx.space, rng, deg=1)
-        for r in (1, 2):
-            res = moreno.chart_cross_check(phi, psi, r, ctx)
-            _add(checks, f"{tag}/chart-r{r}-{t}", res.is_zero(), res)
+    check_sphere_recursion(checks, tag, rmax)
+    check_k_polys(checks, tag, rmax)
+    check_charts(checks, default_context(1, K, mu), rng, 3, tag)
     return checks
 
 
@@ -364,14 +439,13 @@ def suite_su1n(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
     ctx = default_context(n, K, mu, "dn")
-    space = ctx.space
     tag = f"su1n-n{n}"
-    _check_associativity(checks, ctx, rng, 2, tag)
+    check_associativity(checks, ctx, rng, 2, tag)
     for idx in range(2):
-        _check_radial_tuple(checks, ctx, rng, idx, tag)
-    _check_commutators(checks, ctx, rng, 1, tag)
-    phi, psi, chi = (rand_homogeneous(space, rng) for _ in range(3))
-    _check_mu_star(checks, ctx, tag, phi, psi, chi)
+        check_radial_tuple(checks, ctx, rng, idx, tag)
+    check_commutators(checks, ctx, rng, 1, tag)
+    phi, psi, chi = (rand_homogeneous(ctx.space, rng) for _ in range(3))
+    check_mu_star(checks, ctx, tag, phi, psi, chi)
     return checks
 
 

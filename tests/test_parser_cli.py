@@ -306,6 +306,13 @@ def test_cli_huge_exponent_is_rejected(capsys):
 def test_scripts_reject_rmax_below_one(script, args):
     # like the CLI: an empty range of r is an error, not an empty table or
     # a suite run with its recursion checks silently dropped
+    proc = _run_script(script, args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: --rmax must be >= 1, got {args[-1]}" in proc.stderr
+
+
+def _run_script(script, args):
     import os
     import subprocess
     import sys
@@ -314,8 +321,23 @@ def test_scripts_reject_rmax_below_one(script, args):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+    return subprocess.run([sys.executable, str(root / "scripts" / script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--order", "0"], "need n >= 1 and order >= 1"),
+    (["--n", "0", "--order", "2"], "need n >= 1 and order >= 1"),
+    (["--mu", "1"], "mu must be negative"),
+    (["--mu", "abc"], "Invalid literal for Fraction: 'abc'"),
+])
+def test_run_verification_rejects_bad_input(args, message, capsys):
+    # the script validates through the CLI's config: exit 2 with the CLI's
+    # message, not a traceback
+    proc = _run_script("run_verification.py", args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert f"error: --rmax must be >= 1, got {args[-1]}" in proc.stderr
+    assert f"error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert main(["verify", "all", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

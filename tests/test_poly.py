@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wickred.poly import LaurentElem, Poly, VarSpace, divide_by_x, is_radial
+from wickred.poly import LaurentElem, Poly, VarSpace, is_radial
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly
 from wickred.scalar import gauss
 
@@ -78,9 +78,9 @@ def test_euler_ops(sp1, phi):
 def test_divide_by_x(sp1):
     xpoly = Poly.x(sp1)
     p = Poly.variable(sp1, 0) * Poly.variable(sp1, 2) + Poly.variable(sp1, 1) * Poly.variable(sp1, 3)
-    assert divide_by_x(p) == Poly.one(sp1)
-    assert divide_by_x(Poly.variable(sp1, 0) * Poly.variable(sp1, 2)) is None
-    assert divide_by_x(xpoly * xpoly - xpoly) == xpoly - Poly.one(sp1)
+    assert p.divided_by_x() == Poly.one(sp1)
+    assert (Poly.variable(sp1, 0) * Poly.variable(sp1, 2)).divided_by_x() is None
+    assert (xpoly * xpoly - xpoly).divided_by_x() == xpoly - Poly.one(sp1)
 
 
 def test_eval(sp1, sp1d, phi):
