@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from wickred.cli import CliConfig, _require_at_least
+from wickred.cli import CliConfig, _glue_negative_values, _require_at_least
 from wickred.suites import SUITE_NAMES, run_suite
 
 
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rmax", type=int, default=10)
     ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(_glue_negative_values(sys.argv[1:]))
     try:
         cfg = CliConfig(n=args.n, mu=Fraction(args.mu), order=args.order, seed=args.seed)
         _require_at_least("rmax", args.rmax, 1)

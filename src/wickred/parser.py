@@ -7,6 +7,10 @@ formatter.
     power  := atom ('^' ['-'] INT)?        (|INT| <= MAX_EXPONENT)
     atom   := INT | IDENT | '(' expr ')'
 
+A power whose predicted result (``predicted_power_size``) has more than
+MAX_POWER_TERMS terms or coefficients of more than MAX_POWER_BITS bits is
+rejected before it is computed.
+
 Identifiers: z0..z9, zb0..zb9, x (and its alias y, the metric quadratic),
 the imaginary unit i, and the deformation parameter l.  Division works
 whenever the divisor is invertible as a truncated series (scalars, powers
@@ -16,6 +20,7 @@ out of that for free.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import sparse
@@ -33,6 +38,10 @@ class ParseError(ValueError):
 # largest |e| accepted in `base^e`: binary powering of 2^e alone builds an
 # e-bit integer, so an unbounded exponent would ask for unbounded work
 MAX_EXPONENT = 1000
+# caps on the predicted size of one power: an exponent within its bound
+# can still ask for a huge product, as in (z0+zb0+z1+zb1)^60
+MAX_POWER_TERMS = 10_000
+MAX_POWER_BITS = 100_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
 
@@ -143,14 +152,23 @@ class _Parser:
                 raise ParseError(
                     f"exponent {e} is out of range: |e| must be <= {MAX_EXPONENT}", pos
                 )
-            if e >= 0:
-                return base.pow(e)
-            try:
-                return base.invert().pow(-e)
-            except (ValueError, ZeroDivisionError) as err:
-                raise ParseError(
-                    f"negative power of a non-invertible expression: {err}", pos
-                ) from None
+            if e < 0:
+                try:
+                    base = base.invert()
+                except (ValueError, ZeroDivisionError) as err:
+                    raise ParseError(
+                        f"negative power of a non-invertible expression: {err}", pos
+                    ) from None
+                e = -e
+            if e >= 2:
+                terms, bits = predicted_power_size(base, e)
+                if terms > MAX_POWER_TERMS:
+                    raise ParseError(f"power predicted to have {terms} terms, "
+                                     f"over the cap of {MAX_POWER_TERMS}", pos)
+                if bits > MAX_POWER_BITS:
+                    raise ParseError(f"power predicted to have coefficients of {bits} bits, "
+                                     f"over the cap of {MAX_POWER_BITS}", pos)
+            return base.pow(e)
         return base
 
     def atom(self) -> Series:
@@ -187,6 +205,27 @@ class _Parser:
             idx = space.iz(k) if m.group(1) == "z" else space.izb(k)
             return Series.const(LaurentElem.variable(space, idx), self.order)
         raise ParseError(f"unknown identifier {name!r}", pos)
+
+
+def predicted_power_size(base: Series, e: int) -> tuple:
+    """(terms, bits) predicted for base^e.
+
+    t is the number of terms and deg the top total degree over the
+    numerators of base's coefficients.  A power of one numerator has at
+    most C(e + t - 1, t - 1) terms (multisets of its terms) and at most
+    C(deg*e + nvars, nvars) (monomials of degree <= deg*e); its
+    coefficients need at most e * (bits + log2 t) bits, bits being the
+    size of the largest numerator or denominator in base.
+    """
+    nums = [c.num.terms for c in base.coeffs if not c.is_zero()]
+    t = sum(len(p) for p in nums)
+    if not t:
+        return 0, 0
+    nvars = base.coeffs[0].space.nvars
+    deg = max(sparse.total_degree(k, nvars) for p in nums for k in p)
+    terms = min(math.comb(e + t - 1, t - 1), math.comb(deg * e + nvars, nvars))
+    bits = max(max(abs(c.p), abs(c.q), c.d).bit_length() for p in nums for c in p.values())
+    return terms, e * (bits + (t - 1).bit_length())
 
 
 def parse_expr(text: str, space: VarSpace, order: int) -> Series:

@@ -17,6 +17,7 @@ operator used downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,6 +97,12 @@ class VarSpace:
         return self._quad_terms("w")
 
     @cached_property
+    def var_keys(self) -> tuple:
+        # packed key of each single variable, by slot
+        return tuple(sparse.pack([int(i == j) for j in range(self.nvars)])
+                     for i in range(self.nvars))
+
+    @cached_property
     def x_pow_memo(self) -> dict:
         # (ez, ew) -> the Poly x^ez * xw^ew, filled by _x_pow_poly
         return {}
@@ -161,9 +168,7 @@ class Poly:
 
     @classmethod
     def variable(cls, space, idx):
-        exps = [0] * space.nvars
-        exps[idx] = 1
-        return cls(space, {sparse.pack(exps): ONE})
+        return cls(space, {space.var_keys[idx]: ONE})
 
     @classmethod
     def x(cls, space):
@@ -277,29 +282,31 @@ class Poly:
             ia, ib = space.iw(space.n), space.iwb(space.n)
         if self.eval(null_pt):
             return None
-        nvars = space.nvars
         sa, sb = sparse.SLOT * ia, sparse.SLOT * ib
-        rest = [(k, c) for k, c in div_terms.items() if k != lead]
-        r = dict(self.terms)
+        # over the common denominator every coefficient is a Gaussian
+        # integer (p, q); x has coefficients +-1, so each step is integer
+        # addition and only the quotient terms are normalized
+        den = math.lcm(*(c.d for c in self.terms.values()))
+        r = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in self.terms.items()}
+        rest = [(k, c.p) for k, c in div_terms.items() if k != lead]
+        norm = GaussianRational._norm
         q = {}
         while r:
             kl = max(r)
             if not ((kl >> sa) & sparse.MASK and (kl >> sb) & sparse.MASK):
                 return None
             t = kl - lead
-            c = r[kl]
-            del r[kl]
-            q[t] = c
-            for km, cm in rest:
+            p, pi = r.pop(kl)
+            q[t] = norm(p, pi, den)
+            for km, s in rest:
                 k = t + km
-                sub = c * cm
                 prev = r.get(k)
                 if prev is None:
-                    r[k] = -sub
+                    r[k] = (-s * p, -s * pi)
                 else:
-                    s = prev - sub
-                    if s:
-                        r[k] = s
+                    sp, si = prev[0] - s * p, prev[1] - s * pi
+                    if sp or si:
+                        r[k] = (sp, si)
                     else:
                         del r[k]
         return Poly(space, q)
@@ -425,6 +432,39 @@ class LaurentElem:
     def __sub__(self, other):
         return self + (-other)
 
+    @classmethod
+    def sum_of_products(cls, space, items):
+        """sum c*A*B over (c, A, B) items, c an int or a real Fraction:
+        every product is summed on integer triples and the sum is
+        canonicalized once.
+
+        Each summand is lifted to the top x and xw powers.  Summands that
+        share a lift x^dz*xw^dw are accumulated together, and that partial
+        sum is multiplied by x^dz*xw^dw once.  A block is tested for division
+        by its quadratic only when two or more summands reach its top power:
+        modulo x only those summands survive, each a c*P_A*P_B times a power
+        of xw, and the prime x divides no canonical numerator and not xw, so
+        a single one leaves the sum prime to x.  Likewise for xw.
+        """
+        live = [(c, a, b, a.mz + b.mz, a.mw + b.mw)
+                for c, a, b in items if c and a.num.terms and b.num.terms]
+        if not live:
+            return cls.zero_of(space)
+        nvars = space.nvars
+        mz = max(t[3] for t in live)
+        mw = max(t[4] for t in live)
+        groups = {}
+        for c, a, b, pz, pw in live:
+            acc = groups.setdefault((mz - pz, mw - pw), {})
+            sparse.tmac(acc, a.num.terms, b.num.terms, nvars, c)
+        total = groups.pop((0, 0), {})
+        for (dz, dw), acc in groups.items():
+            sparse.tmac(total, sparse.tnorm(acc), _x_pow_poly(space, dz, dw).terms, nvars)
+        out = cls(Poly(space, sparse.tnorm(total)), mz, mw, canonical=True)
+        out._canonicalize(z=sum(t[3] == mz for t in live) > 1,
+                          w=sum(t[4] == mw for t in live) > 1)
+        return out
+
     def __neg__(self):
         return LaurentElem(-self.num, self.mz, self.mw, canonical=True)
 
@@ -501,36 +541,29 @@ class LaurentElem:
     def diff(self, var: int):
         """Exact partial derivative (quotient rule on the x powers)."""
         space = self.space
-        in_w_block = space.two_point and var >= 2 * space.nv
-        if not in_w_block:
-            dnum = self.num.diff(var)
-            if self.mz == 0:
-                return LaurentElem(dnum, 0, self.mw)
-            k = var if var < space.nv else var - space.nv
-            sign = space.metric[k]
-            partner = space.izb(k) if var < space.nv else space.iz(k)
-            dx = Poly.variable(space, partner).scale(sign)
-            num = dnum * _x_pow_poly(space, 1) - (self.num * dx).scale(self.mz)
-            # num = -mz * P * dx mod x with mz != 0, and the prime x divides
-            # neither P nor the variable dx: only the xw block needs the test
+        nv = space.nv
+        dnum = self.num.diff(var)
+        in_w_block = space.two_point and var >= 2 * nv
+        m = self.mw if in_w_block else self.mz
+        if m == 0:
+            return LaurentElem(dnum, self.mz, self.mw)
+        # d(P / q^m) = (q dP - m P dq) / q^(m+1), q the block's quadratic and
+        # dq = g_kk times the partner variable (z^k <-> zb^k, w^k <-> wb^k)
+        k = var % nv
+        partner = var - nv if (var // nv) & 1 else var + nv
+        quad = space.xw_terms if in_w_block else space.x_terms
+        acc = sparse.tmac({}, dnum.terms, quad, space.nvars)
+        sparse.tmac(acc, self.num.terms, {space.var_keys[partner]: ONE}, space.nvars,
+                    -m * space.metric[k])
+        num = Poly(space, sparse.tnorm(acc))
+        # num = -m * P * dq mod q with m != 0, and the prime q divides neither
+        # P nor the variable dq: only the other block needs the test
+        if in_w_block:
+            out = LaurentElem(num, self.mz, self.mw + 1, canonical=True)
+            out._canonicalize(w=False)
+        else:
             out = LaurentElem(num, self.mz + 1, self.mw, canonical=True)
             out._canonicalize(z=False)
-            return out
-        dnum = self.num.diff(var)
-        if self.mw == 0:
-            return LaurentElem(dnum, self.mz, 0)
-        k = var - 2 * space.nv
-        if k >= space.nv:
-            k -= space.nv
-            partner = space.iw(k)
-        else:
-            partner = space.iwb(k)
-        sign = space.metric[k]
-        dx = Poly.variable(space, partner).scale(sign)
-        num = dnum * _x_pow_poly(space, 0, 1) - (self.num * dx).scale(self.mw)
-        # the same argument in the xw block: only the x block needs the test
-        out = LaurentElem(num, self.mz, self.mw + 1, canonical=True)
-        out._canonicalize(w=False)
         return out
 
     # ------------------------------------------------------------------

@@ -113,14 +113,16 @@ def k_coeff(r: int, s: int) -> Fraction:
     return total
 
 
+def _k_tilde_items(r: int, ms, scale=1) -> list:
+    """(scale * c_{r,s}, M~_s, 1) for s = 1..r, given ms[s] = M~_s: the
+    items of scale * K~_r for ``LaurentElem.sum_of_products``."""
+    one = ms[1].one()
+    return [(scale * k_coeff(r, s), ms[s], one) for s in range(1, r + 1)]
+
+
 def _k_tilde(r: int, ms) -> LaurentElem:
     """K~_r = sum_{s=1..r} c_{r,s} M~_s, given ms[s] = M~_s for 1 <= s <= r."""
-    acc = ms[1].zero()
-    for s in range(1, r + 1):
-        c = k_coeff(r, s)
-        if c and not ms[s].is_zero():
-            acc = acc + ms[s].scale(c)
-    return acc
+    return LaurentElem.sum_of_products(ms[1].space, _k_tilde_items(r, ms))
 
 
 def _require_reduced(F: Series):
@@ -140,7 +142,7 @@ def mu_star(phi: Series, psi: Series, ctx: StarContext) -> Series:
     space = ctx.space
     K = min(phi.order, psi.order, ctx.K)
     cinv = (-2 * ctx.mu) ** -1
-    out = [LaurentElem.zero_of(space) for _ in range(K + 1)]
+    items = [[] for _ in range(K + 1)]
     for a in range(K + 1):
         fa = phi.coeffs[a]
         if fa.is_zero():
@@ -151,13 +153,11 @@ def mu_star(phi: Series, psi: Series, ctx: StarContext) -> Series:
             if gb.is_zero():
                 continue
             dG = DerivCache(gb, "zb")
-            out[a + b] = out[a + b] + fa * gb
+            items[a + b].append((1, fa, gb))
             ms = [None] + [m_op(fa, gb, s, ctx, dF, dG) for s in range(1, K + 1 - a - b)]
             for r in range(1, K + 1 - a - b):
-                acc = _k_tilde(r, ms)
-                if not acc.is_zero():
-                    out[a + b + r] = out[a + b + r] + acc.scale(cinv ** r)
-    return Series(out)
+                items[a + b + r].extend(_k_tilde_items(r, ms, cinv ** r))
+    return Series([LaurentElem.sum_of_products(space, its) for its in items])
 
 
 def mu_star_elems(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> Series:

@@ -19,6 +19,11 @@ integer triples (p + q*i)/d underneath the coefficients and the point,
 keeps one numerator sum per denominator and normalizes once at the end.
 This is what makes the null-point certificate of ``Poly.divided_by_x``
 cheap.
+
+Products work on the same triples: ``tmac`` adds c*a*b into an
+accumulator of unnormalized triples, so a whole linear combination of
+products is summed in plain ints, and ``tnorm`` normalizes each surviving
+term once.  ``tmul`` is the two of them on an empty accumulator.
 """
 
 from __future__ import annotations
@@ -108,22 +113,27 @@ def tscale(a: dict, c) -> dict:
     return {k: v * c for k, v in a.items()}
 
 
-def tmul(a: dict, b: dict, nvars: int) -> dict:
-    """Product of two term dicts.
+def tmac(acc: dict, a: dict, b: dict, nvars: int, c=1) -> dict:
+    """Add c*a*b into ``acc``, a dict {key: (p, q, d)} of unnormalized
+    integer triples (p + q*i)/d, and return ``acc``.
 
-    Each output coefficient is summed as an integer triple (p, q, d): a
+    ``c`` is an int or a real Fraction; it is folded into b's triples.  A
     product of two coefficients is plain int arithmetic, terms over equal
-    denominators add directly and unequal ones meet at their lcm.  One
-    normalization per output term closes the sum; zero sums are dropped.
+    denominators add directly and unequal ones meet at their lcm.  Sums of
+    zero stay in ``acc``; ``tnorm`` drops them.
     """
     if not a or not b:
-        return {}
-    da = max(k >> (SLOT * nvars) for k in a)
-    db = max(k >> (SLOT * nvars) for k in b)
+        return acc
+    # graded keys: the largest key carries the top degree
+    da = max(a) >> (SLOT * nvars)
+    db = max(b) >> (SLOT * nvars)
     if da + db >= DEG_CAP:
         raise ValueError(f"product degree {da + db} exceeds packing capacity")
-    bt = [(kb, cb.p, cb.q, cb.d) for kb, cb in b.items()]
-    acc = {}
+    if c == 1:
+        bt = [(kb, cb.p, cb.q, cb.d) for kb, cb in b.items()]
+    else:
+        cn, cd = c.numerator, c.denominator
+        bt = [(kb, cb.p * cn, cb.q * cn, cb.d * cd) for kb, cb in b.items()]
     get = acc.get
     gcd = math.gcd
     for ka, ca in a.items():
@@ -144,8 +154,20 @@ def tmul(a: dict, b: dict, nvars: int) -> dict:
                     g = gcd(d0, d)
                     f0, f = d // g, d0 // g
                     acc[k] = (p0 * f0 + p * f, q0 * f0 + q * f, d0 * f0)
+    return acc
+
+
+def tnorm(acc: dict) -> dict:
+    """Terms from a ``tmac`` accumulator: one normalization per surviving
+    term, sums of zero dropped."""
     norm = GaussianRational._norm
     return {k: norm(p, q, d) for k, (p, q, d) in acc.items() if p or q}
+
+
+def tmul(a: dict, b: dict, nvars: int) -> dict:
+    """Product of two term dicts: ``tmac`` into an empty accumulator, then
+    ``tnorm``."""
+    return tnorm(tmac({}, a, b, nvars))
 
 
 def tdiff(a: dict, var: int, nvars: int) -> dict:

@@ -117,14 +117,12 @@ def _metric_sign(space: VarSpace, beta: tuple) -> int:
     return s
 
 
-def wick_term(F: LaurentElem, G: LaurentElem, r: int,
-              dF: DerivCache = None, dG: DerivCache = None) -> LaurentElem:
-    """(1/r!) * metric-contracted r-fold (z-derivatives of F)(zb-derivatives
-    of G); the order-r coefficient of the Wick product."""
-    space = F.space
-    dF = dF or DerivCache(F, "z")
-    dG = dG or DerivCache(G, "zb")
-    acc = LaurentElem.zero_of(space)
+def _contraction(r: int, dF: DerivCache, dG: DerivCache, scale=1) -> list:
+    """(scale * g^beta / beta!, d^beta F, dbar^beta G) over |beta| = r: the
+    items of the metric-contracted r-fold derivative pairing, with the
+    zero derivatives left out."""
+    space = dF.space
+    items = []
     for beta in _compositions(r, space.nv):
         a = dF.get(beta)
         if a.is_zero():
@@ -132,16 +130,17 @@ def wick_term(F: LaurentElem, G: LaurentElem, r: int,
         b = dG.get(beta)
         if b.is_zero():
             continue
-        c = Fraction(_metric_sign(space, beta), _multi_factorial(beta))
-        acc = acc + (a * b).scale(c)
-    return acc
+        items.append((Fraction(scale * _metric_sign(space, beta), _multi_factorial(beta)), a, b))
+    return items
 
 
 def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
     """The Wick star-product of two coefficient series, truncated at K.
 
-    For polynomial coefficients the derivative sum terminates on its own
-    and every retained order is exact; Laurent denominators never
+    The order-m coefficient is one sum, over a + b + r = m and |beta| = r,
+    of (g^beta / beta!) d^beta F_a dbar^beta G_b, summed and canonicalized
+    once.  For polynomial coefficients the derivative sum terminates on
+    its own and every retained order is exact; Laurent denominators never
     terminate, so the contract cut at K applies.
     """
     space = ctx.space
@@ -152,7 +151,7 @@ def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
     K = min(F.order, G.order, ctx.K)
     cF = [DerivCache(c, "z") for c in F.coeffs[: K + 1]]
     cG = [DerivCache(c, "zb") for c in G.coeffs[: K + 1]]
-    out = [LaurentElem.zero_of(space) for _ in range(K + 1)]
+    items = [[] for _ in range(K + 1)]
     for a in range(K + 1):
         if F.coeffs[a].is_zero():
             continue
@@ -162,10 +161,8 @@ def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
             for r in range(K + 1 - a - b):
                 if r and (cF[a].level_all_zero(r) or cG[b].level_all_zero(r)):
                     break
-                t = wick_term(F.coeffs[a], G.coeffs[b], r, cF[a], cG[b])
-                if not t.is_zero():
-                    out[a + b + r] = out[a + b + r] + t
-    return Series(out)
+                items[a + b + r].extend(_contraction(r, cF[a], cG[b]))
+    return Series([LaurentElem.sum_of_products(space, its) for its in items])
 
 
 def wick_product_elems(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Series:
@@ -178,13 +175,12 @@ def poisson(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> LaurentElem:
     space = ctx.space
     if F.space != space or G.space != space:
         raise ValueError("operands live in a different space than the context")
-    acc = LaurentElem.zero_of(space)
+    items = []
     for k in range(space.nv):
-        t = F.diff(space.iz(k)) * G.diff(space.izb(k)) - F.diff(space.izb(k)) * G.diff(space.iz(k))
-        if space.metric[k] == -1:
-            t = -t
-        acc = acc + t
-    return acc.scale(MINUS_TWO_I)
+        g = space.metric[k]
+        items.append((g, F.diff(space.iz(k)), G.diff(space.izb(k))))
+        items.append((-g, F.diff(space.izb(k)), G.diff(space.iz(k))))
+    return LaurentElem.sum_of_products(space, items).scale(MINUS_TWO_I)
 
 
 def commutator_check(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Series:
@@ -203,7 +199,10 @@ def m_op(F: LaurentElem, G: LaurentElem, r: int, ctx: StarContext,
     homogeneous again.  Passing DerivCache instances shares the mixed
     partials across different orders r.
     """
-    return wick_term(F, G, r, dF, dG).scale(_multi_factorial((r,))).mul_xpow(r)
+    dF = dF or DerivCache(F, "z")
+    dG = dG or DerivCache(G, "zb")
+    items = _contraction(r, dF, dG, _multi_factorial((r,)))
+    return LaurentElem.sum_of_products(F.space, items).mul_xpow(r)
 
 
 def radial_star(rho1: UnivarPoly, rho2: UnivarPoly, ctx: StarContext) -> Series:
@@ -326,7 +325,8 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
     if r == 0:
         return F
     dz = DerivCache(F, "z")
-    acc = LaurentElem.zero_of(sp2)
+    one = LaurentElem.one_of(sp2)
+    items = []
     for beta in _compositions(r, sp2.nv):
         a = dz.get(beta)
         if a.is_zero():
@@ -335,8 +335,8 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
         if b.is_zero():
             continue
         sign = _metric_sign(sp2, beta)
-        c = Fraction(_multi_factorial((r,)) * sign, _multi_factorial(beta))
-        acc = acc + b.scale(c)
+        items.append((Fraction(_multi_factorial((r,)) * sign, _multi_factorial(beta)), b, one))
+    acc = LaurentElem.sum_of_products(sp2, items)
     prefactor = LaurentElem(_zwb_poly(sp2), canonical=True).pow(r)
     return prefactor * acc
 

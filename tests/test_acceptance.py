@@ -39,8 +39,8 @@ def test_c01_wick_associativity_exact():
             ctx = StarContext(space=make(n), K=6)
             suites.check_associativity(checks, ctx, rng, 5, f"C1-{make.__name__}-n{n}")
     elapsed = time.time() - t0
-    assert elapsed < 30.0, f"criterion 1 must run in under 30 s, took {elapsed:.1f}"
     passed(checks, 20, "C1 wick-associativity (20 triples, both metrics)", t0)
+    assert elapsed < 30.0, f"criterion 1 must run in under 30 s, took {elapsed:.1f}"
 
 
 def test_c02_radial_product_relations():
@@ -70,9 +70,9 @@ def test_c04_s_on_x_powers_and_a_table():
     ctx = StarContext(space=VarSpace.cpn(1), K=4)
     suites.check_standard_ordering(checks, ctx, "C4", js=range(-4, 5))
     suites.check_a_table(checks, "C4", rmax=8, smax=8)
+    passed(checks, 3, "C4 standard-ordered action on x^j and A-table vs oracle", t0)
     assert all(a_coeff(1, s) == (-1) ** s for s in range(9))
     assert (a_coeff(2, 0), a_coeff(2, 1), a_coeff(2, 2)) == (1, -3, 7)
-    passed(checks, 3, "C4 standard-ordered action on x^j and A-table vs oracle", t0)
 
 
 def test_c05_tilde_star_relations_and_associativity():
@@ -98,13 +98,13 @@ def test_c06_mu_star_associativity_commutator_tables():
             for t in range(5):
                 f, g, h = (rand_homogeneous(ctx.space, rng) for _ in range(3))
                 suites.check_mu_star(checks, ctx, f"C6-n{n}-mu{mu}-{t}", f, g, h)
+    suites.check_k_coeff_routes(checks, "C6")
+    passed(checks, 41, "C6 reduced-product associativity (order 5), commutator, coefficient tables", t0)
     # coefficient tables
     assert reduction.k_coeff(1, 1) == 1
     assert (reduction.k_coeff(2, 1), reduction.k_coeff(2, 2)) == (-1, Fraction(1, 2))
     assert (reduction.k_coeff(3, 1), reduction.k_coeff(3, 2), reduction.k_coeff(3, 3)) == (
         1, Fraction(-3, 2), Fraction(1, 6))
-    suites.check_k_coeff_routes(checks, "C6")
-    passed(checks, 41, "C6 reduced-product associativity (order 5), commutator, coefficient tables", t0)
 
 
 def test_c07_reduction_triangle():
@@ -112,15 +112,18 @@ def test_c07_reduction_triangle():
     rng = Random(SEED + 7)
     checks = []
     ctx = StarContext(space=VarSpace.cpn(1), K=4)
+    via_tilde_failed = []
     for t in range(10):
         f, g = rand_homogeneous(ctx.space, rng), rand_homogeneous(ctx.space, rng)
         suites.check_reduction_routes(checks, ctx, f"C7-{t}", f, g)
         # the route through the transformed product is not among the verify checks
         via_tilde = reduction.reduce_function(equiv.tilde_star_elems(f, g, ctx), ctx)
-        assert (reduction.mu_star_elems(f, g, ctx) - via_tilde).is_zero()
+        if not (reduction.mu_star_elems(f, g, ctx) - via_tilde).is_zero():
+            via_tilde_failed.append(t)
     elapsed = time.time() - t0
-    assert elapsed < 120.0, f"criterion 7 must run in under 2 min, took {elapsed:.1f}"
     passed(checks, 20, "C7 oracle triangle (10 pairs, order 4)", t0)
+    assert not via_tilde_failed, f"mu_star differs from reduce(tilde_star) for pairs {via_tilde_failed}"
+    assert elapsed < 120.0, f"criterion 7 must run in under 2 min, took {elapsed:.1f}"
 
 
 def test_c08_reparametrization_and_quantum_momentum():

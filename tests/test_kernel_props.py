@@ -461,3 +461,168 @@ def test_canonical_form_is_unique(a, k, j):
     elif j:
         num = num * divisor(space, "w").pow(j)
     assert_same(LaurentElem(num, a.mz + k, a.mw + j), a)
+
+
+# ----------------------------------------------------------------------
+# the fused kernels: multiply-accumulate on triples, sums of products,
+# division by x on integer numerators
+
+# real scales: ints, Fractions with unlike denominators, and zero
+scales = st.one_of(st.integers(-3, 3), st.builds(Fraction, SMALL, st.integers(1, 7)))
+
+
+@props
+@given(st.lists(st.tuples(scales, st.one_of(mul_terms, term_dicts(2, max_deg=63)),
+                          st.one_of(mul_terms, term_dicts(2, max_deg=63))), max_size=4))
+# c*a*b + (-c)*a*b: every output key cancels
+@example([(Fraction(2, 3), {sparse.pack([1, 0]): GaussianRational(Fraction(1, 2), 1)},
+           {0: GaussianRational(0, Fraction(-1, 5))}),
+          (Fraction(-2, 3), {sparse.pack([1, 0]): GaussianRational(Fraction(1, 2), 1)},
+           {0: GaussianRational(0, Fraction(-1, 5))})])
+# one key reached over denominators 6, 35 and 1
+@example([(Fraction(1, 2), {0: GaussianRational(Fraction(1, 3))}, {0: ONE}),
+          (Fraction(3, 7), {0: ONE}, {0: GaussianRational(0, Fraction(1, 5))}),
+          (1, {0: ONE}, {0: -ONE})])
+def test_tmac_matches_collected_products(triples):
+    acc = {}
+    for c, a, b in triples:
+        assert sparse.tmac(acc, a, b, 2, c) is acc
+    want = sparse.tcollect((ka + kb, ca * cb * c) for c, a, b in triples
+                           for ka, ca in a.items() for kb, cb in b.items() if c)
+    got = sparse.tnorm(acc)
+    assert got == want
+    for v in got.values():
+        assert v and v == GaussianRational._norm(v.p, v.q, v.d)
+
+
+def test_tmul_is_tmac_on_an_empty_accumulator():
+    a = {sparse.pack([1, 0]): GaussianRational(Fraction(1, 2), 1), 0: -ONE}
+    b = {sparse.pack([0, 2]): GaussianRational(0, Fraction(1, 3)), 0: ONE}
+    assert sparse.tmul(a, b, 2) == sparse.tnorm(sparse.tmac({}, a, b, 2))
+    with pytest.raises(ValueError, match="packing capacity"):
+        sparse.tmac({}, {sparse.pack([64, 0]): ONE}, {sparse.pack([0, 64]): ONE}, 2)
+
+
+@st.composite
+def product_items(draw):
+    """(space, items) for sum_of_products.  'tied' items share their powers,
+    'unique' lifts one product above the rest, 'cancel' adds the negation
+    of every item (a sum of zero), 'divides' adds c*(q*D - A)*B to each
+    c*A*B, q being x or xw (a sum whose numerator q divides), and 'free'
+    draws the powers freely; elements and scales are sometimes zero."""
+    space = draw(st.sampled_from(LAURENT_SPACES))
+    kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "free"]))
+    n = draw(st.integers(1, 4))
+    items = []
+    for i in range(n):
+        if kind == "tied":
+            a, b = draw(laurent_elems(space, 1, 1)), draw(laurent_elems(space, 0, 0))
+        elif kind == "unique" and i == 0:
+            a, b = draw(laurent_elems(space, 5, 5)), draw(laurent_elems(space, 2, 2))
+        else:
+            a, b = draw(laurent_elems(space)), draw(laurent_elems(space))
+        items.append((draw(scales), a, b))
+    if kind == "cancel":
+        items += [(-c, a, b) for c, a, b in items]
+    elif kind == "divides":
+        block = draw(st.sampled_from(["z", "w"] if space.two_point else ["z"]))
+        q = LaurentElem.x_power(space, 1, block)
+        mz, mw = (2, 1) if block == "z" else (1, 2)
+        items += [(c, q * draw(laurent_elems(space, mz, mw)) - a, b) for c, a, b in items]
+    return space, items
+
+
+def folded_sum(space, items):
+    """Reference: a left fold of (A*B).scale(c) with __add__."""
+    return reduce(lambda acc, t: acc + (t[1] * t[2]).scale(t[0]), items,
+                  LaurentElem.zero_of(space))
+
+
+@laurent_settings
+@given(product_items())
+def test_sum_of_products_matches_folded_sum(case):
+    space, items = case
+    got = LaurentElem.sum_of_products(space, items)
+    assert_same(got, folded_sum(space, items))
+    assert_same(got, full_sum(got, LaurentElem.zero_of(space)))  # canonical
+
+
+@pytest.mark.parametrize("space", LAURENT_SPACES, ids=str)
+def test_sum_of_products_edge_cases(space):
+    zero, one = LaurentElem.zero_of(space), LaurentElem.one_of(space)
+    x = LaurentElem.x_power(space, 1)
+    z0 = LaurentElem.variable(space, 0)
+    assert_same(LaurentElem.sum_of_products(space, []), zero)
+    assert_same(LaurentElem.sum_of_products(space, [(1, zero, z0), (2, z0, zero), (0, z0, z0)]), zero)
+    # a zero scale at the top power does not set the powers of the sum
+    inv_x = x.inverse()
+    got = LaurentElem.sum_of_products(space, [(0, inv_x, inv_x), (1, z0, inv_x)])
+    assert (got.num, got.mz) == (z0.num, 1)
+    # (x*z0)(1/x^2) - z0(1/x): factors stored at other powers cancel to zero
+    assert_same(LaurentElem.sum_of_products(space, [(1, x * z0, inv_x * inv_x), (-1, z0, inv_x)]), zero)
+    # (q - v*vb)/q + v*vb/q = 1, q = x or xw: tied top powers whose sum
+    # divides by q
+    blocks = [("z", 0, space.izb(0))]
+    if space.two_point:
+        blocks.append(("w", space.iw(0), space.iwb(0)))
+    for block, v, vb in blocks:
+        q = LaurentElem.x_power(space, 1, block)
+        vvb = LaurentElem.variable(space, v) * LaurentElem.variable(space, vb)
+        got = LaurentElem.sum_of_products(space, [(1, q - vvb, q.inverse()), (1, vvb, q.inverse())])
+        assert_same(got, one)
+    # a unique top power: 1/x^2 + z0/x keeps x^2 in the denominator
+    got = LaurentElem.sum_of_products(space, [(1, inv_x, inv_x), (Fraction(1, 2), z0, inv_x)])
+    assert_same(got, folded_sum(space, [(1, inv_x, inv_x), (Fraction(1, 2), z0, inv_x)]))
+    assert got.mz == 2
+
+
+def reference_divided_by_x(p, block):
+    """Reference long division by x (or xw) on GaussianRational
+    coefficients, with no null-point certificate in front."""
+    space = p.space
+    div = divisor(space, block).terms
+    lead = max(div)
+    n = space.n
+    ia, ib = (space.iz(n), space.izb(n)) if block == "z" else (space.iw(n), space.iwb(n))
+    r = dict(p.terms)
+    q = {}
+    while r:
+        kl = max(r)
+        if not (sparse.exponent(kl, ia) and sparse.exponent(kl, ib)):
+            return None
+        c = r.pop(kl) / div[lead]
+        t = kl - lead
+        q[t] = c
+        for km, cm in div.items():
+            if km != lead:
+                r = sparse.tsub(r, {t + km: c * cm})
+    return Poly(space, q)
+
+
+@st.composite
+def division_cases(draw):
+    """(p, block): a multiple of the block's quadratic (with mixed
+    denominators), that multiple plus a random remainder, or a free p."""
+    space, block, q = draw(quotient_cases())
+    kind = draw(st.sampled_from(["multiple", "perturbed", "free"]))
+    if kind == "free":
+        return q, block
+    p = divisor(space, block) * q
+    if kind == "perturbed":
+        p = p + Poly(space, draw(term_dicts(space.nvars, max_deg=5, max_terms=2)))
+    return p, block
+
+
+# x * i*(z1*zb1 - z0*zb0): the division meets keys that x*q cancelled
+@props
+@given(division_cases())
+@example((divisor(SPACES[0], "z") * Poly.from_exponent_map(
+    SPACES[0], {(0, 1, 0, 1): GaussianRational(0, 1), (1, 0, 1, 0): GaussianRational(0, -1)}), "z"))
+def test_divided_by_x_matches_reference_division(case):
+    p, block = case
+    got = p.divided_by_x(block)
+    want = reference_divided_by_x(p, block)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+        assert all(c == GaussianRational._norm(c.p, c.q, c.d) for c in got.terms.values())

@@ -341,3 +341,41 @@ def test_run_verification_rejects_bad_input(args, message, capsys):
     assert "Traceback" not in proc.stderr
     assert main(["verify", "all", *args]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, what", [
+    ("(z0+zb0+z1+zb1)^60", "terms"),
+    ("((z0+zb0+z1+zb1)^30)^2", "terms"),
+    ("(2^1000)^1000", "bits"),
+    ("(1 + 2^999*z0)^120", "bits"),
+])
+def test_parse_rejects_power_predicted_too_large(sp1, text, what):
+    # an exponent within its bound can still ask for a huge result: the
+    # predicted size of each power is checked against a cap before it runs
+    with pytest.raises(ParseError, match=f"predicted to have .* {what}, over the cap of"):
+        parse_expr(text, sp1, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "(z0+zb0+z1+zb1)^20", "(1 + z0)^100", "(1 + l*x)^1000", "(1 + l*x)^-1000",
+    "x^-1000", "2^1000", "(2^100)^900", "(z0*zb1 + (1/2)*zb0^2)/x^2",
+])
+def test_parse_accepts_power_within_caps(sp1, text):
+    assert parse_expr(text, sp1, 2).order == 2
+
+
+def test_cli_power_predicted_too_large_is_rejected(capsys):
+    code = main(["mul", "--n", "1", "--order", "2", "--lhs", "(z0+zb0+z1+zb1)^60",
+                 "--rhs", "1", "--product", "wick"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: power predicted to have 39711 terms, over the cap of 10000" in err
+
+
+def test_run_verification_accepts_negative_mu():
+    # like `wickred verify all --mu -1/2`: the value is glued to its flag
+    proc = _run_script("run_verification.py", ["--order", "1", "--mu", "-1/2"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count(" ok ") == 5
