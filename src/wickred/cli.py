@@ -7,8 +7,8 @@ Commands:
     verify    run a named verification suite; exit code 0 iff all pass
 
 The default truncation order can be overridden with the WICKRED_ORDER
-environment variable.  Note: negative flag values need the `--mu=-1/2`
-spelling.
+environment variable.  A negative level can be given as `--mu -1/2` or
+`--mu=-1/2`.
 """
 
 from __future__ import annotations
@@ -241,17 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--space", choices=("cpn", "dn"), default="cpn")
         p.add_argument("--n", type=int, default=1)
         p.add_argument("--mu", type=str, default="-1/2",
-                       help="negative rational level, e.g. --mu=-1/2")
+                       help="negative rational level, e.g. --mu -1/2")
         p.add_argument("--order", type=int, default=None,
                        help=f"truncation order (default {DEFAULT_ORDER}, "
                             "or the WICKRED_ORDER environment variable)")
-        p.add_argument("--d-series", type=str, default="1",
-                       help="comma-separated d_r coefficients, e.g. '1,1'")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "latex", "text"), default="json")
+        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("mul", help="multiply two expressions")
     common(p)
+    p.add_argument("--d-series", type=str, default="1",
+                   help="comma-separated d_r coefficients, e.g. '1,1'")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--product", choices=("mu", "tilde", "wick"), default="mu")

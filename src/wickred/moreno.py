@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import sparse
 from .equiv import a_coeff
 from .poly import LaurentElem
-from .scalar import GaussianRational, binomial, factorial
+from .scalar import ONE, GaussianRational, binomial, factorial
 from .series import UnivarPoly
 from .wick import StarContext, m_op
 
@@ -119,25 +119,26 @@ class ChartElem:
     def nvars(self):
         return 4 * self.n
 
+    @property
+    def var_keys(self) -> tuple:
+        return sparse.var_keys(4 * self.n)
+
     @classmethod
     def constant(cls, n: int, c) -> "ChartElem":
         c = GaussianRational.coerce(c)
         return cls(n, {0: c} if c else {})
 
     def _den_poly(self, idx: int) -> dict:
-        n = self.n
-        pairs = {
+        a, b = {
             0: (self.iu, self.ivb),
             1: (self.iv, self.iub),
             2: (self.iu, self.iub),
             3: (self.iv, self.ivb),
         }[idx]
-        terms = {0: GaussianRational.coerce(1)}
-        for k in range(n):
-            exps = [0] * self.nvars
-            exps[pairs[0](k)] = 1
-            exps[pairs[1](k)] = 1
-            terms[sparse.pack(exps)] = GaussianRational.coerce(1)
+        vk = self.var_keys
+        terms = {0: ONE}
+        for k in range(self.n):
+            terms[vk[a(k)] + vk[b(k)]] = ONE
         return terms
 
     def _scale_up(self, target: tuple) -> dict:
@@ -193,9 +194,7 @@ class ChartElem:
         for i, _ in affected:
             num_total = sparse.tmul(num_total, self._den_poly(i), self.nvars)
         for i, partner in affected:
-            exps = [0] * self.nvars
-            exps[partner] = 1
-            dD = {sparse.pack(exps): GaussianRational.coerce(1)}
+            dD = {self.var_keys[partner]: ONE}
             t = sparse.tscale(sparse.tmul(self.num, dD, self.nvars), GaussianRational.coerce(-self.den[i]))
             for j, _ in affected:
                 if j != i:
@@ -208,18 +207,8 @@ class ChartElem:
 
     def restrict_diagonal(self) -> "ChartElem":
         """u -> v, ub -> vb; all denominator factors collapse onto D4."""
-        n = self.n
-
-        def merged(key):
-            exps = sparse.unpack(key, self.nvars)
-            diag = [0] * self.nvars
-            for k in range(n):
-                diag[self.iv(k)] = exps[self.iv(k)] + exps[self.iu(k)]
-                diag[self.ivb(k)] = exps[self.ivb(k)] + exps[self.iub(k)]
-            return sparse.pack(diag)
-
-        out = sparse.tcollect((merged(key), c) for key, c in self.num.items())
-        return ChartElem(n, out, (0, 0, 0, sum(self.den)))
+        out = sparse.rekey(self.num, self.var_keys[2 * self.n:] * 2, self.nvars)
+        return ChartElem(self.n, out, (0, 0, 0, sum(self.den)))
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -238,12 +227,9 @@ def laplacian(elem: ChartElem) -> ChartElem:
             second = dub[l].diff("u", k)
             if second.is_zero():
                 continue
-            exps = [0] * elem.nvars
-            exps[elem.iu(k)] = 1
-            exps[elem.iub(l)] = 1
-            factor = {sparse.pack(exps): GaussianRational.coerce(1)}
+            factor = {elem.var_keys[elem.iu(k)] + elem.var_keys[elem.iub(l)]: ONE}
             if k == l:
-                factor = sparse.tadd(factor, {0: GaussianRational.coerce(1)})
+                factor = sparse.tadd(factor, {0: ONE})
             t = second.mul_poly(factor)
             acc = t if acc is None else acc + t
     if acc is None:
@@ -269,25 +255,14 @@ def hom_to_chart(f: LaurentElem, mode: str) -> ChartElem:
     d = f.mz
     if d < 0:
         raise ValueError("degree-(0,0) elements have nonnegative x power")
-    dummy = ChartElem.constant(n, 0)
-    if mode == "vv":
-        zslot, zbslot, den_idx = dummy.iv, dummy.ivb, 3
-    elif mode == "uv":
-        zslot, zbslot, den_idx = dummy.iu, dummy.ivb, 0
-    elif mode == "vu":
-        zslot, zbslot, den_idx = dummy.iv, dummy.iub, 1
-    else:
-        raise ValueError(mode)
-
-    def chart_key(key):
-        exps = sparse.unpack(key, space.nvars)
-        chart = [0] * (4 * n)
-        for k in range(1, n + 1):
-            chart[zslot(k - 1)] = exps[space.iz(k)]
-            chart[zbslot(k - 1)] = exps[space.izb(k)]
-        return sparse.pack(chart)
-
-    out = sparse.tcollect((chart_key(key), c) for key, c in f.num.terms.items())
+    # chart blocks u, ub, v, vb of n slots each; z0 and zb0 are set to 1
+    try:
+        zblock, zbblock, den_idx = {"vv": (2, 3, 3), "uv": (0, 3, 0), "vu": (2, 1, 1)}[mode]
+    except KeyError:
+        raise ValueError(mode) from None
+    vk = sparse.var_keys(4 * n)
+    images = (0,) + vk[zblock * n:(zblock + 1) * n] + (0,) + vk[zbblock * n:(zbblock + 1) * n]
+    out = sparse.rekey(f.num.terms, images, space.nvars)
     den = [0, 0, 0, 0]
     den[den_idx] = d
     return ChartElem(n, out, tuple(den))

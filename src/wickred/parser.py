@@ -7,9 +7,10 @@ formatter.
     power  := atom ('^' ['-'] INT)?        (|INT| <= MAX_EXPONENT)
     atom   := INT | IDENT | '(' expr ')'
 
-A power whose predicted result (``predicted_power_size``) has more than
-MAX_POWER_TERMS terms or coefficients of more than MAX_POWER_BITS bits is
-rejected before it is computed.
+A power or a product (``*``, and the multiply inside ``/``) whose
+predicted result (``predicted_power_size``, ``predicted_product_size``) has
+more than MAX_POWER_TERMS terms or coefficients of more than
+MAX_POWER_BITS bits is rejected before it is computed.
 
 Identifiers: z0..z9, zb0..zb9, x (and its alias y, the metric quadratic),
 the imaginary unit i, and the deformation parameter l.  Division works
@@ -38,8 +39,8 @@ class ParseError(ValueError):
 # largest |e| accepted in `base^e`: binary powering of 2^e alone builds an
 # e-bit integer, so an unbounded exponent would ask for unbounded work
 MAX_EXPONENT = 1000
-# caps on the predicted size of one power: an exponent within its bound
-# can still ask for a huge product, as in (z0+zb0+z1+zb1)^60
+# caps on the predicted size of one power or product: an exponent within
+# its bound can still ask for a huge result, as in (z0+zb0+z1+zb1)^60
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 100_000
 
@@ -117,13 +118,13 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
-                if val == "*":
-                    v = v * rhs
-                else:
+                if val == "/":
                     try:
-                        v = v * rhs.invert()
+                        rhs = rhs.invert()
                     except (ValueError, ZeroDivisionError) as e:
                         raise ParseError(f"divisor is not invertible: {e}", pos) from None
+                _check_caps("product", predicted_product_size(v, rhs), pos)
+                v = v * rhs
             else:
                 return v
 
@@ -161,13 +162,7 @@ class _Parser:
                     ) from None
                 e = -e
             if e >= 2:
-                terms, bits = predicted_power_size(base, e)
-                if terms > MAX_POWER_TERMS:
-                    raise ParseError(f"power predicted to have {terms} terms, "
-                                     f"over the cap of {MAX_POWER_TERMS}", pos)
-                if bits > MAX_POWER_BITS:
-                    raise ParseError(f"power predicted to have coefficients of {bits} bits, "
-                                     f"over the cap of {MAX_POWER_BITS}", pos)
+                _check_caps("power", predicted_power_size(base, e), pos)
             return base.pow(e)
         return base
 
@@ -207,25 +202,55 @@ class _Parser:
         raise ParseError(f"unknown identifier {name!r}", pos)
 
 
+def _size(s: Series) -> tuple:
+    """(t, deg, bits, nvars): the number of terms and the top total degree
+    over the numerators of s's coefficients, and the size of the largest
+    numerator or denominator among them."""
+    nums = [c.num.terms for c in s.coeffs if not c.is_zero()]
+    t = sum(len(p) for p in nums)
+    if not t:
+        return 0, 0, 0, 0
+    nvars = s.coeffs[0].space.nvars
+    deg = max(sparse.total_degree(k, nvars) for p in nums for k in p)
+    bits = max(max(abs(c.p), abs(c.q), c.d).bit_length() for p in nums for c in p.values())
+    return t, deg, bits, nvars
+
+
 def predicted_power_size(base: Series, e: int) -> tuple:
     """(terms, bits) predicted for base^e.
 
-    t is the number of terms and deg the top total degree over the
-    numerators of base's coefficients.  A power of one numerator has at
-    most C(e + t - 1, t - 1) terms (multisets of its terms) and at most
+    A power of one numerator with t terms of degree <= deg has at most
+    C(e + t - 1, t - 1) terms (multisets of its terms) and at most
     C(deg*e + nvars, nvars) (monomials of degree <= deg*e); its
-    coefficients need at most e * (bits + log2 t) bits, bits being the
-    size of the largest numerator or denominator in base.
+    coefficients need at most e * (bits + log2 t) bits (``_size``).
     """
-    nums = [c.num.terms for c in base.coeffs if not c.is_zero()]
-    t = sum(len(p) for p in nums)
+    t, deg, bits, nvars = _size(base)
     if not t:
         return 0, 0
-    nvars = base.coeffs[0].space.nvars
-    deg = max(sparse.total_degree(k, nvars) for p in nums for k in p)
     terms = min(math.comb(e + t - 1, t - 1), math.comb(deg * e + nvars, nvars))
-    bits = max(max(abs(c.p), abs(c.q), c.d).bit_length() for p in nums for c in p.values())
     return terms, e * (bits + (t - 1).bit_length())
+
+
+def predicted_product_size(a: Series, b: Series) -> tuple:
+    """(terms, bits) predicted for a*b: at most min(t_a*t_b,
+    C(deg_a + deg_b + nvars, nvars)) terms and coefficients of at most
+    bits_a + bits_b + log2 min(t_a, t_b) bits (``_size``)."""
+    ta, da, ba, nvars = _size(a)
+    tb, db, bb, _ = _size(b)
+    if not (ta and tb):
+        return 0, 0
+    terms = min(ta * tb, math.comb(da + db + nvars, nvars))
+    return terms, ba + bb + (min(ta, tb) - 1).bit_length()
+
+
+def _check_caps(what: str, size: tuple, pos: int) -> None:
+    terms, bits = size
+    if terms > MAX_POWER_TERMS:
+        raise ParseError(f"{what} predicted to have {terms} terms, "
+                         f"over the cap of {MAX_POWER_TERMS}", pos)
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} predicted to have coefficients of {bits} bits, "
+                         f"over the cap of {MAX_POWER_BITS}", pos)
 
 
 def parse_expr(text: str, space: VarSpace, order: int) -> Series:

@@ -79,14 +79,9 @@ class VarSpace:
     def _quad_terms(self, block: str) -> dict:
         iz = self.iz if block == "z" else self.iw
         izb = self.izb if block == "z" else self.iwb
-        terms = {}
-        for k in range(self.nv):
-            exps = [0] * self.nvars
-            exps[iz(k)] = 1
-            exps[izb(k)] = 1
-            c = ONE if self.metric[k] == 1 else -ONE
-            terms[sparse.pack(exps)] = c
-        return terms
+        vk = self.var_keys
+        return {vk[iz(k)] + vk[izb(k)]: ONE if self.metric[k] == 1 else -ONE
+                for k in range(self.nv)}
 
     @cached_property
     def x_terms(self) -> dict:
@@ -99,8 +94,7 @@ class VarSpace:
     @cached_property
     def var_keys(self) -> tuple:
         # packed key of each single variable, by slot
-        return tuple(sparse.pack([int(i == j) for j in range(self.nvars)])
-                     for i in range(self.nvars))
+        return sparse.var_keys(self.nvars)
 
     @cached_property
     def x_pow_memo(self) -> dict:
@@ -243,17 +237,13 @@ class Poly:
     def conj(self) -> "Poly":
         space = self.space
         nv = space.nv
-        out = {}
-        for k, c in self.terms.items():
-            exps = list(sparse.unpack(k, space.nvars))
-            exps[0:nv], exps[nv : 2 * nv] = exps[nv : 2 * nv], exps[0:nv]
-            if space.two_point:
-                exps[2 * nv : 3 * nv], exps[3 * nv : 4 * nv] = (
-                    exps[3 * nv : 4 * nv],
-                    exps[2 * nv : 3 * nv],
-                )
-            out[sparse.pack(exps)] = c.conj()
-        return Poly(space, out)
+        vk = space.var_keys
+        # swap the blocks z <-> zb (and w <-> wb)
+        images = vk[nv:2 * nv] + vk[:nv]
+        if space.two_point:
+            images += vk[3 * nv:] + vk[2 * nv:3 * nv]
+        terms = sparse.rekey(self.terms, images, space.nvars)
+        return Poly(space, {k: c.conj() for k, c in terms.items()})
 
     # ------------------------------------------------------------------
     # division by the quadratic x (single-divisor reduction)
@@ -276,13 +266,10 @@ class Poly:
         space = self.space
         if block == "z":
             null_pt, div_terms, lead = space.null_point_z, space.x_terms, space.x_lead_key
-            ia, ib = space.iz(space.n), space.izb(space.n)
         else:
             null_pt, div_terms, lead = space.null_point_w, space.xw_terms, space.xw_lead_key
-            ia, ib = space.iw(space.n), space.iwb(space.n)
         if self.eval(null_pt):
             return None
-        sa, sb = sparse.SLOT * ia, sparse.SLOT * ib
         # over the common denominator every coefficient is a Gaussian
         # integer (p, q); x has coefficients +-1, so each step is integer
         # addition and only the quotient terms are normalized
@@ -293,7 +280,7 @@ class Poly:
         q = {}
         while r:
             kl = max(r)
-            if not ((kl >> sa) & sparse.MASK and (kl >> sb) & sparse.MASK):
+            if not sparse.divides(lead, kl, space.nvars):
                 return None
             t = kl - lead
             p, pi = r.pop(kl)
@@ -314,15 +301,7 @@ class Poly:
     # ------------------------------------------------------------------
     def degrees(self, key: int) -> tuple:
         """(z-degree, zb-degree[, w-degree, wb-degree]) of one monomial."""
-        space = self.space
-        nv = space.nv
-        zd = sum(sparse.exponent(key, space.iz(k)) for k in range(nv))
-        zbd = sum(sparse.exponent(key, space.izb(k)) for k in range(nv))
-        if not space.two_point:
-            return zd, zbd
-        wd = sum(sparse.exponent(key, space.iw(k)) for k in range(nv))
-        wbd = sum(sparse.exponent(key, space.iwb(k)) for k in range(nv))
-        return zd, zbd, wd, wbd
+        return sparse.block_degrees(key, self.space.nvars, self.space.nv)
 
     def sorted_items(self):
         return sorted(self.terms.items(), reverse=True)
@@ -574,15 +553,8 @@ class LaurentElem:
         when all monomials agree; None otherwise."""
         if self.num.is_zero():
             return (0, 0)
-        seen = None
-        for key in self.num.terms:
-            zd, zbd = self.num.degrees(key)[:2]
-            cur = (zd - self.mz, zbd - self.mz)
-            if seen is None:
-                seen = cur
-            elif seen != cur:
-                return None
-        return seen
+        seen = {(d[0] - self.mz, d[1] - self.mz) for d in map(self.num.degrees, self.num.terms)}
+        return seen.pop() if len(seen) == 1 else None
 
     def is_homogeneous(self) -> bool:
         return self.bidegree() == (0, 0)
@@ -590,20 +562,13 @@ class LaurentElem:
     def is_invariant(self) -> bool:
         """Invariance under the circle action: every monomial has equal
         z- and zb-degree (the kernel of the rotation operator Y)."""
-        for key in self.num.terms:
-            zd, zbd = self.num.degrees(key)[:2]
-            if zd != zbd:
-                return False
-        return True
+        return all(d[0] == d[1] for d in map(self.num.degrees, self.num.terms))
 
     def is_doubly_homogeneous(self) -> bool:
         if not self.space.two_point:
             raise ValueError("needs a two-point space")
-        for key in self.num.terms:
-            zd, zbd, wd, wbd = self.num.degrees(key)
-            if not (zd == zbd == self.mz and wd == wbd == self.mw):
-                return False
-        return True
+        return all(zd == zbd == self.mz and wd == wbd == self.mw
+                   for zd, zbd, wd, wbd in map(self.num.degrees, self.num.terms))
 
     def euler(self, which: str):
         """Euler/rotation operators: E, Ebar, Y, or the four-variable H.

@@ -52,18 +52,11 @@ class DecompResult:
 
 def _geometric_cofactor(space: VarSpace, j: int, c: Fraction) -> LaurentElem:
     """(x^j - c^j) / (x - c) on the radial Laurent line, for any integer j."""
-    if j == 0:
-        return LaurentElem.zero_of(space)
-    if j > 0:
-        acc = LaurentElem.zero_of(space)
-        for t in range(j):
-            acc = acc + LaurentElem.x_power(space, j - 1 - t).scale(c ** t)
-        return acc
-    k = -j
+    k = abs(j)
     acc = LaurentElem.zero_of(space)
     for t in range(k):
         acc = acc + LaurentElem.x_power(space, k - 1 - t).scale(c ** t)
-    return acc.mul_xpow(-k).scale(-(c ** (-k)))
+    return acc if j > 0 else acc.mul_xpow(-k).scale(-(c ** (-k)))
 
 
 def _split(F: LaurentElem, ctx: StarContext) -> tuple:

@@ -24,11 +24,16 @@ Products work on the same triples: ``tmac`` adds c*a*b into an
 accumulator of unnormalized triples, so a whole linear combination of
 products is summed in plain ints, and ``tnorm`` normalizes each surviving
 term once.  ``tmul`` is the two of them on an empty accumulator.
+
+This is the only module that reads or builds keys.  Every change of
+variables elsewhere (conjugation, the two-point tensor and diagonal, the
+inhomogeneous chart) is one ``rekey`` onto the keys of ``var_keys``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .scalar import ZERO, GaussianRational
 
@@ -63,6 +68,55 @@ def total_degree(key: int, nvars: int) -> int:
     return key >> (SLOT * nvars)
 
 
+@lru_cache(maxsize=None)
+def var_keys(nvars: int) -> tuple:
+    """The key of each single variable over ``nvars`` slots.  Keys add
+    under multiplication, so a monomial's key is sum_i e_i * var_keys[i]."""
+    return tuple((1 << (SLOT * nvars)) | (1 << (SLOT * i)) for i in range(nvars))
+
+
+def rekey(terms: dict, images, nvars: int) -> dict:
+    """Substitute variable i by the monomial whose key is ``images[i]``,
+    where 0 means "set to 1": a key's image is sum_i e_i * images[i].
+
+    Images of degree <= 1 (0 or an entry of ``var_keys``) never raise the
+    total degree, so the result stays packable.  Terms that land on the
+    same key are merged with ``tcollect``.
+    """
+    slots = [(SLOT * i, img) for i, img in enumerate(images) if img]
+
+    def image(k):
+        out = 0
+        for s, img in slots:
+            out += ((k >> s) & MASK) * img
+        return out
+
+    return tcollect((image(k), c) for k, c in terms.items())
+
+
+@lru_cache(maxsize=None)
+def _guard(nvars: int) -> int:
+    return sum(1 << (SLOT * i + SLOT - 1) for i in range(nvars + 1))
+
+
+def divides(m: int, k: int, nvars: int) -> bool:
+    """Whether the monomial m divides the monomial k: every slot keeps its
+    top bit clear, so ``k - m`` borrows into a slot's top bit (the guard)
+    exactly when some exponent of m exceeds the matching one of k."""
+    return not (k - m) & _guard(nvars)
+
+
+def block_degrees(key: int, nvars: int, width: int) -> tuple:
+    """The degree in each run of ``width`` slots: a run times
+    1 + 2^SLOT + ... + 2^(SLOT*(width-1)) holds its prefix sums, all below
+    the degree cap, so that product's top slot is the run's degree."""
+    ones = (1 << (SLOT * width)) // MASK
+    mask = (1 << (SLOT * width)) - 1
+    top = SLOT * (width - 1)
+    return tuple(((((key >> (SLOT * b)) & mask) * ones) >> top) & MASK
+                 for b in range(0, nvars, width))
+
+
 def tadd(a: dict, b: dict) -> dict:
     if len(a) < len(b):
         a, b = b, a
@@ -83,7 +137,7 @@ def tadd(a: dict, b: dict) -> dict:
 def tcollect(pairs) -> dict:
     """Terms from (key, nonzero coefficient) pairs: coefficients of a
     repeated key are summed and a sum of zero drops the key.  This is the
-    merge behind every re-keying map (diagonal restriction, chart maps)."""
+    merge behind ``rekey``."""
     out = {}
     get = out.get
     for k, c in pairs:

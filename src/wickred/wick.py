@@ -281,18 +281,9 @@ def tensor(f: LaurentElem, g: LaurentElem) -> LaurentElem:
         raise ValueError("tensor takes two one-point elements of one space")
     sp2 = f.space.with_two_point()
     nv2 = 2 * f.space.nv
-    low_mask = (1 << (sparse.SLOT * nv2)) - 1
-    # one-point keys carry their degree field at slot 2(n+1); reposition it
-    # to slot 4(n+1) and, for g, move the exponents into the (w, wb) block
-    fnum = Poly(sp2, {
-        (k & low_mask) | ((k >> (sparse.SLOT * nv2)) << (sparse.SLOT * 2 * nv2)): c
-        for k, c in f.num.terms.items()
-    })
-    gnum = Poly(sp2, {
-        ((k & low_mask) << (sparse.SLOT * nv2))
-        | ((k >> (sparse.SLOT * nv2)) << (sparse.SLOT * 2 * nv2)): c
-        for k, c in g.num.terms.items()
-    })
+    # f's variables keep their slots; g's move into the (w, wb) block
+    fnum = Poly(sp2, sparse.rekey(f.num.terms, sp2.var_keys[:nv2], nv2))
+    gnum = Poly(sp2, sparse.rekey(g.num.terms, sp2.var_keys[nv2:], nv2))
     return LaurentElem(fnum, f.mz, 0, canonical=True) * LaurentElem(gnum, 0, g.mz, canonical=True)
 
 
@@ -301,15 +292,9 @@ def restrict_diagonal(F: LaurentElem) -> LaurentElem:
     sp2 = F.space
     if not sp2.two_point:
         raise ValueError("needs a two-point element")
-    nv = sp2.nv
-
-    def merged(key):
-        exps = sparse.unpack(key, sp2.nvars)
-        return sparse.pack([exps[i] + exps[2 * nv + i] for i in range(nv)]
-                           + [exps[nv + i] + exps[3 * nv + i] for i in range(nv)])
-
-    out = sparse.tcollect((merged(k), c) for k, c in F.num.terms.items())
-    return LaurentElem(Poly(sp2.one_point(), out), F.mz + F.mw)
+    sp1 = sp2.one_point()
+    out = sparse.rekey(F.num.terms, sp1.var_keys * 2, sp2.nvars)
+    return LaurentElem(Poly(sp1, out), F.mz + F.mw)
 
 
 def op_n(F: LaurentElem, ctx: StarContext) -> LaurentElem:
@@ -342,13 +327,9 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
 
 
 def _zwb_poly(sp2: VarSpace) -> Poly:
-    terms = {}
-    for k in range(sp2.nv):
-        exps = [0] * sp2.nvars
-        exps[sp2.iz(k)] = 1
-        exps[sp2.iwb(k)] = 1
-        terms[sparse.pack(exps)] = GaussianRational.coerce(sp2.metric[k])
-    return Poly(sp2, terms)
+    vk = sp2.var_keys
+    return Poly(sp2, {vk[sp2.iz(k)] + vk[sp2.iwb(k)]: GaussianRational.coerce(sp2.metric[k])
+                      for k in range(sp2.nv)})
 
 
 def op_h(F: LaurentElem) -> LaurentElem:

@@ -626,3 +626,191 @@ def test_divided_by_x_matches_reference_division(case):
     if got is not None:
         assert got == want
         assert all(c == GaussianRational._norm(c.p, c.q, c.d) for c in got.terms.values())
+
+
+# ----------------------------------------------------------------------
+# the key layout behind sparse: rekey, divides, block_degrees, and the
+# changes of variables built on rekey
+
+def reference_rekey(terms, targets, nvars, tvars):
+    """Reference: unpack each key, add exponent i into target slot
+    targets[i] (None drops it), pack, and merge with tcollect."""
+    def image(k):
+        exps = sparse.unpack(k, nvars)
+        out = [0] * tvars
+        for e, j in zip(exps, targets):
+            if j is not None:
+                out[j] += e
+        return sparse.pack(out)
+    return sparse.tcollect((image(k), c) for k, c in terms.items())
+
+
+@st.composite
+def rekey_cases(draw):
+    """(terms, targets, nvars, tvars): a map of slots onto another space
+    that may permute, merge (several slots onto one) and drop slots, with
+    coefficients closed under negation so that merged terms can cancel."""
+    nvars = draw(st.integers(1, 6))
+    tvars = draw(st.integers(1, 6))
+    targets = draw(st.lists(st.one_of(st.none(), st.integers(0, tvars - 1)),
+                            min_size=nvars, max_size=nvars))
+    keys = st.one_of(
+        exponent_vectors(nvars).map(sparse.pack),
+        st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(sparse.pack),
+    )
+    terms = draw(st.dictionaries(keys, st.sampled_from([ONE, -ONE, GaussianRational(0, 1),
+                                                        GaussianRational(Fraction(1, 2), -1)]),
+                                 max_size=6))
+    return terms, targets, nvars, tvars
+
+
+def _images(targets, tvars):
+    vk = sparse.var_keys(tvars)
+    return [0 if j is None else vk[j] for j in targets]
+
+
+@props
+@given(rekey_cases())
+# a permutation: x0 x1^2 + x2 under x0 -> y2, x1 -> y0, x2 -> y1
+@example(({sparse.pack([1, 2, 0]): ONE, sparse.pack([0, 0, 1]): -ONE}, [2, 0, 1], 3, 3))
+# a merge whose collision cancels: x0 - x1 under x0, x1 -> y0
+@example(({sparse.pack([1, 0]): ONE, sparse.pack([0, 1]): -ONE}, [0, 0], 2, 1))
+# dropped slots: x0^127 + x1 x2 - x2 under x0 -> 1, x1 -> 1, x2 -> y1
+@example(({sparse.pack([127, 0, 0]): ONE, sparse.pack([0, 1, 1]): ONE,
+           sparse.pack([0, 0, 1]): -ONE}, [None, None, 1], 3, 2))
+def test_rekey_matches_reference(case):
+    terms, targets, nvars, tvars = case
+    got = sparse.rekey(terms, _images(targets, tvars), nvars)
+    assert got == reference_rekey(terms, targets, nvars, tvars)
+    assert all(got.values())
+
+
+def test_var_keys_are_packed_variables():
+    for nvars in range(1, 6):
+        assert sparse.var_keys(nvars) == tuple(
+            sparse.pack([int(i == j) for j in range(nvars)]) for i in range(nvars))
+
+
+@props
+@given(st.integers(1, 5).flatmap(lambda nv: st.tuples(
+    st.just(nv), exponent_vectors(nv), exponent_vectors(nv),
+    st.lists(st.sampled_from([0, 127]), min_size=nv, max_size=nv))))
+@example((2, [127, 0], [127, 0], [0, 0]))
+@example((2, [0, 127], [1, 126], [0, 0]))
+@example((3, [0, 0, 0], [0, 0, 0], [0, 0, 0]))
+def test_divides_is_slotwise_comparison(case):
+    nvars, a, b, extremes = case
+    # pairs at the extremes too: a lone exponent of 0 or 127 against b
+    lone = [e if i == 0 else 0 for i, e in enumerate(extremes)]
+    for m, k in ((a, b), (b, a), (a, a), (lone, b), (b, lone), (lone, a)):
+        want = all(x <= y for x, y in zip(m, k)) and sum(m) <= sum(k)
+        assert sparse.divides(sparse.pack(m), sparse.pack(k), nvars) == want
+
+
+@props
+@given(st.integers(1, 5).flatmap(lambda w: st.integers(1, 4).flatmap(
+    lambda b: st.tuples(st.just(w), exponent_vectors(w * b)))))
+@example((3, [127, 0, 0, 0, 0, 0]))
+@example((1, [0, 127]))
+def test_block_degrees_are_block_sums(case):
+    width, exps = case
+    nvars = len(exps)
+    key = sparse.pack(exps)
+    want = tuple(sum(sparse.exponent(key, i) for i in range(b, b + width))
+                 for b in range(0, nvars, width))
+    assert sparse.block_degrees(key, nvars, width) == want
+
+
+REKEY_SPACES = [VarSpace.cpn(n) for n in (1, 2, 3)] + [VarSpace.dn(n) for n in (1, 2, 3)]
+
+
+@st.composite
+def one_point_elems(draw, space):
+    num = Poly(space, draw(term_dicts(space.nvars, max_deg=3, max_terms=4)))
+    return LaurentElem(num, draw(st.integers(-1, 2)))
+
+
+@laurent_settings
+@given(st.sampled_from(REKEY_SPACES).flatmap(
+    lambda sp: st.tuples(one_point_elems(sp), one_point_elems(sp))))
+def test_restrict_diagonal_of_tensor_is_product(pair):
+    from wickred.wick import restrict_diagonal, tensor
+
+    f, g = pair
+    assert_same(restrict_diagonal(tensor(f, g)), f * g)
+
+
+def reference_conj(p):
+    """Reference: unpack, swap the z/zb (and w/wb) slices, pack."""
+    space, nv = p.space, p.space.nv
+    out = {}
+    for k, c in p.terms.items():
+        exps = list(sparse.unpack(k, space.nvars))
+        exps[0:nv], exps[nv:2 * nv] = exps[nv:2 * nv], exps[0:nv]
+        if space.two_point:
+            exps[2 * nv:3 * nv], exps[3 * nv:4 * nv] = exps[3 * nv:4 * nv], exps[2 * nv:3 * nv]
+        out[sparse.pack(exps)] = c.conj()
+    return out
+
+
+@laurent_settings
+@given(st.sampled_from(REKEY_SPACES + [TWO_POINT, VarSpace.dn(2, two_point=True)]).flatmap(
+    lambda sp: term_dicts(sp.nvars, max_deg=3, max_terms=5).map(lambda t: Poly(sp, t))))
+def test_conj_matches_reference_and_is_an_involution(p):
+    assert p.conj().terms == reference_conj(p)
+    assert p.conj().conj() == p
+
+
+def reference_hom_to_chart(f, mode):
+    """Reference: unpack, send z^k, zb^k (k >= 1) to the chart slots of
+    the mode, drop z^0 and zb^0, pack, merge with tcollect."""
+    from wickred.moreno import ChartElem
+
+    space, n = f.space, f.space.n
+    ce = ChartElem.constant(n, 0)
+    zslot, zbslot, den_idx = {"vv": (ce.iv, ce.ivb, 3), "uv": (ce.iu, ce.ivb, 0),
+                              "vu": (ce.iv, ce.iub, 1)}[mode]
+
+    def chart_key(key):
+        exps = sparse.unpack(key, space.nvars)
+        chart = [0] * (4 * n)
+        for k in range(1, n + 1):
+            chart[zslot(k - 1)] = exps[space.iz(k)]
+            chart[zbslot(k - 1)] = exps[space.izb(k)]
+        return sparse.pack(chart)
+
+    den = [0, 0, 0, 0]
+    den[den_idx] = f.mz
+    return sparse.tcollect((chart_key(k), c) for k, c in f.num.terms.items()), tuple(den)
+
+
+@st.composite
+def homogeneous_elems(draw, space):
+    """A degree-(0,0) element P / x^d, P of bidegree (d, d)."""
+    d = draw(st.integers(0, 2))
+    nv = space.nv
+
+    def block():
+        return st.lists(st.integers(0, nv - 1), min_size=d, max_size=d).map(
+            lambda idx: [idx.count(k) for k in range(nv)])
+    terms = draw(st.dictionaries(st.tuples(block(), block()).map(lambda zz: sparse.pack(zz[0] + zz[1])),
+                                 nonzero_gaussians, min_size=1, max_size=4))
+    return LaurentElem(Poly(space, terms), d)
+
+
+@laurent_settings
+@given(st.sampled_from([VarSpace.cpn(n) for n in (1, 2, 3)]).flatmap(homogeneous_elems),
+       st.sampled_from(["vv", "uv", "vu"]))
+def test_hom_to_chart_matches_reference(f, mode):
+    from wickred.moreno import hom_to_chart
+
+    got = hom_to_chart(f, mode)
+    assert (got.num, got.den) == reference_hom_to_chart(f, mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hom_to_chart_rejects_the_indefinite_metric(n):
+    from wickred.moreno import hom_to_chart
+
+    with pytest.raises(ValueError, match="definite metric"):
+        hom_to_chart(LaurentElem.one_of(VarSpace.dn(n)), "vv")

@@ -379,3 +379,87 @@ def test_run_verification_accepts_negative_mu():
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.count(" ok ") == 5
+
+
+@pytest.mark.parametrize("text, what", [
+    ("(z0+zb0+z1+zb1)^12*(z0+zb0+z1+zb1)^12", "terms"),
+    ("(z0+zb0+z1+zb1)^20/(1 + l*(z0+zb0+z1+zb1))", "terms"),
+    ("(2^1000)^99*(2^1000)^99", "bits"),
+    ("(2^1000)^99/(2^1000)^-99", "bits"),
+])
+def test_parse_rejects_product_predicted_too_large(sp1, text, what):
+    # two factors inside the power caps can still ask for a huge product,
+    # so each `*` and the multiply inside each `/` is predicted first
+    with pytest.raises(ParseError, match=f"product predicted to have .* {what}, over the cap of"):
+        parse_expr(text, sp1, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "(z0+zb0+z1+zb1)^9*(z0+zb0+z1+zb1)^9", "(z0+zb0+z1+zb1)^20/x^3", "(2^1000)^49*(2^1000)^49",
+    "(1 + l*x)^1000*(1 + l*x)^-1000", "(z0*zb1 + (1/2)*zb0^2)/x^2*z1*zb0/(1 + l*x)",
+])
+def test_parse_accepts_product_within_caps(sp1, text):
+    assert parse_expr(text, sp1, 2).order == 2
+
+
+def test_cli_product_predicted_too_large_is_rejected(capsys):
+    code = main(["mul", "--n", "1", "--order", "2", "--lhs",
+                 "(z0+zb0+z1+zb1)^30*(z0+zb0+z1+zb1)^30", "--rhs", "1", "--product", "wick"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: product predicted to have 635376 terms, over the cap of 10000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--format", "latex"],
+    ["verify", "su1n", "--order", "2", "--format", "latex"],
+    ["verify", "su1n", "--order", "2", "--d-series", "1,1"],
+    ["verify", "su1n", "--order", "2", "--d-series", "5"],
+])
+def test_cli_rejects_choices_it_would_ignore(capsys, argv):
+    # mul and verify print no LaTeX, and the suites check D = 1 and
+    # D = 1 + l/x on their own: these options would be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--format", "text"],
+    ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--format", "json"],
+    ["verify", "su1n", "--order", "2", "--format", "json"],
+    ["moreno", "--rmax", "2", "--format", "latex"],
+    ["table", "k-coeff", "--rmax", "2", "--format", "latex"],
+])
+def test_cli_format_choices_print(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip()
+
+
+def _readme_commands():
+    """Every `wickred ...` line of README's "Command line" block, with
+    backslash continuations joined."""
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.strip().startswith("wickred ")]
+
+
+def test_readme_has_commands():
+    assert len(_readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: " ".join(a)[:60])
+def test_readme_command_runs(capsys, monkeypatch, argv):
+    # every documented command exits 0 and prints something
+    monkeypatch.delenv("WICKRED_ORDER", raising=False)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip()
