@@ -8,9 +8,8 @@ which is handy when tuning the truncation order.
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from wickred.cli import CliConfig, _glue_negative_values, _require_at_least
+from wickred.cli import _context, _glue_negative_values, _require_at_least
 from wickred.suites import SUITE_NAMES, run_suite
 
 
@@ -24,7 +23,7 @@ def main():
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(_glue_negative_values(sys.argv[1:]))
     try:
-        cfg = CliConfig(n=args.n, mu=Fraction(args.mu), order=args.order, seed=args.seed)
+        ctx = _context(args)
         _require_at_least("rmax", args.rmax, 1)
     except (ValueError, ZeroDivisionError) as e:
         ap.error(str(e))
@@ -32,8 +31,8 @@ def main():
     all_ok = True
     for name in SUITE_NAMES:
         t0 = time.time()
-        report = run_suite(name, n=cfg.n, order=cfg.order, mu=cfg.mu,
-                           seed=cfg.seed, rmax=args.rmax)
+        report = run_suite(name, n=ctx.n, order=ctx.K, mu=ctx.mu,
+                           seed=args.seed, rmax=args.rmax)
         ok = report.ok
         all_ok = all_ok and ok
         npass = sum(c.ok for c in report.checks)

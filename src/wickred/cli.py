@@ -6,96 +6,61 @@ Commands:
     moreno    recursion residuals and the k~ polynomial table
     verify    run a named verification suite; exit code 0 iff all pass
 
-The default truncation order can be overridden with the WICKRED_ORDER
-environment variable.  A negative level can be given as `--mu -1/2` or
-`--mu=-1/2`.
+The truncation order defaults to 6.  `--seed` is a `verify` option, and
+`--d-series` is for `mul --product tilde`.  A negative level can be given
+as `--mu -1/2` or `--mu=-1/2`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import equiv, moreno, reduction, suites
 from .parser import format_series, parse_expr
-from .poly import VarSpace
-from .wick import StarContext, wick_product
+from .series import latex_fraction
+from .wick import StarContext, default_context, wick_product
 
 
 DEFAULT_ORDER = 6
 
 
-@dataclass
-class CliConfig:
-    space: str = "cpn"
-    n: int = 1
-    mu: Fraction = Fraction(-1, 2)
-    order: int = DEFAULT_ORDER
-    D: tuple = (Fraction(1),)
-    seed: int = 0
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.mu >= 0:
-            raise ValueError("mu must be negative")
-        if self.n < 1 or self.order < 1:
-            raise ValueError("need n >= 1 and order >= 1")
-
-    def context(self) -> StarContext:
-        space = VarSpace.cpn(self.n) if self.space == "cpn" else VarSpace.dn(self.n)
-        return StarContext(space=space, K=self.order, D=self.D, mu=self.mu)
+def _context(args) -> StarContext:
+    """The StarContext of a `mul` or `verify` namespace, after the input checks."""
+    mu = Fraction(args.mu)
+    D = tuple(Fraction(p.strip()) for p in getattr(args, "d_series", "1").split(","))
+    if mu >= 0:
+        raise ValueError("mu must be negative")
+    if args.n < 1 or args.order < 1:
+        raise ValueError("need n >= 1 and order >= 1")
+    return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
 
 
-def _default_order() -> int:
-    env = os.environ.get("WICKRED_ORDER")
-    if not env:
-        return DEFAULT_ORDER
-    try:
-        order = int(env)
-    except ValueError:
-        order = 0
-    if order < 1:
-        raise ValueError(f"WICKRED_ORDER must be a positive integer, got {env!r}")
-    return order
+def _json(obj) -> list:
+    return [json.dumps(obj, indent=2, sort_keys=True)]
 
 
-def _parse_d_series(text: str) -> tuple:
-    return tuple(Fraction(p.strip()) for p in text.split(","))
+def _emit(fmt: str, render: dict) -> None:
+    """Print the lines of the renderer for `fmt`; no other renderer runs."""
+    for line in render[fmt]():
+        print(line)
 
 
-def _config_from_args(args) -> CliConfig:
-    return CliConfig(
-        space=getattr(args, "space", "cpn"),
-        n=getattr(args, "n", 1),
-        mu=Fraction(getattr(args, "mu", "-1/2")),
-        order=_default_order() if getattr(args, "order", None) is None else args.order,
-        D=_parse_d_series(getattr(args, "d_series", "1")),
-        seed=getattr(args, "seed", 0),
-        fmt=getattr(args, "format", "json"),
-    )
-
-
-def _emit(obj, fmt: str, latex_lines=None, text_lines=None) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    elif fmt == "latex":
-        for line in latex_lines or []:
-            print(line)
-    else:
-        for line in text_lines or [json.dumps(obj, sort_keys=True)]:
-            print(line)
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"--{flag} must be >= {least}, got {value}")
 
 
 # ----------------------------------------------------------------------
 
 
 def cmd_mul(args) -> int:
-    cfg = _config_from_args(args)
-    ctx = cfg.context()
+    ctx = _context(args)
+    if args.product == "wick" and not ctx.is_trivial_D():
+        raise ValueError("--d-series applies to --product tilde; "
+                         "the Wick product does not depend on D")
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)
     rhs = parse_expr(args.rhs, ctx.space, ctx.K)
     if args.product == "wick":
@@ -106,36 +71,25 @@ def cmd_mul(args) -> int:
         result = reduction.mu_star(
             reduction.reduce_function(lhs, ctx), reduction.reduce_function(rhs, ctx), ctx
         )
+    text = format_series(result)
     obj = {
-        "space": cfg.space,
-        "n": cfg.n,
-        "mu": str(cfg.mu),
+        "space": args.space,
+        "n": ctx.n,
+        "mu": str(ctx.mu),
         "order": ctx.K,
         "product": args.product,
         "series": result.to_obj(),
-        "text": format_series(result),
+        "text": text,
     }
-    _emit(obj, cfg.fmt, text_lines=[format_series(result)])
+    _emit(args.format, {"json": lambda: _json(obj), "text": lambda: [text]})
     return 0
-
-
-def _latex_frac(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return sign + rf"\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"--{flag} must be >= {least}, got {value}")
 
 
 def a_table_latex(rmax: int, smax: int) -> list:
     """The A^(r)_s matrix (rows r = 0..rmax, columns s = 0..smax) as LaTeX lines."""
     latex = [r"\begin{pmatrix}"]
     for r in range(rmax + 1):
-        row = " & ".join(_latex_frac(equiv.a_coeff(r, s)) for s in range(smax + 1))
+        row = " & ".join(latex_fraction(equiv.a_coeff(r, s)) for s in range(smax + 1))
         latex.append(row + (r" \\" if r < rmax else ""))
     latex.append(r"\end{pmatrix}")
     return latex
@@ -150,7 +104,7 @@ def k_table_latex(rmax: int) -> list:
             c = reduction.k_coeff(r, s)
             if not c:
                 continue
-            part = f"{_latex_frac(c)}\\,\\tilde{{M}}_{{{s}}}"
+            part = f"{latex_fraction(c)}\\,\\tilde{{M}}_{{{s}}}"
             body += part if not body else (part if part.startswith("-") else "+" + part)
         latex.append(rf"\tilde{{K}}_{{{r}}} &= " + body + r" \\")
     latex.append(r"\end{align*}")
@@ -158,73 +112,71 @@ def k_table_latex(rmax: int) -> list:
 
 
 def cmd_table(args) -> int:
-    fmt = args.format
+    rmax = args.rmax
     if args.which == "a-coeff":
-        rmax, smax = args.rmax, args.smax if args.smax is not None else args.rmax
+        smax = rmax if args.smax is None else args.smax
         _require_at_least("rmax", rmax, 0)
         _require_at_least("smax", smax, 0)
-        entries = [
-            {"r": r, "s": s, "value": str(equiv.a_coeff(r, s))}
-            for r in range(rmax + 1)
-            for s in range(smax + 1)
-        ]
-        obj = {"table": "a-coeff", "rmax": rmax, "smax": smax, "entries": entries}
-        _emit(obj, fmt, latex_lines=a_table_latex(rmax, smax),
-              text_lines=[f"A({r},{s}) = {equiv.a_coeff(r, s)}"
-                          for r in range(rmax + 1) for s in range(smax + 1)])
-        return 0
-    rmax = args.rmax
-    _require_at_least("rmax", rmax, 1)
-    entries = [
-        {"r": r, "s": s, "value": str(reduction.k_coeff(r, s))}
-        for r in range(1, rmax + 1)
-        for s in range(1, r + 1)
-    ]
-    obj = {"table": "k-coeff", "rmax": rmax, "entries": entries}
-    _emit(obj, fmt, latex_lines=k_table_latex(rmax),
-          text_lines=[f"c({r},{s}) = {reduction.k_coeff(r, s)}"
-                      for r in range(1, rmax + 1) for s in range(1, r + 1)])
+        cells = [(r, s, equiv.a_coeff(r, s)) for r in range(rmax + 1) for s in range(smax + 1)]
+        obj = {"table": "a-coeff", "rmax": rmax, "smax": smax}
+        name, latex = "A", lambda: a_table_latex(rmax, smax)
+    else:
+        _require_at_least("rmax", rmax, 1)
+        cells = [(r, s, reduction.k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
+        obj = {"table": "k-coeff", "rmax": rmax}
+        name, latex = "c", lambda: k_table_latex(rmax)
+    obj["entries"] = [{"r": r, "s": s, "value": str(v)} for r, s, v in cells]
+    _emit(args.format, {
+        "json": lambda: _json(obj),
+        "latex": latex,
+        "text": lambda: [f"{name}({r},{s}) = {v}" for r, s, v in cells],
+    })
     return 0
 
 
 def cmd_moreno(args) -> int:
     rmax = args.rmax
     _require_at_least("rmax", rmax, 1)
-    residuals = [moreno.moreno_recursion_residual(r) for r in range(1, rmax + 1)]
-    ok = all(r.is_zero() for r in residuals)
-    obj = {
-        "rmax": rmax,
-        "recursion_residuals": [str(r) for r in residuals],
-        "all_zero": ok,
-        "k_polys": {r: str(moreno.k_poly(r, 1)) for r in range(1, rmax + 1)},
-    }
-    latex = [f"% recursion residual r={r}: {'0' if res.is_zero() else str(res)}"
-             for r, res in enumerate(residuals, start=1)]
-    latex += [rf"\tilde{{k}}_{{{r}}}(\Delta) = {moreno.k_poly(r, 1).latex()}"
-              for r in range(1, rmax + 1)]
-    text = [f"recursion residual r={r}: {'0' if res.is_zero() else str(res)}"
-            for r, res in enumerate(residuals, start=1)]
-    text += [f"k_{r}(Delta) = {moreno.k_poly(r, 1)}" for r in range(1, rmax + 1)]
-    _emit(obj, args.format, latex_lines=latex, text_lines=text)
+    rs = range(1, rmax + 1)
+    residuals = [moreno.moreno_recursion_residual(r) for r in rs]
+    ok = all(res.is_zero() for res in residuals)
+    shown = [str(res) for res in residuals]
+    lines = [f"recursion residual r={r}: {res}" for r, res in zip(rs, shown)]
+    ks = [moreno.k_poly(r, 1) for r in rs]
+    _emit(args.format, {
+        "json": lambda: _json({
+            "rmax": rmax,
+            "recursion_residuals": shown,
+            "all_zero": ok,
+            "k_polys": {r: str(k) for r, k in zip(rs, ks)},
+        }),
+        "latex": lambda: ["% " + line for line in lines]
+        + [rf"\tilde{{k}}_{{{r}}}(\Delta) = {k.latex()}" for r, k in zip(rs, ks)],
+        "text": lambda: lines + [f"k_{r}(Delta) = {k}" for r, k in zip(rs, ks)],
+    })
     return 0 if ok else 1
 
 
+def _report_text(report) -> list:
+    lines = []
+    for c in sorted(report.checks, key=lambda c: c.name):
+        line = f"{'PASS' if c.ok else 'FAIL'}  {c.name}"
+        if not c.ok and c.detail:
+            line += f"  residual: {c.detail}"
+        lines.append(line)
+    lines.append(f"{'all passed' if report.ok else 'FAILURES'} "
+                 f"({sum(c.ok for c in report.checks)}/{len(report.checks)})")
+    return lines
+
+
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+    ctx = _context(args)
     _require_at_least("rmax", args.rmax, 1)
     report = suites.run_suite(
-        args.suite, n=cfg.n, order=cfg.order, mu=cfg.mu, seed=cfg.seed, rmax=args.rmax
+        args.suite, n=ctx.n, order=ctx.K, mu=ctx.mu, seed=args.seed, rmax=args.rmax
     )
-    if cfg.fmt == "json":
-        print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
-    else:
-        for c in sorted(report.checks, key=lambda c: c.name):
-            line = f"{'PASS' if c.ok else 'FAIL'}  {c.name}"
-            if not c.ok and c.detail:
-                line += f"  residual: {c.detail}"
-            print(line)
-        print(f"{'all passed' if report.ok else 'FAILURES'} "
-              f"({sum(c.ok for c in report.checks)}/{len(report.checks)})")
+    _emit(args.format, {"json": lambda: _json(report.to_obj()),
+                        "text": lambda: _report_text(report)})
     return 0 if report.ok else 1
 
 
@@ -242,16 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=1)
         p.add_argument("--mu", type=str, default="-1/2",
                        help="negative rational level, e.g. --mu -1/2")
-        p.add_argument("--order", type=int, default=None,
-                       help=f"truncation order (default {DEFAULT_ORDER}, "
-                            "or the WICKRED_ORDER environment variable)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                       help=f"truncation order (default {DEFAULT_ORDER})")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("mul", help="multiply two expressions")
     common(p)
     p.add_argument("--d-series", type=str, default="1",
-                   help="comma-separated d_r coefficients, e.g. '1,1'")
+                   help="comma-separated d_r coefficients for --product tilde, e.g. '1,1'")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--product", choices=("mu", "tilde", "wick"), default="mu")
@@ -272,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("all",) + suites.SUITE_NAMES)
     common(p, with_space=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rmax", type=int, default=10)
     p.set_defaults(fn=cmd_verify)
     return ap

@@ -128,6 +128,7 @@ class SparsePoly:
 # the symbol of S
 
 
+@lru_cache(maxsize=None)
 def symbol(ctx: StarContext, K: int = None) -> Series:
     """Symbol of S as a series in lambda with coefficients polynomial in
     (x, alpha): exp((x/lambda)(D log(1 + lambda alpha) - lambda alpha)).
@@ -136,6 +137,9 @@ def symbol(ctx: StarContext, K: int = None) -> Series:
     leading log term, so the exponent is a genuine power series:
     its lambda^(r+m-1) coefficient is d_r (-1)^(m+1) x^(1-r) alpha^m / m
     over r >= 0, m >= 1, (r, m) != (0, 1).
+
+    Cached per (ctx, K): the returned series is shared and must never be
+    mutated.
     """
     K = ctx.K if K is None else K
     exponent = Series.zeros(SparsePoly.constant(2, 0), K)
@@ -158,7 +162,8 @@ def symbol(ctx: StarContext, K: int = None) -> Series:
 
 def symbol_at_alpha_zero(ctx: StarContext, K: int = None) -> Series:
     """S applied to the constant function 1, i.e. the symbol at alpha = 0."""
-    return symbol(ctx, K).map(lambda p: p.subst_alpha_zero())
+    # an explicit K shares the cache entry of the other callers of symbol
+    return symbol(ctx, ctx.K if K is None else K).map(lambda p: p.subst_alpha_zero())
 
 
 def functional_equation_residual(ctx: StarContext, K: int = None) -> Series:

@@ -17,6 +17,7 @@ into D4.  Equality is decided on cross-multiplied numerators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import sparse
 from .equiv import a_coeff
@@ -30,19 +31,29 @@ from .wick import StarContext, m_op
 # Laplacian polynomials
 
 
+@lru_cache(maxsize=None)
 def p_poly(r: int, n: int) -> UnivarPoly:
-    """p_r(Delta) = prod_{k=0..r-1} (Delta + k(k-n))."""
+    """p_r(Delta) = prod_{k=0..r-1} (Delta + k(k-n)), built as
+    p_{r-1}(Delta) (Delta + (r-1)(r-1-n)).
+
+    Cached per (r, n): the returned polynomial is shared and must never be
+    mutated.  A cold call fills the table from p_1 upward, so it recurses
+    one level deep, not r levels.
+    """
     if r < 1:
         raise ValueError("p_poly wants r >= 1")
-    acc = UnivarPoly([1], "Delta")
-    delta = UnivarPoly([0, 1], "Delta")
-    for k in range(r):
-        acc = acc * (delta + UnivarPoly([k * (k - n)], "Delta"))
-    return acc
+    prev = UnivarPoly([1], "Delta")
+    for t in range(1, r):
+        prev = p_poly(t, n)
+    return prev * UnivarPoly([(r - 1) * (r - 1 - n), 1], "Delta")
 
 
+@lru_cache(maxsize=None)
 def k_poly(r: int, n: int) -> UnivarPoly:
-    """k~_r(Delta) = sum_{t=1..r} (1/t!) p_t(Delta) A^(t)_{r-t}."""
+    """k~_r(Delta) = sum_{t=1..r} (1/t!) p_t(Delta) A^(t)_{r-t}.
+
+    Cached per (r, n): the returned polynomial is shared and must never be
+    mutated."""
     if r < 1:
         raise ValueError("k_poly wants r >= 1")
     acc = UnivarPoly.zero_poly("Delta")

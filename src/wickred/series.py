@@ -320,11 +320,12 @@ class UnivarPoly:
         return f"UnivarPoly({self.var}, deg={self.degree})"
 
 
-def _latex_scalar(c: GaussianRational) -> str:
-    if not c.is_real():
-        return f"({c})"
-    f = c.re
+def latex_fraction(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     sign = "-" if f < 0 else ""
     return sign + r"\frac{%d}{%d}" % (abs(f.numerator), f.denominator)
+
+
+def _latex_scalar(c: GaussianRational) -> str:
+    return latex_fraction(c.re) if c.is_real() else f"({c})"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,50 @@ def test_p_poly():
     assert p_poly(2, 1) == D(0, 0, 1)
     assert p_poly(3, 1) == D(0, 0, 2, 1)  # Delta^2 (Delta + 2)
     assert p_poly(2, 2) == D(0, -1, 1)  # Delta(Delta - 1) for n = 2
+
+
+def _p_product(r, n):
+    """The product definition prod_{k=0..r-1} (Delta + k(k-n))."""
+    acc = D(1)
+    for k in range(r):
+        acc = acc * D(k * (k - n), 1)
+    return acc
+
+
+def test_p_poly_matches_product_definition():
+    for n in (1, 2, 3):
+        for r in range(1, 13):
+            assert p_poly(r, n) == _p_product(r, n)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_p_poly_cold_call_is_not_deep():
+    # --rmax has no upper bound, so a cold p_poly(r) must not recurse r levels
+    p_poly.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        got = p_poly(250, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == _p_product(250, 1)
+
+
+def test_moreno_cli_builds_each_table_once(capsys):
+    from wickred.cli import main
+
+    k_poly.cache_clear()
+    p_poly.cache_clear()
+    assert main(["moreno", "--rmax", "18"]) == 0
+    capsys.readouterr()
+    assert k_poly.cache_info().misses == 19
+    assert p_poly.cache_info().misses == 19
 
 
 def test_k_poly():

@@ -8,7 +8,7 @@ from wickred.parser import ParseError, format_elem, format_series, parse_expr
 from wickred.poly import LaurentElem, VarSpace
 from wickred.sampling import rand_invariant, rand_poly
 from wickred.scalar import gauss
-from wickred.series import Series
+from wickred.series import Series, UnivarPoly
 
 
 def test_parse_reduced_fn(sp1, phi):
@@ -153,13 +153,6 @@ def test_cli_verify_all(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_cli_env_order(capsys, monkeypatch):
-    monkeypatch.setenv("WICKRED_ORDER", "2")
-    code, out = run_cli(capsys, "mul", "--lhs", "x", "--rhs", "x")
-    assert code == 0
-    assert json.loads(out)["order"] == 2
-
-
 def test_cli_d_series(capsys):
     # tilde product with a nontrivial D: S x^2 = x^2 - lambda D x acts inside
     code, out = run_cli(
@@ -174,6 +167,19 @@ def test_cli_d_series(capsys):
         "--lhs", "x", "--rhs", "x",
     )
     assert code == 2
+    # the Wick product does not depend on D, so a nontrivial D is refused
+    code = main(["mul", "--order", "2", "--product", "wick", "--d-series", "1,1",
+                 "--lhs", "x", "--rhs", "x", "--format", "text"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--d-series applies to --product tilde" in err
+    code, out = run_cli(
+        capsys, "mul", "--order", "2", "--product", "wick", "--d-series", "1",
+        "--lhs", "x", "--rhs", "x", "--format", "text",
+    )
+    assert code == 0
+    assert out.strip() == "((1)*x^2) + ((1)*x)*l"
 
 
 def test_cli_tilde_and_wick_products(capsys):
@@ -197,32 +203,6 @@ def test_cli_order_zero_is_rejected(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "need n >= 1 and order >= 1" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_cli_env_order_rejects_bad_value(capsys, monkeypatch, value):
-    monkeypatch.setenv("WICKRED_ORDER", value)
-    code = main(["mul", "--lhs", "x", "--rhs", "x"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"error: WICKRED_ORDER must be a positive integer, got {value!r}" in err
-
-
-def test_cli_env_order_bad_value_with_help_building(capsys, monkeypatch):
-    # building the parser (and its --order help text) must not read the
-    # environment, so a bad value cannot escape main's error handling
-    monkeypatch.setenv("WICKRED_ORDER", "abc")
-    code = main(["table", "a-coeff", "--rmax", "1"])
-    assert code == 0
-    code = main(["verify", "moreno", "--order", "2", "--rmax", "2"])
-    assert code == 0
-
-
-def test_cli_explicit_order_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("WICKRED_ORDER", "2")
-    code, out = run_cli(capsys, "mul", "--order", "3", "--lhs", "x", "--rhs", "x")
-    assert code == 0
-    assert json.loads(out)["order"] == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,6 +396,7 @@ def test_cli_product_predicted_too_large_is_rejected(capsys):
     ["verify", "su1n", "--order", "2", "--format", "latex"],
     ["verify", "su1n", "--order", "2", "--d-series", "1,1"],
     ["verify", "su1n", "--order", "2", "--d-series", "5"],
+    ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--seed", "5"],
 ])
 def test_cli_rejects_choices_it_would_ignore(capsys, argv):
     # mul and verify print no LaTeX, and the suites check D = 1 and
@@ -439,6 +420,34 @@ def test_cli_format_choices_print(capsys, argv):
     assert out.strip()
 
 
+def test_cli_order_ignores_environment(capsys, monkeypatch):
+    # the default order is a constant, not read from the environment
+    monkeypatch.setenv("WICKRED_ORDER", "2")
+    code, out = run_cli(capsys, "mul", "--lhs", "x", "--rhs", "x")
+    assert code == 0
+    assert json.loads(out)["order"] == 6
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("a renderer for another format ran")
+
+
+def test_cli_table_renders_only_requested_format(capsys, monkeypatch):
+    from wickred import cli
+
+    monkeypatch.setattr(cli, "k_table_latex", _refuse)
+    code, out = run_cli(capsys, "table", "k-coeff", "--rmax", "3")
+    assert code == 0
+    assert json.loads(out)["rmax"] == 3
+
+
+def test_cli_moreno_renders_only_requested_format(capsys, monkeypatch):
+    monkeypatch.setattr(UnivarPoly, "latex", _refuse)
+    code, out = run_cli(capsys, "moreno", "--rmax", "3", "--format", "text")
+    assert code == 0
+    assert "k_3(Delta) = " in out
+
+
 def _readme_commands():
     """Every `wickred ...` line of README's "Command line" block, with
     backslash continuations joined."""
@@ -457,9 +466,8 @@ def test_readme_has_commands():
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: " ".join(a)[:60])
-def test_readme_command_runs(capsys, monkeypatch, argv):
+def test_readme_command_runs(capsys, argv):
     # every documented command exits 0 and prints something
-    monkeypatch.delenv("WICKRED_ORDER", raising=False)
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.strip()
