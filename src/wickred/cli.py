@@ -7,8 +7,9 @@ Commands:
     verify    run a named verification suite; exit code 0 iff all pass
 
 The truncation order defaults to 6.  `--seed` is a `verify` option, and
-`--d-series` is for `mul --product tilde`.  A negative level can be given
-as `--mu -1/2` or `--mu=-1/2`.
+`--d-series` is for `mul --product tilde`, and `--smax` for
+`table a-coeff`.  A negative level or expression can be given as
+`--mu -1/2` or `--mu=-1/2`, `--lhs -x` or `--lhs=-x`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def cmd_table(args) -> int:
         obj = {"table": "a-coeff", "rmax": rmax, "smax": smax}
         name, latex = "A", lambda: a_table_latex(rmax, smax)
     else:
+        if args.smax is not None:
+            raise ValueError("--smax applies to table a-coeff")
         _require_at_least("rmax", rmax, 1)
         cells = [(r, s, reduction.k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
         obj = {"table": "k-coeff", "rmax": rmax}
@@ -229,21 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_negative_values(argv):
-    """Let `--mu -1/2` work: argparse treats a leading-dash value as a flag,
-    so fuse it into the `--mu=-1/2` form."""
+    """Let `--mu -1/2` and `--lhs "-z0*zb0/x"` work: argparse treats a
+    leading-dash value as a flag, so fuse a value that starts with a single
+    dash into the `--mu=-1/2` form."""
     out = []
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a == "--mu" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            try:
-                Fraction(argv[i + 1])
-            except (ValueError, ZeroDivisionError):
-                out.append(a)
-            else:
-                out.append(f"--mu={argv[i + 1]}")
-                i += 2
-                continue
+        if (a in ("--mu", "--lhs", "--rhs") and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
+            out.append(f"{a}={argv[i + 1]}")
+            i += 2
+            continue
         out.append(a)
         i += 1
     return out

@@ -129,7 +129,7 @@ class SparsePoly:
 
 
 @lru_cache(maxsize=None)
-def symbol(ctx: StarContext, K: int = None) -> Series:
+def symbol(ctx: StarContext) -> Series:
     """Symbol of S as a series in lambda with coefficients polynomial in
     (x, alpha): exp((x/lambda)(D log(1 + lambda alpha) - lambda alpha)).
 
@@ -138,10 +138,10 @@ def symbol(ctx: StarContext, K: int = None) -> Series:
     its lambda^(r+m-1) coefficient is d_r (-1)^(m+1) x^(1-r) alpha^m / m
     over r >= 0, m >= 1, (r, m) != (0, 1).
 
-    Cached per (ctx, K): the returned series is shared and must never be
+    Cached per ctx: the returned series is shared and must never be
     mutated.
     """
-    K = ctx.K if K is None else K
+    K = ctx.K
     exponent = Series.zeros(SparsePoly.constant(2, 0), K)
     for r in range(len(ctx.D)):
         d = ctx.D[r]
@@ -160,17 +160,16 @@ def symbol(ctx: StarContext, K: int = None) -> Series:
     return sym
 
 
-def symbol_at_alpha_zero(ctx: StarContext, K: int = None) -> Series:
+def symbol_at_alpha_zero(ctx: StarContext) -> Series:
     """S applied to the constant function 1, i.e. the symbol at alpha = 0."""
-    # an explicit K shares the cache entry of the other callers of symbol
-    return symbol(ctx, ctx.K if K is None else K).map(lambda p: p.subst_alpha_zero())
+    return symbol(ctx).map(lambda p: p.subst_alpha_zero())
 
 
-def functional_equation_residual(ctx: StarContext, K: int = None) -> Series:
+def functional_equation_residual(ctx: StarContext) -> Series:
     """S-hat(x, la*a*b + a + b) e^(la*a*b*x) - S-hat(x, a) S-hat(x, b),
     expanded in (x, a, b); must vanish identically order by order."""
-    K = ctx.K if K is None else K
-    sym = symbol(ctx, K)
+    K = ctx.K
+    sym = symbol(ctx)
 
     def emb(p: SparsePoly, swap: bool) -> SparsePoly:
         out = {}
@@ -363,11 +362,10 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
 # standard-ordering consistency
 
 
-def standard_order_apply(j: int, ctx: StarContext, K: int = None) -> Series:
+def standard_order_apply(j: int, ctx: StarContext) -> Series:
     """Apply the standard-ordered operator read off from the symbol
     (x powers to the left of d/dx powers) to x^j on the radial line."""
-    K = ctx.K if K is None else K
-    sym = symbol(ctx, K)
+    sym = symbol(ctx)
     space = ctx.space
     out = []
     for p in sym.coeffs:

@@ -20,9 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import sparse
 from .scalar import GaussianRational, ONE, ZERO, power
+
+
+class Quad(NamedTuple):
+    """One localizing quadratic: its terms, their leading key, and an
+    integer point where it vanishes."""
+
+    terms: dict
+    lead: int
+    null_point: tuple
 
 
 @dataclass(frozen=True)
@@ -76,21 +86,6 @@ class VarSpace:
             names += [f"w{k}" for k in range(self.nv)] + [f"wb{k}" for k in range(self.nv)]
         return tuple(names)
 
-    def _quad_terms(self, block: str) -> dict:
-        iz = self.iz if block == "z" else self.iw
-        izb = self.izb if block == "z" else self.iwb
-        vk = self.var_keys
-        return {vk[iz(k)] + vk[izb(k)]: ONE if self.metric[k] == 1 else -ONE
-                for k in range(self.nv)}
-
-    @cached_property
-    def x_terms(self) -> dict:
-        return self._quad_terms("z")
-
-    @cached_property
-    def xw_terms(self) -> dict:
-        return self._quad_terms("w")
-
     @cached_property
     def var_keys(self) -> tuple:
         # packed key of each single variable, by slot
@@ -102,33 +97,28 @@ class VarSpace:
         return {}
 
     @cached_property
-    def x_lead_key(self) -> int:
-        return max(self.x_terms)
+    def quads(self) -> dict:
+        """Block ("z", plus "w" on two-point spaces) -> its localizing
+        quadratic, x = sum_k g_kk z^k zb^k or xw = sum_k g_kk w^k wb^k.
 
-    @cached_property
-    def xw_lead_key(self) -> int:
-        return max(self.xw_terms)
-
-    def _null_values(self, for_w: bool) -> tuple:
-        # integer point with x = 0 (z and zb taken independent); used as a
-        # cheap certificate that a polynomial is NOT divisible by x
-        zs = [1] + [k + 2 for k in range(1, self.nv)]
-        zbs = [1] * self.nv
-        s = sum(self.metric[k] * zs[k] for k in range(1, self.nv))
-        zbs[0] = -self.metric[0] * s
+        Its null point is an integer point where it vanishes (z and zb
+        taken independent, every other coordinate 1): a cheap certificate
+        that a polynomial is NOT divisible by the quadratic.
+        """
+        nv, vk = self.nv, self.var_keys
+        zs = [1] + [k + 2 for k in range(1, nv)]
+        zbs = [-self.metric[0] * sum(self.metric[k] * zs[k] for k in range(1, nv))] + [1] * (nv - 1)
         vals = [GaussianRational(v) for v in zs + zbs]
-        ones = [ONE] * (2 * self.nv)
-        if self.two_point:
-            vals = (ones + vals) if for_w else (vals + ones)
-        return tuple(vals)
-
-    @cached_property
-    def null_point_z(self) -> tuple:
-        return self._null_values(for_w=False)
-
-    @cached_property
-    def null_point_w(self) -> tuple:
-        return self._null_values(for_w=True)
+        ones = [ONE] * (2 * nv)
+        blocks = ("z", "w") if self.two_point else ("z",)
+        out = {}
+        for b, block in enumerate(blocks):
+            off = 2 * nv * b
+            terms = {vk[off + k] + vk[off + nv + k]: ONE if self.metric[k] == 1 else -ONE
+                     for k in range(nv)}
+            null_point = tuple(ones * b + vals + ones * (len(blocks) - 1 - b))
+            out[block] = Quad(terms, max(terms), null_point)
+        return out
 
     def one_point(self) -> "VarSpace":
         return VarSpace(self.n, self.metric, False)
@@ -166,7 +156,7 @@ class Poly:
 
     @classmethod
     def x(cls, space):
-        return cls(space, dict(space.x_terms))
+        return cls(space, dict(space.quads["z"].terms))
 
     @classmethod
     def from_exponent_map(cls, space, mapping):
@@ -264,18 +254,16 @@ class Poly:
         if not self.terms:
             return Poly.zero(self.space)
         space = self.space
-        if block == "z":
-            null_pt, div_terms, lead = space.null_point_z, space.x_terms, space.x_lead_key
-        else:
-            null_pt, div_terms, lead = space.null_point_w, space.xw_terms, space.xw_lead_key
-        if self.eval(null_pt):
+        quad = space.quads[block]
+        if self.eval(quad.null_point):
             return None
         # over the common denominator every coefficient is a Gaussian
         # integer (p, q); x has coefficients +-1, so each step is integer
         # addition and only the quotient terms are normalized
         den = math.lcm(*(c.d for c in self.terms.values()))
         r = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in self.terms.items()}
-        rest = [(k, c.p) for k, c in div_terms.items() if k != lead]
+        lead = quad.lead
+        rest = [(k, c.p) for k, c in quad.terms.items() if k != lead]
         norm = GaussianRational._norm
         q = {}
         while r:
@@ -530,7 +518,7 @@ class LaurentElem:
         # dq = g_kk times the partner variable (z^k <-> zb^k, w^k <-> wb^k)
         k = var % nv
         partner = var - nv if (var // nv) & 1 else var + nv
-        quad = space.xw_terms if in_w_block else space.x_terms
+        quad = space.quads["w" if in_w_block else "z"].terms
         acc = sparse.tmac({}, dnum.terms, quad, space.nvars)
         sparse.tmac(acc, self.num.terms, {space.var_keys[partner]: ONE}, space.nvars,
                     -m * space.metric[k])
@@ -570,48 +558,36 @@ class LaurentElem:
         return all(zd == zbd == self.mz and wd == wbd == self.mw
                    for zd, zbd, wd, wbd in map(self.num.degrees, self.num.terms))
 
-    def euler(self, which: str):
-        """Euler/rotation operators: E, Ebar, Y, or the four-variable H.
+    def weighted(self, weight, lift: int = 0):
+        """The diagonal map behind every Euler-type operator: each monomial
+        times ``weight(d)``, then divided by x^lift.
 
-        All four are diagonal on monomials of the Laurent class, so they
-        reduce to per-term integer scalings.
+        d lists the monomial's degrees as a function, (z, zb[, w, wb])
+        net of the x and xw powers, so E, Ebar, Y, H, d/dx and E_z + Ebar_w
+        differ only in their weight.
         """
-        space = self.space
+        shift = (self.mz, self.mz, self.mw, self.mw)
         out = {}
         for key, c in self.num.terms.items():
-            degs = self.num.degrees(key)
-            if which == "E":
-                f = degs[0] - self.mz
-            elif which == "Ebar":
-                f = degs[1] - self.mz
-            elif which == "Y":
-                f = degs[0] - degs[1]
-            elif which == "H":
-                if not space.two_point:
-                    raise ValueError("H needs a two-point space")
-                f = (degs[0] - self.mz) + (degs[1] - self.mz) + (degs[2] - self.mw) + (
-                    degs[3] - self.mw
-                )
-            else:
-                raise ValueError(f"unknown Euler operator {which!r}")
+            f = weight([d - s for d, s in zip(self.num.degrees(key), shift)])
             if f:
-                v = c * f
-                if which == "Y":
-                    v = v * GaussianRational(0, 1)
-                out[key] = v
-        return LaurentElem(Poly(space, out), self.mz, self.mw)
+                out[key] = c * f
+        return LaurentElem(Poly(self.space, out), self.mz + lift, self.mw)
+
+    def euler(self, which: str):
+        """Euler/rotation operators: E, Ebar, Y, or the four-variable H."""
+        weight = _EULER_WEIGHTS.get(which)
+        if weight is None:
+            raise ValueError(f"unknown Euler operator {which!r}")
+        if which == "H" and not self.space.two_point:
+            raise ValueError("H needs a two-point space")
+        return self.weighted(weight)
 
     def dx(self):
         """d/dx on invariant elements, realized as (E + Ebar) / (2x)."""
-        out = {}
-        for key, c in self.num.terms.items():
-            zd, zbd = self.num.degrees(key)[:2]
-            if zd != zbd:
-                raise ValueError("d/dx is only defined on invariant elements")
-            f = zd - self.mz
-            if f:
-                out[key] = c * f
-        return LaurentElem(Poly(self.space, out), self.mz + 1, self.mw)
+        if not self.is_invariant():
+            raise ValueError("d/dx is only defined on invariant elements")
+        return self.weighted(lambda d: d[0], 1)
 
     def peel(self) -> dict:
         """Decompose an invariant element as sum_j h_j * x^j with each h_j
@@ -631,22 +607,20 @@ class LaurentElem:
     def eval(self, zs, ws=None) -> GaussianRational:
         """Exact evaluation with zb = conj(z) (and wb = conj(w))."""
         space = self.space
-        zs = [GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v for v in zs]
+        zs = [GaussianRational.coerce(v) for v in zs]
         if len(zs) != space.nv:
             raise ValueError(f"need {space.nv} coordinates")
         values = list(zs) + [v.conj() for v in zs]
         if space.two_point:
             if ws is None:
                 raise ValueError("two-point element needs w coordinates")
-            ws = [GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v for v in ws]
+            ws = [GaussianRational.coerce(v) for v in ws]
             values += list(ws) + [v.conj() for v in ws]
         total = self.num.eval(values)
-        for m, block_vals in ((self.mz, zs), (self.mw, ws or [])):
+        for block, m in (("z", self.mz), ("w", self.mw)):
             if m == 0:
                 continue
-            xv = ZERO
-            for k, v in enumerate(block_vals):
-                xv = xv + (v * v.conj()).scale(space.metric[k])
+            xv = sparse.teval(space.quads[block].terms, values, space.nvars)
             if m > 0 and not xv:
                 raise ZeroDivisionError("evaluation point lies on the null set x = 0")
             total = total * xv.inverse() ** m if m > 0 else total * xv ** (-m)
@@ -674,6 +648,14 @@ class LaurentElem:
         return f"LaurentElem({len(self.num.terms)} terms, mz={self.mz})"
 
 
+_EULER_WEIGHTS = {
+    "E": lambda d: d[0],
+    "Ebar": lambda d: d[1],
+    "Y": lambda d: GaussianRational(0, d[0] - d[1]),
+    "H": sum,
+}
+
+
 def _x_pow_poly(space: VarSpace, ez: int, ew: int = 0) -> Poly:
     """x^ez * xw^ew (ez, ew >= 0), built once per space.  The Poly is
     shared by every caller, so it must never be mutated."""
@@ -681,10 +663,9 @@ def _x_pow_poly(space: VarSpace, ez: int, ew: int = 0) -> Poly:
     p = memo.get((ez, ew))
     if p is None:
         p = Poly.one(space)
-        if ez:
-            p = p * Poly.x(space).pow(ez)
-        if ew:
-            p = p * Poly(space, dict(space.xw_terms)).pow(ew)
+        for block, e in (("z", ez), ("w", ew)):
+            if e:
+                p = p * Poly(space, dict(space.quads[block].terms)).pow(e)
         memo[(ez, ew)] = p
     return p
 

@@ -199,8 +199,9 @@ def wick_reduce_by_division(phi: LaurentElem, psi: LaurentElem, ctx: StarContext
     rem = list(W.coeffs)
     out = []
     for m in range(len(rem)):
+        # p is already of degree (0, 0): its own reduction
         p, g = _split(rem[m], ctx)
-        out.append(reduce_elem(p, ctx))
+        out.append(p)
         if m + 1 < len(rem) and not g.is_zero():
             # cancel (J-mu)*G exactly at this order; its star-product tail
             # contributes +(1/2) x dG/dx at the next order

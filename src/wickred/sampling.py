@@ -38,10 +38,11 @@ def rand_composition(rng: Random, total: int, parts: int) -> list:
     return out
 
 
-def rand_poly(space: VarSpace, rng: Random, max_deg: int = 3, terms: int = 4) -> LaurentElem:
-    """Random polynomial (no denominators) of total degree <= max_deg."""
+def rand_poly(space: VarSpace, rng: Random, max_deg: int = 3) -> LaurentElem:
+    """Random polynomial (no denominators) of total degree <= max_deg, from
+    four draws of a monomial."""
     acc = {}
-    for _ in range(terms):
+    for _ in range(4):
         deg = rng.randrange(max_deg + 1)
         exps = rand_composition(rng, deg, 2 * space.nv)
         key = tuple(exps)
@@ -65,11 +66,11 @@ def rand_homogeneous(space: VarSpace, rng: Random, deg: int = None, terms: int =
     raise RuntimeError("sampling failed to produce a nonzero element")
 
 
-def rand_invariant(space: VarSpace, rng: Random, slices: int = 2) -> LaurentElem:
-    """Random circle-invariant element: a few homogeneous slices times
+def rand_invariant(space: VarSpace, rng: Random) -> LaurentElem:
+    """Random circle-invariant element: two homogeneous slices times
     powers of x."""
     out = LaurentElem.zero_of(space)
-    for _ in range(slices):
+    for _ in range(2):
         j = rng.choice((-1, 0, 1, 2))
         h = rand_homogeneous(space, rng, deg=rng.choice((1, 2)), terms=2)
         out = out + h.mul_xpow(j)

@@ -236,11 +236,9 @@ class UnivarPoly:
             return self
         return UnivarPoly([GaussianRational.coerce(0)] * k + self.coeffs, self.var)
 
-    def deriv(self, times: int = 1):
+    def deriv(self):
         c = self.coeffs
-        for _ in range(times):
-            c = [c[k].scale(k) for k in range(1, len(c))]
-        return UnivarPoly(c, self.var)
+        return UnivarPoly([c[k].scale(k) for k in range(1, len(c))], self.var)
 
     def eval(self, value):
         total = GaussianRational.coerce(0)

@@ -117,28 +117,10 @@ def block_degrees(key: int, nvars: int, width: int) -> tuple:
                  for b in range(0, nvars, width))
 
 
-def tadd(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        if prev is None:
-            out[k] = c
-        else:
-            s = prev + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def tcollect(pairs) -> dict:
-    """Terms from (key, nonzero coefficient) pairs: coefficients of a
-    repeated key are summed and a sum of zero drops the key.  This is the
-    merge behind ``rekey``."""
-    out = {}
+def _merge(out: dict, pairs) -> dict:
+    """Add (key, nonzero coefficient) pairs into ``out`` and return it:
+    coefficients of a repeated key are summed and a sum of zero drops the
+    key.  The one merge loop behind ``tadd`` and ``tcollect``."""
     get = out.get
     for k, c in pairs:
         prev = get(k)
@@ -151,6 +133,19 @@ def tcollect(pairs) -> dict:
             else:
                 del out[k]
     return out
+
+
+def tadd(a: dict, b: dict) -> dict:
+    """Sum of two term dicts: the smaller merged into a copy of the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _merge(dict(a), b.items())
+
+
+def tcollect(pairs) -> dict:
+    """Terms from (key, nonzero coefficient) pairs, merged into an empty
+    dict.  This is the merge behind ``rekey``."""
+    return _merge({}, pairs)
 
 
 def tneg(a: dict) -> dict:

@@ -377,11 +377,11 @@ def check_charts(checks, ctx, rng, count, tag, rs=(1, 2)):
 # the suites
 
 
-def suite_lemma21(n, K, mu, seed, space_kind="cpn") -> list:
+def suite_lemma21(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu, space_kind)
-    tag = f"lemma21-n{n}-{space_kind}"
+    ctx = default_context(n, K, mu)
+    tag = f"lemma21-n{n}-cpn"
     check_associativity(checks, ctx, rng, 3, tag)
     for idx in range(3):
         check_radial_tuple(checks, ctx, rng, idx, tag)
@@ -389,10 +389,10 @@ def suite_lemma21(n, K, mu, seed, space_kind="cpn") -> list:
     return checks
 
 
-def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
+def suite_equiv(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu, space_kind)
+    ctx = default_context(n, K, mu)
     tag = f"equiv-n{n}"
     check_a_table(checks, tag)
     check_symbol_at_zero(checks, ctx, tag)
@@ -405,12 +405,12 @@ def suite_equiv(n, K, mu, seed, space_kind="cpn") -> list:
     return checks
 
 
-def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
+def suite_reduce(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu, space_kind)
+    ctx = default_context(n, K, mu)
     space = ctx.space
-    tag = f"reduce-n{n}-{space_kind}"
+    tag = f"reduce-n{n}-cpn"
     check_k_coeff_routes(checks, tag)
     phi, psi, chi = (rand_homogeneous(space, rng) for _ in range(3))
     check_mu_star_symmetries(checks, ctx, tag, phi, psi)
@@ -425,13 +425,15 @@ def suite_reduce(n, K, mu, seed, space_kind="cpn") -> list:
     return checks
 
 
-def suite_moreno(rmax: int = 10, seed: int = 0, K: int = 4, mu=Fraction(-1, 2)) -> list:
+def suite_moreno(rmax: int = 10, seed: int = 0) -> list:
+    """The sphere (n = 1): its report depends only on rmax and seed, since
+    the chart check reads only n from its context."""
     rng = Random(seed)
     checks = []
     tag = "moreno"
     check_sphere_recursion(checks, tag, rmax)
     check_k_polys(checks, tag, rmax)
-    check_charts(checks, default_context(1, K, mu), rng, 3, tag)
+    check_charts(checks, default_context(1), rng, 3, tag)
     return checks
 
 
@@ -459,7 +461,7 @@ def run_suite(name: str, n: int = 1, order: int = 4, mu=Fraction(-1, 2), seed: i
         "lemma21": lambda: suite_lemma21(n, order, mu, seed),
         "equiv": lambda: suite_equiv(n, order, mu, seed),
         "reduce": lambda: suite_reduce(n, order, mu, seed),
-        "moreno": lambda: suite_moreno(rmax=rmax, seed=seed, K=order, mu=mu),
+        "moreno": lambda: suite_moreno(rmax=rmax, seed=seed),
         "su1n": lambda: suite_su1n(n, order, mu, seed),
     }
     if name == "all":

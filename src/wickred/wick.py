@@ -347,16 +347,9 @@ def op_euler_zwb(F: LaurentElem) -> LaurentElem:
     satisfies the recursion calM_{r+1} = (N - r(n-r) - r(E_z+Ebar_w)) calM_r
     on arbitrary arguments.
     """
-    sp2 = F.space
-    if not sp2.two_point:
+    if not F.space.two_point:
         raise ValueError("needs a two-point element")
-    out = {}
-    for key, c in F.num.terms.items():
-        zd, _, _, wbd = F.num.degrees(key)
-        f = (zd - F.mz) + (wbd - F.mw)
-        if f:
-            out[key] = c * f
-    return LaurentElem(Poly(sp2, out), F.mz, F.mw)
+    return F.weighted(lambda d: d[0] + d[3])
 
 
 def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarContext) -> LaurentElem:

@@ -2,20 +2,23 @@
 the null-point certificate in front of division by x, the re-keying merge,
 the one power routine and the product; and for the Laurent class: sums and
 derivatives that skip divisibility tests by proof agree with the full
-canonicalization, the Leibniz rule, and uniqueness of the canonical form."""
+canonicalization, the Leibniz rule, uniqueness of the canonical form, the
+table of localizing quadratics, and the diagonal operators against a
+per-term reference."""
 
 import operator
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
+from wickred.wick import op_euler_zwb
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
@@ -120,11 +123,11 @@ BLOCKS = [(sp, "z") for sp in SPACES] + [(sp, "w") for sp in SPACES if sp.two_po
 
 
 def divisor(space, block):
-    return Poly(space, dict(space.x_terms if block == "z" else space.xw_terms))
+    return Poly(space, dict(space.quads[block].terms))
 
 
 def null_point(space, block):
-    return space.null_point_z if block == "z" else space.null_point_w
+    return space.quads[block].null_point
 
 
 @st.composite
@@ -814,3 +817,119 @@ def test_hom_to_chart_rejects_the_indefinite_metric(n):
 
     with pytest.raises(ValueError, match="definite metric"):
         hom_to_chart(LaurentElem.one_of(VarSpace.dn(n)), "vv")
+
+
+# ----------------------------------------------------------------------
+# one table per localizing quadratic, one map for every diagonal operator
+
+QUAD_SPACES = [make(n, two_point=tp) for make in (VarSpace.cpn, VarSpace.dn)
+               for n in (1, 2, 3) for tp in (False, True)]
+
+
+@pytest.mark.parametrize("space", QUAD_SPACES, ids=repr)
+def test_quads_hold_each_metric_quadratic(space):
+    nv = space.nv
+    assert list(space.quads) == (["z", "w"] if space.two_point else ["z"])
+    for block, quad in space.quads.items():
+        off = 0 if block == "z" else 2 * nv
+        want = Poly.zero(space)
+        for k in range(nv):
+            v, vb = Poly.variable(space, off + k), Poly.variable(space, off + nv + k)
+            want = want + (v * vb).scale(space.metric[k])
+        assert quad.terms == want.terms
+        assert quad.lead == max(want.terms)
+        assert want.eval(quad.null_point) == ZERO
+
+
+def degrees_reference(f, key):
+    """The degrees (z, zb[, w, wb]) of one term of f as a function: unpack
+    the key, sum each block, subtract the x and xw powers."""
+    nv = f.space.nv
+    exps = sparse.unpack(key, f.space.nvars)
+    sums = [sum(exps[b:b + nv]) for b in range(0, len(exps), nv)]
+    return [d - m for d, m in zip(sums, (f.mz, f.mz, f.mw, f.mw))]
+
+
+DIAGONAL_WEIGHTS = {
+    "E": lambda d: d[0],
+    "Ebar": lambda d: d[1],
+    "Y": lambda d: GaussianRational(0, d[0] - d[1]),
+    "H": lambda d: d[0] + d[1] + d[2] + d[3],
+    "zwb": lambda d: d[0] + d[3],
+    "dx": lambda d: d[0],
+}
+
+
+def diagonal_reference(f, which):
+    """Sum over the terms of f, each scaled by its weight as a separate
+    Laurent element; d/dx also divides each term by x."""
+    out = LaurentElem.zero_of(f.space)
+    for key, c in f.num.terms.items():
+        term = LaurentElem(Poly(f.space, {key: c}), f.mz, f.mw)
+        term = term.scale(DIAGONAL_WEIGHTS[which](degrees_reference(f, key)))
+        out = out + (term.mul_xpow(-1) if which == "dx" else term)
+    return out
+
+
+@st.composite
+def invariant_elems(draw, space):
+    """A canonical element whose every monomial has equal z- and
+    zb-degree; the w block (two-point spaces) is free."""
+    nv = space.nv
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(0, 2))
+        exps = draw(exponent_vectors(nv, d).filter(lambda e, d=d: sum(e) == d))
+        exps += draw(exponent_vectors(nv, d).filter(lambda e, d=d: sum(e) == d))
+        if space.two_point:
+            exps += draw(exponent_vectors(2 * nv, 2))
+        terms[sparse.pack(exps)] = draw(nonzero_gaussians)
+    num = Poly(space, terms)
+    if draw(st.booleans()):
+        num = num * divisor(space, "z")
+    mw = draw(st.integers(-2, 2)) if space.two_point else 0
+    return LaurentElem(num, draw(st.integers(-2, 2)), mw)
+
+
+DIAGONAL_SPACES = LAURENT_SPACES + [VarSpace.dn(1, two_point=True)]
+
+
+@laurent_settings
+@given(st.sampled_from(DIAGONAL_SPACES).flatmap(
+    lambda sp: st.tuples(laurent_elems(sp), invariant_elems(sp))))
+@example((LaurentElem.zero_of(TWO_POINT), LaurentElem.zero_of(TWO_POINT)))
+def test_diagonal_operators_match_per_term_reference(pair):
+    f, inv = pair
+    for which in ("E", "Ebar", "Y", "H") if f.space.two_point else ("E", "Ebar", "Y"):
+        assert f.euler(which) == diagonal_reference(f, which)
+    if f.space.two_point:
+        assert op_euler_zwb(f) == diagonal_reference(f, "zwb")
+    assert inv.dx() == diagonal_reference(inv, "dx")
+
+
+@pytest.mark.parametrize("space, which", [
+    (VarSpace.cpn(1), "bogus"), (TWO_POINT, "bogus"), (VarSpace.cpn(1), "H"),
+    (VarSpace.dn(2), "H"),
+])
+def test_euler_rejects_an_unknown_operator_before_any_term(space, which):
+    # a zero element has no term to look at, so the name is checked first
+    with pytest.raises(ValueError):
+        LaurentElem.zero_of(space).euler(which)
+
+
+def quadratic_value(space, pt):
+    return sum((space.metric[k] * v * v.conj() for k, v in enumerate(pt)), ZERO)
+
+
+@laurent_settings
+@given(st.sampled_from(DIAGONAL_SPACES + [VarSpace.dn(2)]).flatmap(lambda sp: st.tuples(
+    laurent_elems(sp), st.lists(gaussians, min_size=sp.nv, max_size=sp.nv),
+    st.lists(gaussians, min_size=sp.nv, max_size=sp.nv), st.sampled_from(list(sp.quads)))),
+    st.integers(-2, 2))
+def test_mul_xpow_scales_the_value_by_the_quadratic(case, j):
+    f, zs, ws, block = case
+    space = f.space
+    ws = ws if space.two_point else None
+    xv = quadratic_value(space, zs if block == "z" else ws)
+    assume(quadratic_value(space, zs) and (ws is None or quadratic_value(space, ws)))
+    assert f.mul_xpow(j, block).eval(zs, ws) == f.eval(zs, ws) * xv ** j

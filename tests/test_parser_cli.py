@@ -407,6 +407,28 @@ def test_cli_rejects_choices_it_would_ignore(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_k_coeff_rejects_smax(capsys):
+    # k-coeff has no s bound: --smax would be accepted and ignored
+    code = main(["table", "k-coeff", "--rmax", "2", "--smax", "1", "--format", "text"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: --smax applies to table a-coeff" in err
+
+
+@pytest.mark.parametrize("spaced, glued", [
+    (["--lhs", "-z0*zb0/x", "--rhs", "z1*zb1/x"], ["--lhs=-z0*zb0/x", "--rhs", "z1*zb1/x"]),
+    (["--lhs", "x", "--rhs", "-1/2"], ["--lhs", "x", "--rhs=-1/2"]),
+])
+def test_cli_mul_takes_negative_expressions_spaced(capsys, spaced, glued):
+    # like --mu -1/2: a leading-dash value is glued to its flag
+    common = ["mul", "--order", "2", "--format", "text"]
+    code_glued, want = run_cli(capsys, *common, *glued)
+    code, got = run_cli(capsys, *common, *spaced)
+    assert code == code_glued == 0
+    assert got == want and got.strip()
+
+
 @pytest.mark.parametrize("argv", [
     ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--format", "text"],
     ["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--format", "json"],
