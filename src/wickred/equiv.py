@@ -247,56 +247,47 @@ def s_apply_xpow(j: int, ctx: StarContext) -> Series:
             res = res * (one - u.scale(k))
         return res
     r = -j
-    acc = Series.const(LaurentElem.one_of(space).scale(a_coeff(r, 0)), K)
-    upow = one
-    for s in range(1, K + 1):
-        upow = upow * u
-        c = a_coeff(r, s)
-        if c:
-            acc = acc + upow.scale(c)
+    upows = [one]
+    for _ in range(K):
+        upows.append(upows[-1] * u)
+    unit = LaurentElem.one_of(space)
+    terms = [(a_coeff(r, s), w) for s, w in enumerate(upows)]
+    acc = Series([LaurentElem.sum_of_products(space, [(c, w.coeffs[t], unit) for c, w in terms])
+                  for t in range(K + 1)])
     return acc * dx_series(ctx).invert().pow(r)
 
 
-def s_apply_elem(elem: LaurentElem, ctx: StarContext) -> Series:
-    """S on one invariant Laurent element, via the homogeneous peel:
+def _s_pairs(elem: LaurentElem, ctx: StarContext) -> list:
+    """(h_j, S(x^j)) over the homogeneous peel of one invariant element:
     S(sum_j h_j x^j) = sum_j h_j S(x^j) since d/dx annihilates each h_j."""
     if not elem.is_invariant():
         raise ValueError("S acts on invariant elements only")
-    out = Series.const(LaurentElem.zero_of(ctx.space), ctx.K)
-    for j, h in elem.peel().items():
-        out = out + s_apply_xpow(j, ctx).map(lambda c, h=h: h * c)
-    return out
+    return [(h, s_apply_xpow(j, ctx)) for j, h in elem.peel().items()]
 
 
 def s_apply(F: Series, ctx: StarContext, inverse: bool = False) -> Series:
     """S (or S^-1) on a series of invariant Laurent elements.
 
-    The forward direction sums the per-element series; the inverse is the
-    triangular order-by-order solve of S G = F, using that the order-0
-    part of S is the identity.
+    Each output order is one sum over the peeled input orders.  The
+    inverse is the triangular order-by-order solve of S G = F, using that
+    the order-0 part of S is the identity.
     """
     K = min(F.order, ctx.K)
     space = ctx.space
     if not inverse:
-        out = [LaurentElem.zero_of(space) for _ in range(K + 1)]
-        for m in range(K + 1):
-            Fm = F.coeffs[m]
-            if Fm.is_zero():
-                continue
-            Sm = s_apply_elem(Fm, ctx)
-            for t in range(m, K + 1):
-                out[t] = out[t] + Sm.coeffs[t - m]
-        return Series(out)
+        pairs = [_s_pairs(Fm, ctx) for Fm in F.coeffs[: K + 1]]
+        return Series([
+            LaurentElem.sum_of_products(space, [
+                (1, h, sx.coeffs[t - m]) for m in range(t + 1) for h, sx in pairs[m]])
+            for t in range(K + 1)])
+    one = LaurentElem.one_of(space)
     G = []
-    applied = []  # s_apply_elem(G[m]) for each solved order
+    pairs = []  # _s_pairs(G[k]) for each solved order k
     for m in range(K + 1):
-        acc = F.coeffs[m]
-        for r in range(1, m + 1):
-            prev = applied[m - r]
-            if prev is not None:
-                acc = acc - prev.coeffs[r]
-        G.append(acc)
-        applied.append(None if acc.is_zero() else s_apply_elem(acc, ctx))
+        items = [(1, F.coeffs[m], one)]
+        items += [(-1, h, sx.coeffs[m - k]) for k in range(m) for h, sx in pairs[k]]
+        G.append(LaurentElem.sum_of_products(space, items))
+        pairs.append(_s_pairs(G[m], ctx))
     return Series(G)
 
 
@@ -342,6 +333,14 @@ def closed_weights(u: Series, K: int) -> list:
     return weights
 
 
+def closed_sum(f: LaurentElem, g: LaurentElem, pairs: list, K: int) -> Series:
+    """f*g + sum A*W over (A, W) pairs, W a series of Laurent elements:
+    the shape of every closed product formula, one sum per order."""
+    pairs = [(f, Series.const(g, K))] + pairs
+    return Series([LaurentElem.sum_of_products(f.space, [(1, a, w.coeffs[t]) for a, w in pairs])
+                   for t in range(K + 1)])
+
+
 def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Series:
     """Closed formula on homogeneous arguments:
     sum_r (1/r!) u^r prod_{k=1..r} (1 + k u)^(-1) M_r(f, g), u = lambda/(Dx)."""
@@ -349,13 +348,8 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
         raise ValueError("the closed formula wants homogeneous arguments")
     K = ctx.K
     weights = closed_weights(lam_over_dx(ctx), K)
-    acc = Series.const(f * g, K)
     dF, dG = DerivCache(f, "z"), DerivCache(g, "zb")
-    for r in range(1, K + 1):
-        mr = m_op(f, g, r, ctx, dF, dG)
-        if not mr.is_zero():
-            acc = acc + weights[r].map(lambda c, mr=mr: mr * c)
-    return acc
+    return closed_sum(f, g, [(m_op(f, g, r, ctx, dF, dG), weights[r]) for r in range(1, K + 1)], K)
 
 
 # ----------------------------------------------------------------------
@@ -365,16 +359,14 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
 def standard_order_apply(j: int, ctx: StarContext) -> Series:
     """Apply the standard-ordered operator read off from the symbol
     (x powers to the left of d/dx powers) to x^j on the radial line."""
-    sym = symbol(ctx)
     space = ctx.space
     out = []
-    for p in sym.coeffs:
-        acc = LaurentElem.zero_of(space)
+    for p in symbol(ctx).coeffs:
+        items = []
         for (i, a), c in p.terms.items():
             ff = 1
             for t in range(a):
                 ff *= j - t
-            if ff:
-                acc = acc + LaurentElem.x_power(space, i + j - a).scale(c * ff)
-        out.append(acc)
+            items.append((ff, LaurentElem.x_power(space, i + j - a), LaurentElem.scalar(space, c)))
+        out.append(LaurentElem.sum_of_products(space, items))
     return Series(out)

@@ -7,10 +7,12 @@ formatter.
     power  := atom ('^' ['-'] INT)?        (|INT| <= MAX_EXPONENT)
     atom   := INT | IDENT | '(' expr ')'
 
-A power or a product (``*``, and the multiply inside ``/``) whose
+A power, a product (``*``, and the multiply inside ``/``) or a sum whose
 predicted result (``predicted_power_size``, ``predicted_product_size``) has
 more than MAX_POWER_TERMS terms or coefficients of more than
-MAX_POWER_BITS bits is rejected before it is computed.
+MAX_POWER_BITS bits is rejected before it is computed.  A sum is predicted
+as the power of x that lifts each operand to their common x power, and the
+product with it.
 
 Identifiers: z0..z9, zb0..zb9, x (and its alias y, the metric quadratic),
 the imaginary unit i, and the deformation parameter l.  Division works
@@ -100,13 +102,28 @@ class _Parser:
             raise ParseError(f"trailing input {val!r}", pos)
         return v
 
+    def size(self, s: Series) -> tuple:
+        return _size([c.num.terms for c in s.coeffs], self.space.nvars)
+
+    def check_lift(self, a: Series, b: Series, pos: int) -> None:
+        """Predict the lift of a's numerators in a + b: each coefficient
+        is multiplied by x^(b.mz - a.mz) where that is positive."""
+        k = max((cb.mz - ca.mz for ca, cb in zip(a.coeffs, b.coeffs)
+                 if not (ca.is_zero() or cb.is_zero())), default=0)
+        if k > 0:
+            xk = predicted_power_size(_size([self.space.quads["z"].terms], self.space.nvars), k)
+            _check_caps("sum", xk, pos)
+            _check_caps("sum", predicted_product_size(self.size(a), xk), pos)
+
     def expr(self) -> Series:
         v = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
+                for a, b in ((v, rhs), (rhs, v)):
+                    self.check_lift(a, b, pos)
                 v = v + rhs if val == "+" else v - rhs
             else:
                 return v
@@ -123,7 +140,7 @@ class _Parser:
                         rhs = rhs.invert()
                     except (ValueError, ZeroDivisionError) as e:
                         raise ParseError(f"divisor is not invertible: {e}", pos) from None
-                _check_caps("product", predicted_product_size(v, rhs), pos)
+                _check_caps("product", predicted_product_size(self.size(v), self.size(rhs)), pos)
                 v = v * rhs
             else:
                 return v
@@ -162,7 +179,7 @@ class _Parser:
                     ) from None
                 e = -e
             if e >= 2:
-                _check_caps("power", predicted_power_size(base, e), pos)
+                _check_caps("power", predicted_power_size(self.size(base), e), pos)
             return base.pow(e)
         return base
 
@@ -202,49 +219,50 @@ class _Parser:
         raise ParseError(f"unknown identifier {name!r}", pos)
 
 
-def _size(s: Series) -> tuple:
-    """(t, deg, bits, nvars): the number of terms and the top total degree
-    over the numerators of s's coefficients, and the size of the largest
-    numerator or denominator among them."""
-    nums = [c.num.terms for c in s.coeffs if not c.is_zero()]
+def _size(nums: list, nvars: int) -> tuple:
+    """(t, lo, hi, bits, nvars): the number of terms, the lowest and the
+    top total degree over the numerators ``nums`` (term dicts), and the
+    size of the largest numerator or denominator among them."""
+    nums = [p for p in nums if p]
     t = sum(len(p) for p in nums)
     if not t:
-        return 0, 0, 0, 0
-    nvars = s.coeffs[0].space.nvars
-    deg = max(sparse.total_degree(k, nvars) for p in nums for k in p)
+        return 0, 0, 0, 0, nvars
+    degs = [sparse.total_degree(k, nvars) for p in nums for k in p]
     bits = max(max(abs(c.p), abs(c.q), c.d).bit_length() for p in nums for c in p.values())
-    return t, deg, bits, nvars
+    return t, min(degs), max(degs), bits, nvars
 
 
-def predicted_power_size(base: Series, e: int) -> tuple:
-    """(terms, bits) predicted for base^e.
+def predicted_power_size(base: tuple, e: int) -> tuple:
+    """The ``_size`` predicted for a power with ``_size`` base.
 
     A power of one numerator with t terms of degree <= deg has at most
     C(e + t - 1, t - 1) terms (multisets of its terms) and at most
     C(deg*e + nvars, nvars) (monomials of degree <= deg*e); its
-    coefficients need at most e * (bits + log2 t) bits (``_size``).
+    coefficients need at most e * (bits + log2 t) bits.
     """
-    t, deg, bits, nvars = _size(base)
+    t, lo, hi, bits, nvars = base
     if not t:
-        return 0, 0
-    terms = min(math.comb(e + t - 1, t - 1), math.comb(deg * e + nvars, nvars))
-    return terms, e * (bits + (t - 1).bit_length())
+        return base
+    terms = min(math.comb(e + t - 1, t - 1), math.comb(hi * e + nvars, nvars))
+    return terms, lo * e, hi * e, e * (bits + (t - 1).bit_length()), nvars
 
 
-def predicted_product_size(a: Series, b: Series) -> tuple:
-    """(terms, bits) predicted for a*b: at most min(t_a*t_b,
-    C(deg_a + deg_b + nvars, nvars)) terms and coefficients of at most
-    bits_a + bits_b + log2 min(t_a, t_b) bits (``_size``)."""
-    ta, da, ba, nvars = _size(a)
-    tb, db, bb, _ = _size(b)
+def predicted_product_size(a: tuple, b: tuple) -> tuple:
+    """The ``_size`` predicted for a product of factors of ``_size`` a
+    and b: at most t_a*t_b terms, and at most the number of monomials
+    whose degree lies in [lo_a + lo_b, hi_a + hi_b]; coefficients of at
+    most bits_a + bits_b + log2 min(t_a, t_b) bits."""
+    ta, la, ha, ba, nvars = a
+    tb, lb, hb, bb, _ = b
     if not (ta and tb):
-        return 0, 0
-    terms = min(ta * tb, math.comb(da + db + nvars, nvars))
-    return terms, ba + bb + (min(ta, tb) - 1).bit_length()
+        return 0, 0, 0, 0, nvars
+    lo, hi = la + lb, ha + hb
+    terms = min(ta * tb, math.comb(hi + nvars, nvars) - math.comb(lo - 1 + nvars, nvars))
+    return terms, lo, hi, ba + bb + (min(ta, tb) - 1).bit_length(), nvars
 
 
 def _check_caps(what: str, size: tuple, pos: int) -> None:
-    terms, bits = size
+    terms, _, _, bits, _ = size
     if terms > MAX_POWER_TERMS:
         raise ParseError(f"{what} predicted to have {terms} terms, "
                          f"over the cap of {MAX_POWER_TERMS}", pos)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .equiv import closed_weights, s_apply, tilde_star
+from .equiv import closed_sum, closed_weights, s_apply, tilde_star
 from .poly import LaurentElem, VarSpace
 from .scalar import GaussianRational, factorial
 from .series import Series, scalar_series
@@ -31,10 +31,8 @@ def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:
     """Project one invariant element to its reduced representative by
     substituting x -> -2*mu in the homogeneous peel."""
     c = -2 * ctx.mu
-    out = LaurentElem.zero_of(ctx.space)
-    for j, h in F.peel().items():
-        out = out + h.scale(c ** j)
-    return out
+    one = LaurentElem.one_of(ctx.space)
+    return LaurentElem.sum_of_products(ctx.space, [(c ** j, h, one) for j, h in F.peel().items()])
 
 
 def reduce_function(F: Series, ctx: StarContext) -> Series:
@@ -53,9 +51,9 @@ class DecompResult:
 def _geometric_cofactor(space: VarSpace, j: int, c: Fraction) -> LaurentElem:
     """(x^j - c^j) / (x - c) on the radial Laurent line, for any integer j."""
     k = abs(j)
-    acc = LaurentElem.zero_of(space)
-    for t in range(k):
-        acc = acc + LaurentElem.x_power(space, k - 1 - t).scale(c ** t)
+    one = LaurentElem.one_of(space)
+    acc = LaurentElem.sum_of_products(
+        space, [(c ** t, LaurentElem.x_power(space, k - 1 - t), one) for t in range(k)])
     return acc if j > 0 else acc.mul_xpow(-k).scale(-(c ** (-k)))
 
 
@@ -64,14 +62,9 @@ def _split(F: LaurentElem, ctx: StarContext) -> tuple:
     with x -> -2 mu slice by slice, g the exact quotient of F - p by
     J - mu = (x + 2 mu)/(-2)."""
     c = -2 * ctx.mu
-    p = LaurentElem.zero_of(ctx.space)
-    g = LaurentElem.zero_of(ctx.space)
-    for j, h in F.peel().items():
-        p = p + h.scale(c ** j)
-        w = _geometric_cofactor(ctx.space, j, c)
-        if not w.is_zero():
-            g = g + h * w
-    return p, g.scale(-2)
+    g = LaurentElem.sum_of_products(
+        ctx.space, [(-2, h, _geometric_cofactor(ctx.space, j, c)) for j, h in F.peel().items()])
+    return reduce_elem(F, ctx), g
 
 
 def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:
@@ -239,16 +232,16 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
     dF, dG = DerivCache(phi, "z"), DerivCache(psi, "zb")
     ms = [None] + [reduce_elem(m_op(phi, psi, s, ctx, dF, dG), ctx) for s in range(1, K + 1)]
 
+    def lift(w: Series) -> Series:
+        return w.map(lambda sc: LaurentElem.scalar(phi.space, sc))
+
     # route A: closed formula with x -> -2mu
     weights = closed_weights(u, K)
-    routeA = Series.const(phi * psi, K)
-    for r in range(1, K + 1):
-        routeA = routeA + weights[r].map(lambda sc, mr=ms[r]: mr.scale(sc))
+    routeA = closed_sum(phi, psi, [(ms[r], lift(weights[r])) for r in range(1, K + 1)], K)
     # route B: canonical product in powers of lambda/(-2mu), then
     # lambda -> lambda / D(-2mu, lambda), i.e. powers of u directly
-    routeB = Series.const(phi * psi, K)
-    upow = u.one()
-    for r in range(1, K + 1):
-        upow = upow * u
-        routeB = routeB + upow.map(lambda sc, mr=_k_tilde(r, ms): mr.scale(sc))
+    upows = [u]
+    for _ in range(1, K):
+        upows.append(upows[-1] * u)
+    routeB = closed_sum(phi, psi, [(_k_tilde(r, ms), lift(upows[r - 1])) for r in range(1, K + 1)], K)
     return routeA - routeB

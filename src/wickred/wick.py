@@ -175,11 +175,8 @@ def poisson(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> LaurentElem:
     space = ctx.space
     if F.space != space or G.space != space:
         raise ValueError("operands live in a different space than the context")
-    items = []
-    for k in range(space.nv):
-        g = space.metric[k]
-        items.append((g, F.diff(space.iz(k)), G.diff(space.izb(k))))
-        items.append((-g, F.diff(space.izb(k)), G.diff(space.iz(k))))
+    items = (_contraction(1, DerivCache(F, "z"), DerivCache(G, "zb"))
+             + _contraction(1, DerivCache(F, "zb"), DerivCache(G, "z"), -1))
     return LaurentElem.sum_of_products(space, items).scale(MINUS_TWO_I)
 
 
@@ -310,7 +307,7 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
     if r == 0:
         return F
     dz = DerivCache(F, "z")
-    one = LaurentElem.one_of(sp2)
+    prefactor = LaurentElem(_zwb_poly(sp2), canonical=True).pow(r)
     items = []
     for beta in _compositions(r, sp2.nv):
         a = dz.get(beta)
@@ -320,10 +317,8 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
         if b.is_zero():
             continue
         sign = _metric_sign(sp2, beta)
-        items.append((Fraction(_multi_factorial((r,)) * sign, _multi_factorial(beta)), b, one))
-    acc = LaurentElem.sum_of_products(sp2, items)
-    prefactor = LaurentElem(_zwb_poly(sp2), canonical=True).pow(r)
-    return prefactor * acc
+        items.append((Fraction(_multi_factorial((r,)) * sign, _multi_factorial(beta)), b, prefactor))
+    return LaurentElem.sum_of_products(sp2, items)
 
 
 def _zwb_poly(sp2: VarSpace) -> Poly:

@@ -4,21 +4,28 @@ the one power routine and the product; and for the Laurent class: sums and
 derivatives that skip divisibility tests by proof agree with the full
 canonicalization, the Leibniz rule, uniqueness of the canonical form, the
 table of localizing quadratics, and the diagonal operators against a
-per-term reference."""
+per-term reference; and S, the reduction, the closed product formulas, the
+Poisson bracket and calM_r, which each sum one item list per order,
+against references that fold their sums with pairwise +."""
 
+import itertools
+import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
+from wickred.equiv import (a_coeff, closed_weights, dx_series, lam_over_dx, s_apply, s_apply_xpow,
+                           tilde_star_closed)
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
+from wickred.reduction import ideal_decompose, reduce_elem
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
-from wickred.wick import op_euler_zwb
+from wickred.wick import StarContext, m_op, op_calm, op_euler_zwb, poisson
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
@@ -933,3 +940,134 @@ def test_mul_xpow_scales_the_value_by_the_quadratic(case, j):
     xv = quadratic_value(space, zs if block == "z" else ws)
     assume(quadratic_value(space, zs) and (ws is None or quadratic_value(space, ws)))
     assert f.mul_xpow(j, block).eval(zs, ws) == f.eval(zs, ws) * xv ** j
+
+
+# ----------------------------------------------------------------------
+# every linear combination summed once: S, the reduction and the closed
+# formulas against references that fold their sums with pairwise +
+
+SUM_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1)]
+sum_settings = settings(deadline=None, max_examples=40)
+
+
+@lru_cache(maxsize=None)
+def folded_s_xpow(j, ctx):
+    """S(x^j); for j < 0 the sum over s of A^(|j|)_s u^s is folded."""
+    if j >= 0:
+        return s_apply_xpow(j, ctx)
+    one = Series.const(LaurentElem.one_of(ctx.space), ctx.K)
+    u = lam_over_dx(ctx)
+    acc, upow = one, one
+    for s in range(1, ctx.K + 1):
+        upow = upow * u
+        acc = acc + upow.scale(a_coeff(-j, s))
+    return acc * dx_series(ctx).invert().pow(-j)
+
+
+def folded_s_elem(e, ctx):
+    out = Series.const(LaurentElem.zero_of(ctx.space), ctx.K)
+    for j, h in e.peel().items():
+        out = out + folded_s_xpow(j, ctx).map(lambda c, h=h: h * c)
+    return out
+
+
+def folded_s_apply(F, ctx, inverse):
+    K = min(F.order, ctx.K)
+    if not inverse:
+        out = [LaurentElem.zero_of(ctx.space)] * (K + 1)
+        for m in range(K + 1):
+            sm = folded_s_elem(F.coeffs[m], ctx)
+            for t in range(m, K + 1):
+                out[t] = out[t] + sm.coeffs[t - m]
+        return Series(out)
+    G = []
+    for m in range(K + 1):
+        acc = F.coeffs[m]
+        for k in range(m):
+            acc = acc - folded_s_elem(G[k], ctx).coeffs[m - k]
+        G.append(acc)
+    return Series(G)
+
+
+def folded_split(F, ctx):
+    """(p, g) with F = p + (J - mu) g, slice by slice."""
+    space, c = ctx.space, -2 * ctx.mu
+    p = g = LaurentElem.zero_of(space)
+    for j, h in F.peel().items():
+        p = p + h.scale(c ** j)
+        w = LaurentElem.zero_of(space)
+        for t in range(abs(j)):
+            w = w + LaurentElem.x_power(space, abs(j) - 1 - t).scale(c ** t)
+        if j < 0:
+            w = w.mul_xpow(j).scale(-(c ** j))
+        g = g + h * w
+    return p, g.scale(-2)
+
+
+def folded_tilde_star_closed(f, g, ctx):
+    weights = closed_weights(lam_over_dx(ctx), ctx.K)
+    acc = Series.const(f * g, ctx.K)
+    for r in range(1, ctx.K + 1):
+        acc = acc + weights[r].map(lambda c, mr=m_op(f, g, r, ctx): mr * c)
+    return acc
+
+
+def folded_poisson(F, G):
+    space = F.space
+    acc = LaurentElem.zero_of(space)
+    for k in range(space.nv):
+        z, zb, g = space.iz(k), space.izb(k), space.metric[k]
+        acc = acc + (F.diff(z) * G.diff(zb) - F.diff(zb) * G.diff(z)).scale(g)
+    return acc.scale(GaussianRational(0, -2))
+
+
+def folded_op_calm(F, r):
+    """(g z wb)^r times sum over |beta| = r of r! g^beta / beta! times
+    d^beta/dz d^beta/dwb F, each derivative taken variable by variable."""
+    space = F.space
+    nv = space.nv
+    acc = LaurentElem.zero_of(space)
+    for beta in itertools.product(range(r + 1), repeat=nv):
+        if sum(beta) != r:
+            continue
+        d = F
+        for k, b in enumerate(beta):
+            for _ in range(b):
+                d = d.diff(space.iz(k)).diff(space.iwb(k))
+        sign = reduce(operator.mul, (space.metric[k] ** b for k, b in enumerate(beta)), 1)
+        den = reduce(operator.mul, map(math.factorial, beta), 1)
+        acc = acc + d.scale(Fraction(math.factorial(r) * sign, den))
+    zwb = LaurentElem.zero_of(space)
+    for k in range(nv):
+        v = LaurentElem.variable(space, space.iz(k)) * LaurentElem.variable(space, space.iwb(k))
+        zwb = zwb + v.scale(space.metric[k])
+    return zwb.pow(r) * acc
+
+
+@st.composite
+def sum_cases(draw):
+    """A context on CP^1, CP^2 or D^1 with D = 1 or 1 + l/x, an invariant
+    series, two homogeneous elements, two free elements and one two-point
+    element."""
+    space = draw(st.sampled_from(SUM_SPACES))
+    ctx = StarContext(space=space, K=3, D=draw(st.sampled_from([(1,), (1, 1)])),
+                      mu=draw(st.sampled_from([Fraction(-1, 2), Fraction(-2, 3)])))
+    F = Series([draw(invariant_elems(space)) for _ in range(ctx.K + 1)])
+    f, g = draw(homogeneous_elems(space)), draw(homogeneous_elems(space))
+    a, b = draw(laurent_elems(space)), draw(laurent_elems(space))
+    return ctx, F, f, g, a, b, draw(laurent_elems(space.with_two_point()))
+
+
+@sum_settings
+@given(sum_cases(), st.integers(1, 2))
+def test_linear_combinations_match_folded_sums(case, r):
+    ctx, F, f, g, a, b, T = case
+    for inverse in (False, True):
+        assert s_apply(F, ctx, inverse) == folded_s_apply(F, ctx, inverse)
+    assert [reduce_elem(c, ctx) for c in F.coeffs] == [folded_split(c, ctx)[0] for c in F.coeffs]
+    dec = ideal_decompose(F, ctx)
+    assert list(zip(dec.projection.coeffs, dec.multiplier.coeffs)) == [
+        folded_split(c, ctx) for c in F.coeffs]
+    assert tilde_star_closed(f, g, ctx) == folded_tilde_star_closed(f, g, ctx)
+    assert poisson(a, b, ctx) == folded_poisson(a, b)
+    assert op_calm(T, r, ctx) == folded_op_calm(T, r)

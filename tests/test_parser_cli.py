@@ -362,8 +362,8 @@ def test_run_verification_accepts_negative_mu():
 
 
 @pytest.mark.parametrize("text, what", [
-    ("(z0+zb0+z1+zb1)^12*(z0+zb0+z1+zb1)^12", "terms"),
-    ("(z0+zb0+z1+zb1)^20/(1 + l*(z0+zb0+z1+zb1))", "terms"),
+    ("(z0+zb0+z1+zb1)^30*(z0+zb0+z1+zb1)^30", "terms"),
+    ("(z0+zb0+z1+zb1)^30/(1 + l*(z0+zb0+z1+zb1))", "terms"),
     ("(2^1000)^99*(2^1000)^99", "bits"),
     ("(2^1000)^99/(2^1000)^-99", "bits"),
 ])
@@ -377,6 +377,9 @@ def test_parse_rejects_product_predicted_too_large(sp1, text, what):
 @pytest.mark.parametrize("text", [
     "(z0+zb0+z1+zb1)^9*(z0+zb0+z1+zb1)^9", "(z0+zb0+z1+zb1)^20/x^3", "(2^1000)^49*(2^1000)^49",
     "(1 + l*x)^1000*(1 + l*x)^-1000", "(z0*zb1 + (1/2)*zb0^2)/x^2*z1*zb0/(1 + l*x)",
+    # every monomial of these products has degree 24, or 20 to 22: 2925
+    # and 6095 of them, however many term pairs the factors have
+    "(z0+zb0+z1+zb1)^12*(z0+zb0+z1+zb1)^12", "(z0+zb0+z1+zb1)^20/(1 + l*(z0+zb0+z1+zb1))",
 ])
 def test_parse_accepts_product_within_caps(sp1, text):
     assert parse_expr(text, sp1, 2).order == 2
@@ -388,7 +391,45 @@ def test_cli_product_predicted_too_large_is_rejected(capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "error: product predicted to have 635376 terms, over the cap of 10000" in err
+    assert "error: product predicted to have 39711 terms, over the cap of 10000" in err
+
+
+def test_dense_product_is_predicted_like_its_power(sp1, capsys):
+    # (z0+zb0+z1+zb1)^20 has 1,771 terms however it is written: only the
+    # monomials of degree 20 can appear, not those of every degree <= 20
+    s = "(z0+zb0+z1+zb1)"
+    assert parse_expr(f"{s}^10*{s}^10", sp1, 2) == parse_expr(f"{s}^20", sp1, 2)
+    outs = []
+    for lhs in (f"{s}^10*{s}^10", f"{s}^20"):
+        assert main(["mul", "--n", "1", "--order", "2", "--lhs", lhs, "--rhs", "1",
+                     "--product", "wick", "--format", "text"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text", ["1 + x^-40", "x^-40 - 1", "z0*zb0*(1 + l) + l*x^-40"])
+def test_parse_rejects_sum_predicted_too_large(text):
+    # a sum lifts both operands to their common power of x: 1 + x^-40
+    # multiplies 1 by x^40, which has C(43, 3) = 12341 terms on CP^3
+    with pytest.raises(ParseError, match="sum predicted to have 12341 terms, over the cap of"):
+        parse_expr(text, VarSpace.cpn(3), 2)
+
+
+@pytest.mark.parametrize("text", ["1 + x^-20", "x^-40 + x^-40", "x^-40 + l^2"])
+def test_parse_accepts_sum_within_caps(text):
+    # x^20 has 1771 terms on CP^3; equal powers, or a sum whose nonzero
+    # coefficients sit at different orders, lift nothing
+    assert parse_expr(text, VarSpace.cpn(3), 2).order == 2
+
+
+def test_cli_sum_predicted_too_large_is_rejected(capsys):
+    # the lift of 1 would be x^30 over ten coordinate pairs: C(39, 9) terms
+    code = main(["mul", "--n", "9", "--order", "1", "--lhs", "1 + x^-30", "--rhs", "1",
+                 "--product", "wick"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: sum predicted to have 211915132 terms, over the cap of 10000" in err
 
 
 @pytest.mark.parametrize("argv", [
