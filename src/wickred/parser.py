@@ -10,9 +10,11 @@ formatter.
 A power, a product (``*``, and the multiply inside ``/``) or a sum whose
 predicted result (``predicted_power_size``, ``predicted_product_size``) has
 more than MAX_POWER_TERMS terms or coefficients of more than
-MAX_POWER_BITS bits is rejected before it is computed.  A sum is predicted
-as the power of x that lifts each operand to their common x power, and the
-product with it.
+MAX_POWER_BITS bits is rejected before it is computed.  Every sum of Laurent
+elements lifts its summands to their top power of x, and so multiplies a
+numerator by x^k, k the spread of the summands' x powers.  That lift is
+predicted, under the same caps, for ``+`` and ``-``, and for the sums that
+each order of a series product, power and inverse is made of.
 
 Identifiers: z0..z9, zb0..zb9, x (and its alias y, the metric quadratic),
 the imaginary unit i, and the deformation parameter l.  Division works
@@ -102,18 +104,36 @@ class _Parser:
             raise ParseError(f"trailing input {val!r}", pos)
         return v
 
-    def size(self, s: Series) -> tuple:
-        return _size([c.num.terms for c in s.coeffs], self.space.nvars)
+    def size(self, *series: Series) -> tuple:
+        return _size([c.num.terms for s in series for c in s.coeffs], self.space.nvars)
 
-    def check_lift(self, a: Series, b: Series, pos: int) -> None:
-        """Predict the lift of a's numerators in a + b: each coefficient
-        is multiplied by x^(b.mz - a.mz) where that is positive."""
-        k = max((cb.mz - ca.mz for ca, cb in zip(a.coeffs, b.coeffs)
-                 if not (ca.is_zero() or cb.is_zero())), default=0)
+    def check_lift(self, what: str, spans: list, size: tuple, pos: int) -> None:
+        """Predict the lift in a sum per output order, given the x-power
+        span (lo, hi) of that order's summands (None for no summand): x^k
+        for the widest spread k = hi - lo, and its product with a numerator
+        of ``size``."""
+        k = max((hi - lo for lo, hi in filter(None, spans)), default=0)
         if k > 0:
             xk = predicted_power_size(_size([self.space.quads["z"].terms], self.space.nvars), k)
-            _check_caps("sum", xk, pos)
-            _check_caps("sum", predicted_product_size(self.size(a), xk), pos)
+            _check_caps(what, xk, pos)
+            _check_caps(what, predicted_product_size(size, xk), pos)
+
+    def invert(self, s: Series, pos: int, what: str) -> Series:
+        """s.invert(), with the lifts inside it predicted first: order m of
+        the inverse sums s[i] * out[m - i] over i >= 1 and scales that sum
+        by s[0]^-1, so each numerator is a product of at most m of s's."""
+        xs = _x_spans(s)
+        if xs[0]:
+            shift = xs[0][0]
+            out, spans = [(-shift, -shift)], []
+            for m in range(1, len(xs)):
+                spans.append(_pair_span(xs[1:m + 1], out[::-1]))
+                out.append(spans[-1] and (spans[-1][0] - shift, spans[-1][1] - shift))
+            self.check_lift("inverse", spans, predicted_power_size(self.size(s), s.order), pos)
+        try:
+            return s.invert()
+        except (ValueError, ZeroDivisionError) as e:
+            raise ParseError(f"{what}: {e}", pos) from None
 
     def expr(self) -> Series:
         v = self.term()
@@ -122,8 +142,8 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                for a, b in ((v, rhs), (rhs, v)):
-                    self.check_lift(a, b, pos)
+                spans = [_span([r for r in pair if r]) for pair in zip(_x_spans(v), _x_spans(rhs))]
+                self.check_lift("sum", spans, self.size(v, rhs), pos)
                 v = v + rhs if val == "+" else v - rhs
             else:
                 return v
@@ -136,11 +156,10 @@ class _Parser:
                 self.next()
                 rhs = self.unary()
                 if val == "/":
-                    try:
-                        rhs = rhs.invert()
-                    except (ValueError, ZeroDivisionError) as e:
-                        raise ParseError(f"divisor is not invertible: {e}", pos) from None
-                _check_caps("product", predicted_product_size(self.size(v), self.size(rhs)), pos)
+                    rhs = self.invert(rhs, pos, "divisor is not invertible")
+                size = predicted_product_size(self.size(v), self.size(rhs))
+                _check_caps("product", size, pos)
+                self.check_lift("product", _product_spans(_x_spans(v), _x_spans(rhs)), size, pos)
                 v = v * rhs
             else:
                 return v
@@ -171,15 +190,18 @@ class _Parser:
                     f"exponent {e} is out of range: |e| must be <= {MAX_EXPONENT}", pos
                 )
             if e < 0:
-                try:
-                    base = base.invert()
-                except (ValueError, ZeroDivisionError) as err:
-                    raise ParseError(
-                        f"negative power of a non-invertible expression: {err}", pos
-                    ) from None
+                base = self.invert(base, pos, "negative power of a non-invertible expression")
                 e = -e
             if e >= 2:
-                _check_caps("power", predicted_power_size(self.size(base), e), pos)
+                size = predicted_power_size(self.size(base), e)
+                _check_caps("power", size, pos)
+                # binary powering multiplies base^i by base^j with i + j <= e:
+                # each order m sums (i+j)-fold products of base's coefficients,
+                # and beyond m factors only more base[0] factors join in
+                xs = spans = _x_spans(base)
+                for _ in range(min(e, len(xs)) - 1):
+                    spans = _product_spans(spans, xs)
+                    self.check_lift("power", spans, size, pos)
             return base.pow(e)
         return base
 
@@ -217,6 +239,29 @@ class _Parser:
             idx = space.iz(k) if m.group(1) == "z" else space.izb(k)
             return Series.const(LaurentElem.variable(space, idx), self.order)
         raise ParseError(f"unknown identifier {name!r}", pos)
+
+
+def _x_spans(s: Series) -> list:
+    """(mz, mz) for each coefficient of s, None where it is zero."""
+    return [None if c.is_zero() else (c.mz, c.mz) for c in s.coeffs]
+
+
+def _span(spans: list):
+    """The smallest x-power span (lo, hi) holding every span in ``spans``."""
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
+
+
+def _pair_span(a: list, b: list):
+    """The span of the products a[i] * b[i] over the pairs that are both nonzero."""
+    return _span([(p[0] + q[0], p[1] + q[1]) for p, q in zip(a, b) if p and q])
+
+
+def _product_spans(a: list, b: list) -> list:
+    """The x-power span of the summands a[i] * b[m - i] of each order m of
+    a series product, from the spans of its factors' coefficients.  It
+    holds the product's own coefficient too, as canonicalization only
+    lowers the top power (short of a cancellation)."""
+    return [_pair_span(a[:m + 1], b[m::-1]) for m in range(min(len(a), len(b)))]
 
 
 def _size(nums: list, nvars: int) -> tuple:

@@ -30,9 +30,14 @@ def momentum_map(ctx: StarContext) -> LaurentElem:
 def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:
     """Project one invariant element to its reduced representative by
     substituting x -> -2*mu in the homogeneous peel."""
+    return _substitute(F.peel(), ctx)
+
+
+def _substitute(peel: dict, ctx: StarContext) -> LaurentElem:
+    """sum_j h_j (-2 mu)^j over a peel {j: h_j}."""
     c = -2 * ctx.mu
     one = LaurentElem.one_of(ctx.space)
-    return LaurentElem.sum_of_products(ctx.space, [(c ** j, h, one) for j, h in F.peel().items()])
+    return LaurentElem.sum_of_products(ctx.space, [(c ** j, h, one) for j, h in peel.items()])
 
 
 def reduce_function(F: Series, ctx: StarContext) -> Series:
@@ -62,9 +67,10 @@ def _split(F: LaurentElem, ctx: StarContext) -> tuple:
     with x -> -2 mu slice by slice, g the exact quotient of F - p by
     J - mu = (x + 2 mu)/(-2)."""
     c = -2 * ctx.mu
+    peel = F.peel()
     g = LaurentElem.sum_of_products(
-        ctx.space, [(-2, h, _geometric_cofactor(ctx.space, j, c)) for j, h in F.peel().items()])
-    return reduce_elem(F, ctx), g
+        ctx.space, [(-2, h, _geometric_cofactor(ctx.space, j, c)) for j, h in peel.items()])
+    return _substitute(peel, ctx), g
 
 
 def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:

@@ -109,25 +109,6 @@ class Series:
             out.append(-(c0inv * acc))
         return Series(out)
 
-    def reparametrize(self, u: "Series") -> "Series":
-        """Substitute the series variable by u (scalar series with zero
-        constant term and invertible linear coefficient)."""
-        if not u.coeffs[0].is_zero():
-            raise ValueError("substitution series must have zero constant term")
-        if len(u.coeffs) > 1:
-            u.coeffs[1].inverse()  # raises when the linear coefficient is not a unit
-        K = min(self.order, u.order)
-        out = [self.coeffs[0]] + [self.coeffs[0].zero()] * K
-        upow = Series.const(u.coeffs[0].one(), K)
-        for j in range(1, K + 1):
-            upow = upow * u
-            cj = self.coeffs[j]
-            for m in range(j, K + 1):
-                s = upow.coeffs[m]
-                if not s.is_zero():
-                    out[m] = out[m] + cj.scale(s)
-        return Series(out)
-
     def exp(self) -> "Series":
         """exp of a series with zero constant term, truncated."""
         if not self.coeffs[0].is_zero():

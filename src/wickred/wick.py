@@ -1,6 +1,7 @@
 """Star-products on the punctured complex space: the Wick product (both
 metric signatures), the Poisson bracket, the bidifferential operators M_r,
-the radial product, and the two-point operators N, calM_r, H.
+the radial product, and the two-point operators N and calM_r (H is
+``LaurentElem.euler("H")``).
 """
 
 from __future__ import annotations
@@ -325,26 +326,6 @@ def _zwb_poly(sp2: VarSpace) -> Poly:
     vk = sp2.var_keys
     return Poly(sp2, {vk[sp2.iz(k)] + vk[sp2.iwb(k)]: GaussianRational.coerce(sp2.metric[k])
                       for k in range(sp2.nv)})
-
-
-def op_h(F: LaurentElem) -> LaurentElem:
-    """H = z d/dz + zb d/dzb + w d/dw + wb d/dwb (all four Euler sums);
-    vanishes on doubly homogeneous elements."""
-    return F.euler("H")
-
-
-def op_euler_zwb(F: LaurentElem) -> LaurentElem:
-    """E_z + Ebar_w, the Euler weight of the variables in the contraction
-    prefactor z.wb.
-
-    On doubly homogeneous elements it acts as zero exactly like H, so the
-    two are interchangeable inside the solved product formula; unlike H it
-    satisfies the recursion calM_{r+1} = (N - r(n-r) - r(E_z+Ebar_w)) calM_r
-    on arbitrary arguments.
-    """
-    if not F.space.two_point:
-        raise ValueError("needs a two-point element")
-    return F.weighted(lambda d: d[0] + d[3])
 
 
 def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarContext) -> LaurentElem:

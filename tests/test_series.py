@@ -59,22 +59,6 @@ def test_invert_error(sp1):
         Series.const(z0, 2).invert()
 
 
-def test_reparametrize():
-    a = s_of([1, 1], 3)
-    assert a.reparametrize(s_of([0, 2], 3)) == s_of([1, 2], 3)
-    lam_sq = s_of([0, 0, 1], 3)
-    u = s_of([1, 1], 3).invert().times_lambda(1)  # lambda / (1 + lambda)
-    assert lam_sq.reparametrize(u) == s_of([0, 0, 1, -2], 3)
-    ident = s_of([0, 1], 3)
-    b = s_of([2, 0, 5, 7], 3)
-    assert b.reparametrize(ident) == b
-
-
-def test_reparametrize_needs_zero_const():
-    with pytest.raises(ValueError):
-        s_of([1, 1], 2).reparametrize(s_of([1, 1], 2))
-
-
 def test_exp():
     assert s_of([0, 1], 2).exp() == s_of([1, 1, Fraction(1, 2)], 2)
     assert s_of([0], 3).exp() == s_of([1], 3)

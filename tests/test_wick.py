@@ -12,8 +12,6 @@ from wickred.wick import (
     exp_symbol_product,
     m_op,
     op_calm,
-    op_euler_zwb,
-    op_h,
     op_n,
     poisson,
     product_formula_check,
@@ -257,15 +255,15 @@ def test_two_point_errors(ctx1, sp1, phi):
     with pytest.raises(ValueError):
         op_n(phi, ctx1)
     with pytest.raises(ValueError):
-        op_h(phi)
+        phi.euler("H")
 
 
 def test_h_annihilates_doubly_homogeneous(ctx1, sp1, rng):
     f, g = rand_homogeneous(sp1, rng), rand_homogeneous(sp1, rng)
     T = tensor(f, g)
     assert T.is_doubly_homogeneous()
-    assert op_h(T).is_zero()
-    assert op_euler_zwb(T).is_zero()
+    assert T.euler("H").is_zero()
+    assert T.weighted(lambda d: d[0] + d[3]).is_zero()
 
 
 def test_recursion_on_tensor_inputs(ctx1, sp1, rng):
@@ -274,21 +272,24 @@ def test_recursion_on_tensor_inputs(ctx1, sp1, rng):
     f, g = rand_homogeneous(sp1, rng), rand_homogeneous(sp1, rng)
     T = tensor(f, g)
     m1 = op_calm(T, 1, ctx1)
-    rhs = op_n(m1, ctx1) - m1.scale(1 * (n - 1)) - op_h(m1)
+    rhs = op_n(m1, ctx1) - m1.scale(1 * (n - 1)) - m1.euler("H")
     assert (op_calm(T, 2, ctx1) - rhs).is_zero()
 
 
 def test_recursion_general_inputs(rng):
-    # on arbitrary two-point elements the Euler weight of the contraction
-    # prefactor (z and wb) drives the recursion; H agrees with it only on
-    # the doubly homogeneous class
+    # on arbitrary two-point elements the Euler weight E_z + Ebar_w of the
+    # contraction prefactor z.wb drives the recursion
+    # calM_{r+1} = (N - r(n-r) - r(E_z+Ebar_w)) calM_r.  On doubly
+    # homogeneous elements it acts as zero exactly like H, so the two are
+    # interchangeable inside the solved product formula; H agrees with it
+    # only on that class
     for n in (1, 2):
         ctx = StarContext(space=VarSpace.cpn(n), K=3)
         for _ in range(3):
             T = tensor(rand_poly(ctx.space, rng, max_deg=2), rand_invariant(ctx.space, rng))
             for r in (1, 2):
                 mr = op_calm(T, r, ctx)
-                rhs = op_n(mr, ctx) - mr.scale(r * (n - r)) - op_euler_zwb(mr).scale(r)
+                rhs = op_n(mr, ctx) - mr.scale(r * (n - r)) - mr.weighted(lambda d: d[0] + d[3]).scale(r)
                 assert (op_calm(T, r + 1, ctx) - rhs).is_zero()
 
 
