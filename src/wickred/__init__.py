@@ -6,6 +6,10 @@ from .scalar import GaussianRational, Rational, binomial, factorial, gauss
 from .series import Series, UnivarPoly, scalar_series
 from .wick import StarContext, default_context
 
+# the suites of `wickred verify`, in report order (suites.run_suite runs
+# them); defined here so that the CLI parser reads them without suites
+SUITE_NAMES = ("lemma21", "equiv", "reduce", "moreno", "su1n")
+
 __all__ = [
     "GaussianRational",
     "LaurentElem",

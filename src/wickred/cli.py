@@ -19,13 +19,16 @@ import json
 import sys
 from fractions import Fraction
 
-from . import equiv, moreno, reduction, suites
-from .parser import format_series, parse_expr
+# Each command imports the modules it runs, so that a process compiles and
+# loads only those: importing this module loads the package core alone.
+from . import SUITE_NAMES
 from .series import latex_fraction
 from .wick import StarContext, default_context, wick_product
 
 
 DEFAULT_ORDER = 6
+# the work of `mul` and `verify` grows about as order^4
+MAX_ORDER = 16
 
 
 def _context(args) -> StarContext:
@@ -36,6 +39,8 @@ def _context(args) -> StarContext:
         raise ValueError("mu must be negative")
     if args.n < 1 or args.order < 1:
         raise ValueError("need n >= 1 and order >= 1")
+    if args.order > MAX_ORDER:
+        raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
 
 
@@ -62,13 +67,19 @@ def cmd_mul(args) -> int:
     if args.product == "wick" and not ctx.is_trivial_D():
         raise ValueError("--d-series applies to --product tilde; "
                          "the Wick product does not depend on D")
+    from .parser import format_series, parse_expr
+
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)
     rhs = parse_expr(args.rhs, ctx.space, ctx.K)
     if args.product == "wick":
         result = wick_product(lhs, rhs, ctx)
     elif args.product == "tilde":
+        from . import equiv
+
         result = equiv.tilde_star(lhs, rhs, ctx)
     else:
+        from . import reduction
+
         result = reduction.mu_star(
             reduction.reduce_function(lhs, ctx), reduction.reduce_function(rhs, ctx), ctx
         )
@@ -88,6 +99,8 @@ def cmd_mul(args) -> int:
 
 def a_table_latex(rmax: int, smax: int) -> list:
     """The A^(r)_s matrix (rows r = 0..rmax, columns s = 0..smax) as LaTeX lines."""
+    from . import equiv
+
     latex = [r"\begin{pmatrix}"]
     for r in range(rmax + 1):
         row = " & ".join(latex_fraction(equiv.a_coeff(r, s)) for s in range(smax + 1))
@@ -98,6 +111,8 @@ def a_table_latex(rmax: int, smax: int) -> list:
 
 def k_table_latex(rmax: int) -> list:
     """K~_r = sum_s c_{r,s} M~_s for r = 1..rmax as LaTeX align lines."""
+    from . import reduction
+
     latex = [r"\begin{align*}"]
     for r in range(1, rmax + 1):
         body = ""
@@ -118,6 +133,8 @@ def cmd_table(args) -> int:
         smax = rmax if args.smax is None else args.smax
         _require_at_least("rmax", rmax, 0)
         _require_at_least("smax", smax, 0)
+        from . import equiv
+
         cells = [(r, s, equiv.a_coeff(r, s)) for r in range(rmax + 1) for s in range(smax + 1)]
         obj = {"table": "a-coeff", "rmax": rmax, "smax": smax}
         name, latex = "A", lambda: a_table_latex(rmax, smax)
@@ -125,6 +142,8 @@ def cmd_table(args) -> int:
         if args.smax is not None:
             raise ValueError("--smax applies to table a-coeff")
         _require_at_least("rmax", rmax, 1)
+        from . import reduction
+
         cells = [(r, s, reduction.k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
         obj = {"table": "k-coeff", "rmax": rmax}
         name, latex = "c", lambda: k_table_latex(rmax)
@@ -140,6 +159,8 @@ def cmd_table(args) -> int:
 def cmd_moreno(args) -> int:
     rmax = args.rmax
     _require_at_least("rmax", rmax, 1)
+    from . import moreno
+
     rs = range(1, rmax + 1)
     residuals = [moreno.moreno_recursion_residual(r) for r in rs]
     ok = all(res.is_zero() for res in residuals)
@@ -175,6 +196,8 @@ def _report_text(report) -> list:
 def cmd_verify(args) -> int:
     ctx = _context(args)
     _require_at_least("rmax", args.rmax, 1)
+    from . import suites
+
     report = suites.run_suite(
         args.suite, n=ctx.n, order=ctx.K, mu=ctx.mu, seed=args.seed, rmax=args.rmax
     )
@@ -223,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_moreno)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("all",) + suites.SUITE_NAMES)
+    p.add_argument("suite", choices=("all",) + SUITE_NAMES)
     common(p, with_space=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rmax", type=int, default=10)

@@ -18,7 +18,6 @@ operator used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -35,20 +34,28 @@ class Quad(NamedTuple):
     null_point: tuple
 
 
-@dataclass(frozen=True)
 class VarSpace:
     """Variable layout: n+1 complex coordinates, a diagonal metric and an
-    optional second point (w, wb) for the two-point operators."""
+    optional second point (w, wb) for the two-point operators.  Equal
+    layouts compare and hash equal, so a VarSpace can key a cache."""
 
-    n: int
-    metric: tuple
-    two_point: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, metric: tuple, two_point: bool = False):
+        if n < 1:
             raise ValueError("need n >= 1")
-        if len(self.metric) != self.n + 1 or any(s not in (1, -1) for s in self.metric):
+        if len(metric) != n + 1 or any(s not in (1, -1) for s in metric):
             raise ValueError("metric must be n+1 signs +-1")
+        self.n, self.metric, self.two_point = n, metric, two_point
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.metric, self.two_point) == (other.n, other.metric, other.two_point)
+
+    def __hash__(self):
+        return hash((self.n, self.metric, self.two_point))
+
+    def __repr__(self):
+        return f"VarSpace(n={self.n}, metric={self.metric}, two_point={self.two_point})"
 
     @classmethod
     def cpn(cls, n: int, two_point: bool = False) -> "VarSpace":

@@ -11,9 +11,9 @@ against direct separation of the momentum ideal from the Wick product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .equiv import closed_sum, closed_weights, s_apply, tilde_star
 from .poly import LaurentElem, VarSpace
@@ -45,8 +45,7 @@ def reduce_function(F: Series, ctx: StarContext) -> Series:
     return F.map(lambda c: reduce_elem(c, ctx))
 
 
-@dataclass
-class DecompResult:
+class DecompResult(NamedTuple):
     """F = pullback(projection) + (J - mu) * multiplier, per order."""
 
     projection: Series

@@ -12,17 +12,17 @@ with D = 1 and also check it with D = 1 + lambda/x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
-from . import equiv, moreno, reduction, sparse
-from .parser import format_term
+from . import SUITE_NAMES, equiv, moreno, reduction, sparse
 from .poly import LaurentElem, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
 from .series import Series, UnivarPoly
 from .wick import (
+    StarContext,
     commutator_check,
     default_context,
     m_op,
@@ -33,11 +33,8 @@ from .wick import (
     wick_product_elems,
 )
 
-SUITE_NAMES = ("lemma21", "equiv", "reduce", "moreno", "su1n")
 
-
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -49,10 +46,9 @@ class Check:
         return obj
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
-    checks: list = field(default_factory=list)
+    checks: list
 
     @property
     def ok(self) -> bool:
@@ -68,6 +64,8 @@ class Report:
 
 def _first_term(res) -> tuple:
     """(term count, first term) of a nonzero residual that is not a Series."""
+    from .parser import format_term  # only a failing check formats a term
+
     if isinstance(res, equiv.SparsePoly):
         key = min(res.terms)
         return len(res.terms), str(equiv.SparsePoly(res.arity, {key: res.terms[key]}))
@@ -117,7 +115,7 @@ def _zero(checks: list, name: str, *residuals, K=None):
 
 def _d_variants(ctx):
     """ctx (D = 1) and its D = 1 + lambda/x variant, with their labels."""
-    return (("D1", ctx), ("D1+l/x", replace(ctx, D=(1, 1))))
+    return (("D1", ctx), ("D1+l/x", StarContext(ctx.space, ctx.K, (1, 1), ctx.mu)))
 
 
 # ----------------------------------------------------------------------

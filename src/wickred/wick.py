@@ -6,7 +6,6 @@ the radial product, and the two-point operators N and calM_r (H is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,25 +15,33 @@ from .scalar import GaussianRational, MINUS_TWO_I
 from .series import Series, UnivarPoly
 
 
-@dataclass(frozen=True)
 class StarContext:
     """Shared parameters: variable space, truncation order K, the radial
-    normalization series D (coefficients d_r, d_0 = 1) and the level mu."""
+    normalization series D (coefficients d_r, d_0 = 1) and the level mu.
+    Equal parameters compare and hash equal, so a context can key a cache."""
 
-    space: VarSpace
-    K: int = 6
-    D: tuple = (Fraction(1),)
-    mu: Fraction = Fraction(-1, 2)
-
-    def __post_init__(self):
-        if self.K < 1:
+    def __init__(self, space: VarSpace, K: int = 6, D: tuple = (Fraction(1),),
+                 mu=Fraction(-1, 2)):
+        if K < 1:
             raise ValueError("need K >= 1")
-        object.__setattr__(self, "D", tuple(Fraction(d) for d in self.D))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        self.space, self.K = space, K
+        self.D = tuple(Fraction(d) for d in D)
+        self.mu = Fraction(mu)
         if not self.D or self.D[0] != 1:
             raise ValueError("D series must start with d_0 = 1")
         if self.mu >= 0:
             raise ValueError("the level mu must be negative")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.K, self.D, self.mu) == (other.space, other.K, other.D, other.mu)
+
+    def __hash__(self):
+        return hash((self.space, self.K, self.D, self.mu))
+
+    def __repr__(self):
+        return f"StarContext(space={self.space!r}, K={self.K}, D={self.D!r}, mu={self.mu!r})"
 
     @property
     def n(self) -> int:
@@ -219,54 +226,6 @@ def radial_star(rho1: UnivarPoly, rho2: UnivarPoly, ctx: StarContext) -> Series:
             break
         out[r] = (a * b).shift(r).scale(Fraction(1, fact))
     return Series(out)
-
-
-class ExpPoly:
-    """P(x) * e^(g x) with polynomial prefactor; closed under d/dx."""
-
-    __slots__ = ("prefactor", "g")
-
-    def __init__(self, prefactor: UnivarPoly, g):
-        self.prefactor = prefactor
-        self.g = g
-
-    def deriv(self) -> "ExpPoly":
-        return ExpPoly(self.prefactor.deriv() + self.prefactor.scale(self.g), self.g)
-
-
-def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
-    """Residual of e_alpha (radial-star) e_beta against the expansion of
-    the exponential with shifted argument alpha + beta + lambda alpha beta.
-
-    Both sides share the factor e^((alpha+beta) x); what is returned is
-    the series of polynomial cofactors of that common exponential, which
-    must vanish identically.
-    """
-    alpha = GaussianRational.coerce(Fraction(alpha)) if not isinstance(alpha, GaussianRational) else alpha
-    beta = GaussianRational.coerce(Fraction(beta)) if not isinstance(beta, GaussianRational) else beta
-    K = ctx.K
-    one = UnivarPoly([1], "x")
-    ea = ExpPoly(one, alpha)
-    eb = ExpPoly(one, beta)
-    lhs = []
-    fact = 1
-    for r in range(K + 1):
-        if r:
-            ea = ea.deriv()
-            eb = eb.deriv()
-            fact *= r
-        lhs.append((ea.prefactor * eb.prefactor).shift(r).scale(Fraction(1, fact)))
-    # right side: e^((a+b)x) * sum_m lambda^m (a b x)^m / m!
-    rhs = []
-    fact = 1
-    abx = UnivarPoly([0, alpha * beta], "x")
-    power = one
-    for m in range(K + 1):
-        if m:
-            power = power * abx
-            fact *= m
-        rhs.append(power.scale(Fraction(1, fact)))
-    return Series(lhs) - Series(rhs)
 
 
 # ----------------------------------------------------------------------

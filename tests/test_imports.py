@@ -1,0 +1,60 @@
+"""Each `wickred` command loads only the modules it runs.
+
+Every case runs in a fresh interpreter: in this process an earlier test
+has already imported every module, so a command that forgot to import one
+would pass here and fail on the command line.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CORE = {"wickred", "wickred.cli", "wickred.poly", "wickred.scalar", "wickred.series",
+        "wickred.sparse", "wickred.wick"}
+
+PROBE = """
+import contextlib, io, json, sys
+import wickred.cli
+rc = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = wickred.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded(argv: list) -> tuple:
+    """(exit code of `wickred ARGV`, or None for a bare import; the module
+    names loaded), from a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    got = json.loads(out.splitlines()[-1])
+    return got["rc"], set(got["modules"])
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ([], set()),
+    (["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--product", "wick"], {"parser"}),
+    (["mul", "--lhs", "x", "--rhs", "x", "--order", "2", "--product", "tilde",
+      "--d-series", "1,1"], {"parser", "equiv"}),
+    (["mul", "--lhs", "z0*zb0/x", "--rhs", "x", "--order", "2", "--product", "mu"],
+     {"parser", "equiv", "reduction"}),
+    (["table", "a-coeff", "--rmax", "3", "--format", "latex"], {"equiv"}),
+    (["table", "k-coeff", "--rmax", "3", "--format", "latex"], {"equiv", "reduction"}),
+    (["moreno", "--rmax", "3", "--format", "latex"], {"equiv", "moreno"}),
+    # a passing report formats no term, so the parser stays unloaded
+    (["verify", "su1n", "--order", "1"], {"equiv", "moreno", "reduction", "sampling", "suites"}),
+], ids=lambda a: (" ".join(a)[:60] or "import") if isinstance(a, list) else "+".join(sorted(a)) or "core")
+def test_command_loads_only_its_modules(argv, extra):
+    rc, modules = _loaded(argv)
+    assert rc == (0 if argv else None)
+    assert {m for m in modules if m.split(".")[0] == "wickred"} == CORE | {
+        f"wickred.{m}" for m in extra}
+    assert "dataclasses" not in modules

@@ -207,6 +207,30 @@ def test_cli_order_zero_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["mul", "--order", "200", "--lhs", "1", "--rhs", "1"],
+    ["mul", "--order", "17", "--lhs", "x", "--rhs", "x", "--product", "wick"],
+    ["verify", "all", "--order", "40"],
+])
+def test_cli_order_above_bound_is_rejected(capsys, argv):
+    # the work grows about as order^4: an order past the bound exits 2 at
+    # once, with a message that names the bound
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: --order must be <= 16, got {argv[argv.index('--order') + 1]}" in err
+    assert elapsed < 1.0
+
+
+def test_cli_order_at_bound_is_accepted(capsys):
+    code, out = run_cli(capsys, "mul", "--order", "16", "--lhs", "x", "--rhs", "x")
+    assert code == 0
+    assert json.loads(out)["order"] == 16
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "moreno", "--rmax", "0", "--order", "2", "--format", "text"],
     ["verify", "lemma21", "--rmax", "-5", "--order", "2"],
     ["table", "k-coeff", "--rmax", "0"],

@@ -4,12 +4,11 @@ import pytest
 
 from wickred.poly import LaurentElem, VarSpace, is_radial
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
-from wickred.scalar import gauss
+from wickred.scalar import GaussianRational, gauss
 from wickred.series import Series, UnivarPoly
 from wickred.wick import (
     StarContext,
     commutator_check,
-    exp_symbol_product,
     m_op,
     op_calm,
     op_n,
@@ -125,6 +124,54 @@ def test_radial_star(ctx1, sp1):
     wick = wick_product_elems(xe, xe, ctx1)
     for m, p in enumerate(radial_star(x, x, ctx1).coeffs):
         assert p.subst_elem(xe) == wick.coeffs[m]
+
+
+class ExpPoly:
+    """P(x) * e^(g x) with polynomial prefactor; closed under d/dx."""
+
+    __slots__ = ("prefactor", "g")
+
+    def __init__(self, prefactor: UnivarPoly, g):
+        self.prefactor = prefactor
+        self.g = g
+
+    def deriv(self) -> "ExpPoly":
+        return ExpPoly(self.prefactor.deriv() + self.prefactor.scale(self.g), self.g)
+
+
+def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
+    """Residual of e_alpha (radial-star) e_beta against the expansion of
+    the exponential with shifted argument alpha + beta + lambda alpha beta.
+
+    Both sides share the factor e^((alpha+beta) x); what is returned is
+    the series of polynomial cofactors of that common exponential, which
+    must vanish identically.
+    """
+    alpha = GaussianRational.coerce(Fraction(alpha)) if not isinstance(alpha, GaussianRational) else alpha
+    beta = GaussianRational.coerce(Fraction(beta)) if not isinstance(beta, GaussianRational) else beta
+    K = ctx.K
+    one = UnivarPoly([1], "x")
+    ea = ExpPoly(one, alpha)
+    eb = ExpPoly(one, beta)
+    lhs = []
+    fact = 1
+    for r in range(K + 1):
+        if r:
+            ea = ea.deriv()
+            eb = eb.deriv()
+            fact *= r
+        lhs.append((ea.prefactor * eb.prefactor).shift(r).scale(Fraction(1, fact)))
+    # right side: e^((a+b)x) * sum_m lambda^m (a b x)^m / m!
+    rhs = []
+    fact = 1
+    abx = UnivarPoly([0, alpha * beta], "x")
+    power = one
+    for m in range(K + 1):
+        if m:
+            power = power * abx
+            fact *= m
+        rhs.append(power.scale(Fraction(1, fact)))
+    return Series(lhs) - Series(rhs)
 
 
 def test_exp_symbol_product(ctx1):
