@@ -29,6 +29,15 @@ from .wick import StarContext, default_context, wick_product
 DEFAULT_ORDER = 6
 # the work of `mul` and `verify` grows about as order^4
 MAX_ORDER = 16
+# bounds --rmax and --smax of `table`, `moreno` and `verify`, whose work
+# grows without limit in them
+MAX_RMAX = 60
+# the expression grammar names the coordinates z0..z9, so CP^9 and D^9 are
+# the largest spaces an expression can fill
+MAX_N = 9
+# the work of `verify` grows about 3x per step of n: `verify reduce --order 1`
+# takes 12 s at n = 4 and 38 s at n = 5 (2-CPU x86-64 host, Python 3.11)
+MAX_VERIFY_N = 4
 
 
 def _context(args) -> StarContext:
@@ -39,6 +48,8 @@ def _context(args) -> StarContext:
         raise ValueError("mu must be negative")
     if args.n < 1 or args.order < 1:
         raise ValueError("need n >= 1 and order >= 1")
+    if args.n > MAX_N:
+        raise ValueError(f"--n must be <= {MAX_N}, got {args.n}")
     if args.order > MAX_ORDER:
         raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
@@ -54,9 +65,12 @@ def _emit(fmt: str, render: dict) -> None:
         print(line)
 
 
-def _require_at_least(flag: str, value: int, least: int) -> None:
+def _require_in_range(flag: str, value: int, least: int) -> None:
+    """An --rmax or --smax value: at least `least` and at most MAX_RMAX."""
     if value < least:
         raise ValueError(f"--{flag} must be >= {least}, got {value}")
+    if value > MAX_RMAX:
+        raise ValueError(f"--{flag} must be <= {MAX_RMAX}, got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +145,8 @@ def cmd_table(args) -> int:
     rmax = args.rmax
     if args.which == "a-coeff":
         smax = rmax if args.smax is None else args.smax
-        _require_at_least("rmax", rmax, 0)
-        _require_at_least("smax", smax, 0)
+        _require_in_range("rmax", rmax, 0)
+        _require_in_range("smax", smax, 0)
         from . import equiv
 
         cells = [(r, s, equiv.a_coeff(r, s)) for r in range(rmax + 1) for s in range(smax + 1)]
@@ -141,7 +155,7 @@ def cmd_table(args) -> int:
     else:
         if args.smax is not None:
             raise ValueError("--smax applies to table a-coeff")
-        _require_at_least("rmax", rmax, 1)
+        _require_in_range("rmax", rmax, 1)
         from . import reduction
 
         cells = [(r, s, reduction.k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
@@ -158,7 +172,7 @@ def cmd_table(args) -> int:
 
 def cmd_moreno(args) -> int:
     rmax = args.rmax
-    _require_at_least("rmax", rmax, 1)
+    _require_in_range("rmax", rmax, 1)
     from . import moreno
 
     rs = range(1, rmax + 1)
@@ -195,7 +209,9 @@ def _report_text(report) -> list:
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    _require_at_least("rmax", args.rmax, 1)
+    if ctx.n > MAX_VERIFY_N:
+        raise ValueError(f"--n must be <= {MAX_VERIFY_N} for verify, got {ctx.n}")
+    _require_in_range("rmax", args.rmax, 1)
     from . import suites
 
     report = suites.run_suite(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import sparse
 from .poly import LaurentElem
@@ -26,15 +27,35 @@ def a_coeff(r: int, s: int) -> Fraction:
 
     A^(0)_0 = 1 and A^(0)_s = 0 for s >= 1; for r >= 1 the closed form is
     (1/(r-1)!) sum_{k=1..r} C(r-1, k-1) k^(s+r-1) (-1)^(r+s-k).
+
+    The sum is taken in plain integers, row by row: row r keeps its running
+    terms C(r-1, k-1) (-1)^(r-k) k^(r-1+t) at the last t asked (`_a_row`),
+    and the step to t + 1 multiplies term k by k.  Entry s is their sum
+    over (r-1)!, with the sign (-1)^s; one Fraction is built per entry.  An
+    s below the row's t starts the row again from t = 0.
     """
     if r < 0 or s < 0:
         raise ValueError("a_coeff wants nonnegative indices")
     if r == 0:
         return Fraction(1 if s == 0 else 0)
-    total = 0
-    for k in range(1, r + 1):
-        total += binomial(r - 1, k - 1) * k ** (s + r - 1) * (-1) ** (r + s - k)
-    return Fraction(total, factorial(r - 1))
+    row = _a_row(r)
+    t, terms, start = row
+    if s < t:
+        t, terms = 0, start
+    ks = range(1, r + 1)
+    for _ in range(t, s):
+        terms = list(map(mul, terms, ks))
+    row[:2] = s, terms
+    total = sum(terms)
+    return Fraction(-total if s % 2 else total, factorial(r - 1))
+
+
+@lru_cache(maxsize=None)
+def _a_row(r: int) -> list:
+    """[t, terms at t, terms at 0] for row r >= 1 of A, where term k is
+    C(r-1, k-1) (-1)^(r-k) k^(r-1+t); only `a_coeff` moves t."""
+    start = [binomial(r - 1, k - 1) * (-1) ** (r - k) * k ** (r - 1) for k in range(1, r + 1)]
+    return [0, start, start]
 
 
 # ----------------------------------------------------------------------

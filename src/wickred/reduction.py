@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .equiv import closed_sum, closed_weights, s_apply, tilde_star
 from .poly import LaurentElem, VarSpace
-from .scalar import GaussianRational, factorial
+from .scalar import GaussianRational, binomial, factorial
 from .series import Series, scalar_series
 from .wick import DerivCache, StarContext, m_op, poisson, wick_product
 
@@ -92,16 +92,15 @@ def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:
 def k_coeff(r: int, s: int) -> Fraction:
     """c_{r,s} = sum_{k=1..s} k^(r-1) (-1)^(r-k) / (s! (s-k)! (k-1)!),
     the coefficient of M~_s inside the order-r term of the reduced
-    product; equals A^(s)_{r-s} / s!."""
+    product; equals A^(s)_{r-s} / s!.
+
+    The sum is taken in plain integers over the common denominator
+    s! (s-1)!, where term k is C(s-1, k-1) k^(r-1) (-1)^(r-k); one Fraction
+    is built at the end."""
     if not (1 <= s <= r):
         raise ValueError("k_coeff wants 1 <= s <= r")
-    total = Fraction(0)
-    for k in range(1, s + 1):
-        total += Fraction(
-            k ** (r - 1) * (-1) ** (r - k),
-            factorial(s) * factorial(s - k) * factorial(k - 1),
-        )
-    return total
+    total = sum(binomial(s - 1, k - 1) * k ** (r - 1) * (-1) ** (r - k) for k in range(1, s + 1))
+    return Fraction(total, factorial(s) * factorial(s - 1))
 
 
 def _k_tilde_items(r: int, ms, scale=1) -> list:

@@ -6,7 +6,9 @@ canonicalization, the Leibniz rule, uniqueness of the canonical form, the
 table of localizing quadratics, and the diagonal operators against a
 per-term reference; and S, the reduction, the closed product formulas, the
 Poisson bracket and calM_r, which each sum one item list per order,
-against references that fold their sums with pairwise +."""
+against references that fold their sums with pairwise +; and the
+coefficient tables A^(r)_s and c_{r,s} against the product recurrence,
+Stirling numbers of the second kind and the series oracle."""
 
 import itertools
 import math
@@ -22,9 +24,10 @@ from wickred import sparse
 from wickred.equiv import (a_coeff, closed_weights, dx_series, lam_over_dx, s_apply, s_apply_xpow,
                            tilde_star_closed)
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
-from wickred.reduction import ideal_decompose, reduce_elem
+from wickred.reduction import ideal_decompose, k_coeff, reduce_elem
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
+from wickred.suites import a_table_oracle
 from wickred.wick import StarContext, m_op, op_calm, poisson
 
 # exact big-int work at exponent 127 has no fixed time budget
@@ -1071,3 +1074,49 @@ def test_linear_combinations_match_folded_sums(case, r):
     assert tilde_star_closed(f, g, ctx) == folded_tilde_star_closed(f, g, ctx)
     assert poisson(a, b, ctx) == folded_poisson(a, b)
     assert op_calm(T, r, ctx) == folded_op_calm(T, r)
+
+
+# ----------------------------------------------------------------------
+# the coefficient tables A^(r)_s and c_{r,s}, against definitions computed
+# here; (r, s) pairs are drawn in random order, so rows of A fill out of
+# order and across cache hits
+
+coeff_settings = settings(deadline=None, max_examples=60)
+TABLE_INDICES = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=30)
+
+
+@lru_cache(maxsize=None)
+def stirling2(n, k):
+    """S(n, k) from its triangle S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    table = [1] + [0] * k  # row 0 of the triangle, up to column k
+    for _ in range(n):
+        table = [0] + [j * table[j] + table[j - 1] for j in range(1, k + 1)]
+    return table[k]
+
+
+@coeff_settings
+@given(TABLE_INDICES)
+def test_a_coeff_satisfies_the_product_recurrence(pairs):
+    # prod_{k<=r} (1 + k u)^(-1) = prod_{k<r} (1 + k u)^(-1) / (1 + r u)
+    for r, s in pairs:
+        if r == 0:
+            assert a_coeff(r, s) == (1 if s == 0 else 0)
+        elif s == 0:
+            assert a_coeff(r, s) == 1
+        else:
+            assert a_coeff(r, s) == a_coeff(r - 1, s) - r * a_coeff(r, s - 1)
+
+
+@coeff_settings
+@given(TABLE_INDICES)
+def test_coefficient_tables_are_stirling_numbers(pairs):
+    # Graham, Knuth & Patashnik, Concrete Mathematics, ch. 6
+    for r, s in pairs:
+        assert a_coeff(r, s) == (-1) ** s * stirling2(r + s, r)
+        if r and s and s <= r:
+            assert k_coeff(r, s) == Fraction((-1) ** (r - s) * stirling2(r, s), math.factorial(s))
+
+
+def test_a_coeff_matches_series_oracle():
+    oracle = a_table_oracle(12, 12)
+    assert [[a_coeff(r, s) for s in range(13)] for r in range(13)] == oracle

@@ -230,6 +230,48 @@ def test_cli_order_at_bound_is_accepted(capsys):
     assert json.loads(out)["order"] == 16
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "k-coeff", "--rmax", "61"], "--rmax must be <= 60, got 61"),
+    (["table", "k-coeff", "--rmax", "150"], "--rmax must be <= 60, got 150"),
+    (["table", "a-coeff", "--rmax", "150"], "--rmax must be <= 60, got 150"),
+    (["table", "a-coeff", "--rmax", "2", "--smax", "61"], "--smax must be <= 60, got 61"),
+    (["table", "a-coeff", "--smax", "1000"], "--smax must be <= 60, got 1000"),
+    (["moreno", "--rmax", "120"], "--rmax must be <= 60, got 120"),
+    (["verify", "moreno", "--rmax", "61", "--order", "2"], "--rmax must be <= 60, got 61"),
+    (["verify", "all", "--rmax", "1000", "--order", "1"], "--rmax must be <= 60, got 1000"),
+    (["mul", "--n", "10", "--order", "1", "--lhs", "x", "--rhs", "x"], "--n must be <= 9, got 10"),
+    (["mul", "--n", "500", "--order", "6", "--lhs", "x", "--rhs", "x"], "--n must be <= 9, got 500"),
+    (["mul", "--n", "200", "--order", "2", "--lhs", "x", "--rhs", "x"], "--n must be <= 9, got 200"),
+    (["verify", "all", "--n", "5", "--order", "1"], "--n must be <= 4 for verify, got 5"),
+    (["verify", "reduce", "--n", "6", "--order", "1"], "--n must be <= 4 for verify, got 6"),
+    (["verify", "all", "--n", "40", "--order", "1"], "--n must be <= 9, got 40"),
+])
+def test_cli_size_above_bound_is_rejected(capsys, argv, message):
+    # the work of table, moreno and verify grows without limit in --rmax and
+    # --smax, and that of mul and verify in --n: a value past the bound
+    # exits 2 at once, with a message that names the bound
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "k-coeff", "--rmax", "60", "--format", "text"],
+    ["table", "a-coeff", "--rmax", "60", "--smax", "60", "--format", "text"],
+    ["mul", "--n", "9", "--order", "1", "--lhs", "z9*zb0/x", "--rhs", "z0*zb9/x"],
+    ["verify", "lemma21", "--n", "4", "--order", "1"],
+])
+def test_cli_size_at_bound_is_accepted(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "moreno", "--rmax", "0", "--order", "2", "--format", "text"],
     ["verify", "lemma21", "--rmax", "-5", "--order", "2"],

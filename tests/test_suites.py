@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -24,6 +26,31 @@ def test_verify_output_is_pinned(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TABLE_DIGESTS = {
+    ("a-coeff", "json"): "cd836897c9401bdf64ab7496aa8455330d2aaf9a73b7156736f5aba5c68dc419",
+    ("a-coeff", "latex"): "c5759ee9829d90c22fd04084ec74100ce2efd664bc4028c97afd8bf705e8d1a8",
+    ("a-coeff", "text"): "fbb4a1050ef05a8f1cad29072c5f05230f454b1d649db1b8a339213de9109e4c",
+    ("k-coeff", "json"): "4786227c0d13e651d4ae591e7e749af3a02c15aa25a72769bb49ed62a0274009",
+    ("k-coeff", "latex"): "bf38fb891f081bbf6eb6b5ca1ef97b656fce6693a82427fd01e6c4d8f2b3a753",
+    ("k-coeff", "text"): "965b888b746787b63052a305c12f63a5ba90cd50011ad1cd76c8a3bdaa2a4f04",
+}
+
+
+@pytest.mark.parametrize("which, fmt", sorted(TABLE_DIGESTS), ids=[f"{w}-{f}" for w, f in sorted(TABLE_DIGESTS)])
+def test_table_output_is_pinned(capsys, which, fmt):
+    # a wrong coefficient can leave every identity between the tables true;
+    # the printed tables at r <= 40 are pinned byte for byte.  The JSON
+    # digests are the ones the benchmark's correctness gate checks.
+    argv = ["table", which, "--rmax", "40"] + ([] if fmt == "json" else ["--format", fmt])
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[which, fmt]
+    if fmt == "json":
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+                               .read_text())
+        assert reference["digests"][json.dumps(argv)] == digest
 
 
 def test_short_series_residual_fails():
