@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,13 @@ MAX_N = 9
 # the work of `verify` grows about 3x per step of n: `verify reduce --order 1`
 # takes 12 s at n = 4 and 38 s at n = 5 (2-CPU x86-64 host, Python 3.11)
 MAX_VERIFY_N = 4
+# the top order of every derivative sum runs over the C(order + n, n)
+# multi-indices beta with |beta| = order, so the two flags are bounded
+# together too: within these caps a product of z0*zb1/x and z1*zb0/x takes
+# at most about 34 s (n = 5, order 15) and `verify all` about 40 s (n = 4,
+# order 6) on the same host
+MAX_INDICES = 20000
+MAX_VERIFY_INDICES = 210
 
 
 def _context(args) -> StarContext:
@@ -52,6 +60,14 @@ def _context(args) -> StarContext:
         raise ValueError(f"--n must be <= {MAX_N}, got {args.n}")
     if args.order > MAX_ORDER:
         raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
+    verify = args.command == "verify"
+    if verify and args.n > MAX_VERIFY_N:
+        raise ValueError(f"--n must be <= {MAX_VERIFY_N} for verify, got {args.n}")
+    cap, scope = (MAX_VERIFY_INDICES, " for verify") if verify else (MAX_INDICES, "")
+    count = math.comb(args.order + args.n, args.n)
+    if count > cap:
+        raise ValueError(f"--n and --order must give C(order + n, n) <= {cap}{scope}, "
+                         f"got C({args.order + args.n}, {args.n}) = {count}")
     return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
 
 
@@ -209,8 +225,6 @@ def _report_text(report) -> list:
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    if ctx.n > MAX_VERIFY_N:
-        raise ValueError(f"--n must be <= {MAX_VERIFY_N} for verify, got {ctx.n}")
     _require_in_range("rmax", args.rmax, 1)
     from . import suites
 

@@ -83,24 +83,23 @@ def _multi_factorial(beta: tuple) -> int:
 
 class DerivCache:
     """Memoized mixed partials d^beta of one element along one variable
-    block (z, zb, or wb); beta is a tuple over the n+1 coordinates."""
+    block (z, zb, or wb); beta is a tuple over the n+1 coordinates.
 
-    __slots__ = ("elem", "block", "cache", "space")
+    ``_reach()`` is the top order with a nonzero partial, read off the
+    element P / q^m (q = xw for wb, else x): -1 for zero, the block degree
+    of the polynomial P q^-m for m <= 0, and unbounded for m > 0, since q
+    is irreducible and primitive in the block: by Gauss's lemma a P / q^m
+    whose partials of some order all vanish needs q^m | P, which
+    canonical form forbids."""
+
+    __slots__ = ("elem", "block", "cache", "space", "_top")
 
     def __init__(self, elem: LaurentElem, block: str):
         self.elem = elem
         self.block = block
         self.space = elem.space
         self.cache = {(0,) * elem.space.nv: elem}
-
-    def _var(self, k: int) -> int:
-        if self.block == "z":
-            return self.space.iz(k)
-        if self.block == "zb":
-            return self.space.izb(k)
-        if self.block == "wb":
-            return self.space.iwb(k)
-        raise ValueError(self.block)
+        self._top = None
 
     def get(self, beta: tuple) -> LaurentElem:
         got = self.cache.get(beta)
@@ -109,12 +108,18 @@ class DerivCache:
         k = max(i for i, b in enumerate(beta) if b)
         prev = list(beta)
         prev[k] -= 1
-        res = self.get(tuple(prev)).diff(self._var(k))
+        slot = {"z": self.space.iz, "zb": self.space.izb, "wb": self.space.iwb}[self.block]
+        res = self.get(tuple(prev)).diff(slot(k))
         self.cache[beta] = res
         return res
 
-    def level_all_zero(self, r: int) -> bool:
-        return all(self.get(b).is_zero() for b in _compositions(r, self.space.nv))
+    def _reach(self):
+        if self._top is None:
+            e, i = self.elem, ("z", "zb", "w", "wb").index(self.block)
+            m = e.mw if i > 1 else e.mz
+            self._top = (-1 if e.is_zero() else float("inf") if m > 0
+                         else max(d[i] for d in map(e.num.degrees, e.num.terms)) - m)
+        return self._top
 
 
 def _metric_sign(space: VarSpace, beta: tuple) -> int:
@@ -128,9 +133,11 @@ def _metric_sign(space: VarSpace, beta: tuple) -> int:
 def _contraction(r: int, dF: DerivCache, dG: DerivCache, scale=1) -> list:
     """(scale * g^beta / beta!, d^beta F, dbar^beta G) over |beta| = r: the
     items of the metric-contracted r-fold derivative pairing, with the
-    zero derivatives left out."""
+    zero derivatives left out, and none past either operand's reach."""
     space = dF.space
     items = []
+    if r > dF._reach() or r > dG._reach():
+        return items
     for beta in _compositions(r, space.nv):
         a = dF.get(beta)
         if a.is_zero():
@@ -147,9 +154,8 @@ def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
 
     The order-m coefficient is one sum, over a + b + r = m and |beta| = r,
     of (g^beta / beta!) d^beta F_a dbar^beta G_b, summed and canonicalized
-    once.  For polynomial coefficients the derivative sum terminates on
-    its own and every retained order is exact; Laurent denominators never
-    terminate, so the contract cut at K applies.
+    once.  Each derivative sum stops at the lower reach of its operands
+    (DerivCache); with x in both denominators only the cut at K stops it.
     """
     space = ctx.space
     for s in (F, G):
@@ -161,14 +167,8 @@ def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
     cG = [DerivCache(c, "zb") for c in G.coeffs[: K + 1]]
     items = [[] for _ in range(K + 1)]
     for a in range(K + 1):
-        if F.coeffs[a].is_zero():
-            continue
         for b in range(K + 1 - a):
-            if G.coeffs[b].is_zero():
-                continue
             for r in range(K + 1 - a - b):
-                if r and (cF[a].level_all_zero(r) or cG[b].level_all_zero(r)):
-                    break
                 items[a + b + r].extend(_contraction(r, cF[a], cG[b]))
     return Series([LaurentElem.sum_of_products(space, its) for its in items])
 
@@ -267,6 +267,8 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
     if r == 0:
         return F
     dz = DerivCache(F, "z")
+    if r > dz._reach():
+        return F.zero()
     prefactor = LaurentElem(_zwb_poly(sp2), canonical=True).pow(r)
     items = []
     for beta in _compositions(r, sp2.nv):
@@ -288,19 +290,16 @@ def _zwb_poly(sp2: VarSpace) -> Poly:
 
 
 def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarContext) -> LaurentElem:
-    """calM_r(f (x) g) against prod_{s<r} (N - s(n-s)) applied to f (x) g,
-    both restricted to the diagonal; zero for homogeneous f, g (H drops on
-    the doubly homogeneous input)."""
+    """M_r(f, g) (calM_r(f (x) g) on the diagonal, term for term) against
+    prod_{s<r} (N - s(n-s)) applied to f (x) g on the diagonal; zero for
+    homogeneous f, g (H drops on the doubly homogeneous input)."""
     if not (f.is_homogeneous() and g.is_homogeneous()):
         raise ValueError("the product formula check wants homogeneous factors")
     n = ctx.n
-    T = tensor(f, g)
-    lhs = restrict_diagonal(op_calm(T, r, ctx))
-    acc = T
+    acc = tensor(f, g)
     for s in range(r):
         acc = op_n(acc, ctx) - acc.scale(s * (n - s))
-    rhs = restrict_diagonal(acc)
-    return lhs - rhs
+    return m_op(f, g, r, ctx) - restrict_diagonal(acc)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
 from wickred.suites import a_table_oracle
 from wickred.wick import StarContext, m_op, op_calm, poisson
+from wickred.wick import DerivCache, default_context
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
@@ -452,6 +453,55 @@ def test_laurent_diff_leibniz_rule(pair):
     a, b = pair
     for v in range(a.space.nvars):
         assert (a * b).diff(v) == a.diff(v) * b + a * b.diff(v)
+
+
+# ----------------------------------------------------------------------
+# the top order with a nonzero partial (DerivCache._reach) against
+# brute-force differentiation
+
+REACH_SPACES = LAURENT_SPACES + [VarSpace.dn(1, two_point=True)]
+# an unbounded reach is checked up to this order; a bounded one is at most
+# 6 here (numerator degree 3, one drawn factor x, x^2 from mz = -2)
+REACH_CHECKED = 4
+
+
+@st.composite
+def reach_cases(draw):
+    space = draw(st.sampled_from(REACH_SPACES))
+    blocks = ("z", "zb", "wb") if space.two_point else ("z", "zb")
+    return draw(laurent_elems(space)), draw(st.sampled_from(blocks))
+
+
+@laurent_settings
+@given(reach_cases())
+def test_reach_is_the_top_order_with_a_nonzero_partial(case):
+    # brute force: every partial of each order, from those of the order
+    # below, until an order where all vanish
+    f, block = case
+    sp = f.space
+    slot = {"z": sp.iz, "zb": sp.izb, "wb": sp.iwb}[block]
+    reach = DerivCache(f, block)._reach()
+    level = {} if f.is_zero() else {(): f}
+    top = 0 if level else -1
+    for r in range(1, REACH_CHECKED + 1 if reach == math.inf else 8):
+        level = {tuple(sorted(k + (v,))): e.diff(slot(v)) for k, e in level.items() for v in range(sp.nv)}
+        level = {k: e for k, e in level.items() if not e.is_zero()}
+        if not level:
+            break
+        top = r
+    assert top == (REACH_CHECKED if reach == math.inf else reach)
+
+
+def test_m_op_past_the_reach_differentiates_nothing():
+    # 1 has no nonzero partial of order 1, so M_16(f, 1) is zero without a
+    # single derivative of 1: a scan would fill dG with the C(20, 4) = 4845
+    # multi-indices of order 16
+    ctx = default_context(4, 16)
+    f = LaurentElem(Poly.variable(ctx.space, 0) * Poly.variable(ctx.space, ctx.space.izb(1)), 1)
+    one = LaurentElem.one_of(ctx.space)
+    dF, dG = DerivCache(f, "z"), DerivCache(one, "zb")
+    assert m_op(f, one, 16, ctx, dF, dG).is_zero()
+    assert list(dG.cache.values()) == [one]
 
 
 def test_x_pow_memo_matches_direct_powers():

@@ -53,7 +53,7 @@ def _stack_depth():
 
 
 def test_p_poly_cold_call_is_not_deep():
-    # --rmax has no upper bound, so a cold p_poly(r) must not recurse r levels
+    # library callers may ask for any r, so a cold p_poly(r) must not recurse r levels
     p_poly.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)

@@ -272,6 +272,57 @@ def test_cli_size_at_bound_is_accepted(capsys, argv):
     assert out.strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mul", "--n", "9", "--order", "8", "--lhs", "x", "--rhs", "x"],
+     "--n and --order must give C(order + n, n) <= 20000, got C(17, 9) = 24310"),
+    (["mul", "--n", "5", "--order", "16", "--lhs", "z0*zb1/x", "--rhs", "z1*zb0/x"],
+     "--n and --order must give C(order + n, n) <= 20000, got C(21, 5) = 20349"),
+    (["mul", "--n", "7", "--order", "11", "--lhs", "x", "--rhs", "x", "--product", "wick"],
+     "--n and --order must give C(order + n, n) <= 20000, got C(18, 7) = 31824"),
+    (["verify", "all", "--n", "4", "--order", "8"],
+     "--n and --order must give C(order + n, n) <= 210 for verify, got C(12, 4) = 495"),
+    (["verify", "all", "--n", "4", "--order", "7"],
+     "--n and --order must give C(order + n, n) <= 210 for verify, got C(11, 4) = 330"),
+    (["verify", "reduce", "--n", "3", "--order", "9"],
+     "--n and --order must give C(order + n, n) <= 210 for verify, got C(12, 3) = 220"),
+])
+def test_cli_n_and_order_past_joint_bound_are_rejected(capsys, argv, message):
+    # each flag is within its own bound, but the top order of every
+    # derivative sum runs over C(order + n, n) multi-indices
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--n", "7", "--order", "10", "--lhs", "x", "--rhs", "x"],
+    ["mul", "--n", "5", "--order", "15", "--lhs", "x", "--rhs", "z0*zb0/x", "--product", "wick"],
+    ["mul", "--n", "4", "--order", "16", "--lhs", "z0*zb1/x", "--rhs", "1"],
+])
+def test_cli_mul_at_joint_bound_is_accepted(capsys, argv):
+    # C(17, 7) = 19448 and C(20, 5) = 15504 are within the cap; these
+    # products stop at their operands' degree, so they are quick
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["order"] == int(argv[argv.index("--order") + 1])
+
+
+@pytest.mark.parametrize("n, order", [(4, 6), (3, 8), (2, 16), (1, 16)])
+def test_cli_verify_at_joint_bound_is_accepted(n, order):
+    # C(10, 4) = 210 is the cap itself; the suites at these sizes take
+    # half a minute each, so only the input checks run here
+    from wickred import cli
+
+    args = cli.build_parser().parse_args(["verify", "all", "--n", str(n), "--order", str(order)])
+    ctx = cli._context(args)
+    assert (ctx.n, ctx.K) == (n, order)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "moreno", "--rmax", "0", "--order", "2", "--format", "text"],
     ["verify", "lemma21", "--rmax", "-5", "--order", "2"],

@@ -348,3 +348,16 @@ def test_product_formula(rng):
             g = rand_homogeneous(ctx.space, rng)
             for r in (1, 2, 3):
                 assert product_formula_check(r, f, g, ctx).is_zero()
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1)], ids=str)
+def test_calm_on_the_diagonal_is_m_op(space, rng):
+    # calM_r(f (x) g) restricted to the diagonal is M_r(f, g) term for term:
+    # (g z.wb)^r becomes x^r and dbar_w^beta g(w) becomes dbar_z^beta g(z),
+    # homogeneous or not, with or without an x in the denominator
+    ctx = StarContext(space=space, K=4)
+    pairs = [(rand_homogeneous(space, rng), rand_homogeneous(space, rng)),
+             (rand_poly(space, rng, max_deg=2), rand_invariant(space, rng))]
+    for f, g in pairs:
+        for r in (1, 2, 3):
+            assert restrict_diagonal(op_calm(tensor(f, g), r, ctx)) == m_op(f, g, r, ctx)
