@@ -46,6 +46,8 @@ MAX_VERIFY_N = 4
 # order 6) on the same host
 MAX_INDICES = 20000
 MAX_VERIFY_INDICES = 210
+# C(order + n, n) * terms(lhs) * terms(rhs): each multi-index meets each term pair
+MAX_MUL_WORK = 20000
 
 
 def _context(args) -> StarContext:
@@ -101,6 +103,12 @@ def cmd_mul(args) -> int:
 
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)
     rhs = parse_expr(args.rhs, ctx.space, ctx.K)
+    t = [sum(len(c.num.terms) for c in s.coeffs) for s in (lhs, rhs)]
+    work = math.comb(ctx.K + ctx.n, ctx.n) * t[0] * t[1]
+    if work > MAX_MUL_WORK:
+        raise ValueError(f"--n, --order and the operands must give C(order + n, n) * terms(lhs) * "
+                         f"terms(rhs) <= {MAX_MUL_WORK}, got C({ctx.K + ctx.n}, {ctx.n}) * "
+                         f"{t[0]} * {t[1]} = {work}")
     if args.product == "wick":
         result = wick_product(lhs, rhs, ctx)
     elif args.product == "tilde":

@@ -13,7 +13,7 @@ from operator import mul
 from . import sparse
 from .poly import LaurentElem
 from .scalar import GaussianRational, binomial, factorial
-from .series import Series, UnivarPoly
+from .series import Series, UnivarPoly, scalar_series
 from .wick import DerivCache, StarContext, m_op, radial_elem, radial_star, wick_product
 
 
@@ -229,53 +229,62 @@ def functional_equation_residual(ctx: StarContext) -> Series:
 # action of S on the Laurent class
 
 
+# S(x^j), D x and lambda/(D x) are each x^j times a scalar series in
+# u = lambda/x: with Dh(u) = sum_r d_r u^r, D x = x Dh(u) and
+# lambda/(D x) = u / Dh(u).  They are computed as scalar series and lifted
+# once, order t to the single term sigma[t] x^(j-t).
+
+
+def _lift(sigma: Series, j: int, ctx: StarContext) -> Series:
+    """x^j sigma(lambda/x) as a series of radial Laurent elements."""
+    return Series([LaurentElem.x_power(ctx.space, j - t).scale(c) for t, c in enumerate(sigma.coeffs)])
+
+
+def _d_hat(ctx: StarContext) -> Series:
+    """Dh(u) = sum_r d_r u^r."""
+    return scalar_series(ctx.D, ctx.K)
+
+
+@lru_cache(maxsize=None)
+def _u_over_d(ctx: StarContext) -> Series:
+    """u / Dh(u)."""
+    return _d_hat(ctx).invert().times_lambda(1)
+
+
 @lru_cache(maxsize=None)
 def dx_series(ctx: StarContext) -> Series:
     """D(x, lambda) * x as a series of radial Laurent elements."""
-    coeffs = []
-    for r in range(ctx.K + 1):
-        d = ctx.d_coeff(r)
-        if d:
-            coeffs.append(LaurentElem.x_power(ctx.space, 1 - r).scale(d))
-        else:
-            coeffs.append(LaurentElem.zero_of(ctx.space))
-    return Series(coeffs)
+    return _lift(_d_hat(ctx), 1, ctx)
 
 
 @lru_cache(maxsize=None)
 def lam_over_dx(ctx: StarContext) -> Series:
     """lambda / (D x): the expansion parameter of the closed formulas."""
-    return dx_series(ctx).invert().times_lambda(1)
+    return _lift(_u_over_d(ctx), 0, ctx)
 
 
 @lru_cache(maxsize=None)
 def s_apply_xpow(j: int, ctx: StarContext) -> Series:
-    """S applied to x^j.
+    """S applied to x^j, which is x^j sigma_j(u) with v = u / Dh(u):
 
-    j >= 1: (Dx)^j prod_{k=0..j-1} (1 - k lambda/(Dx));
-    j <= -1: (Dx)^j sum_s A^(|j|)_s (lambda/(Dx))^s;
-    j == 0: 1.
+    j >= 1: sigma_j = Dh^j prod_{k=1..j-1} (1 - k v);
+    j <= -1: sigma_j = Dh^(-|j|) sum_s A^(|j|)_s v^s (A^(|j|)_0 = 1);
+    j == 0: sigma_0 = 1.
     """
-    space = ctx.space
-    K = ctx.K
-    if j == 0:
-        return Series.const(LaurentElem.one_of(space), K)
-    u = lam_over_dx(ctx)
-    one = Series.const(LaurentElem.one_of(space), K)
-    if j > 0:
-        res = dx_series(ctx).pow(j)
+    d, v = _d_hat(ctx), _u_over_d(ctx)
+    one = d.one()
+    if j >= 0:
+        sigma = d.pow(j)
         for k in range(1, j):
-            res = res * (one - u.scale(k))
-        return res
-    r = -j
-    upows = [one]
-    for _ in range(K):
-        upows.append(upows[-1] * u)
-    unit = LaurentElem.one_of(space)
-    terms = [(a_coeff(r, s), w) for s, w in enumerate(upows)]
-    acc = Series([LaurentElem.sum_of_products(space, [(c, w.coeffs[t], unit) for c, w in terms])
-                  for t in range(K + 1)])
-    return acc * dx_series(ctx).invert().pow(r)
+            sigma = sigma * (one - v.scale(k))
+    else:
+        r = -j
+        vpow, acc = one, one
+        for s in range(1, ctx.K + 1):
+            vpow = vpow * v
+            acc = acc + vpow.scale(a_coeff(r, s))
+        sigma = acc * d.invert().pow(r)
+    return _lift(sigma, j, ctx)
 
 
 def _s_pairs(elem: LaurentElem, ctx: StarContext) -> list:
@@ -368,9 +377,10 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
     if not (f.is_homogeneous() and g.is_homogeneous()):
         raise ValueError("the closed formula wants homogeneous arguments")
     K = ctx.K
-    weights = closed_weights(lam_over_dx(ctx), K)
+    weights = closed_weights(_u_over_d(ctx), K)
     dF, dG = DerivCache(f, "z"), DerivCache(g, "zb")
-    return closed_sum(f, g, [(m_op(f, g, r, ctx, dF, dG), weights[r]) for r in range(1, K + 1)], K)
+    return closed_sum(f, g, [(m_op(f, g, r, ctx, dF, dG), _lift(weights[r], 0, ctx))
+                             for r in range(1, K + 1)], K)
 
 
 # ----------------------------------------------------------------------

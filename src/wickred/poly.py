@@ -108,15 +108,15 @@ class VarSpace:
         """Block ("z", plus "w" on two-point spaces) -> its localizing
         quadratic, x = sum_k g_kk z^k zb^k or xw = sum_k g_kk w^k wb^k.
 
-        Its null point is an integer point where it vanishes (z and zb
+        Its null point is a point of plain ints where it vanishes (z and zb
         taken independent, every other coordinate 1): a cheap certificate
         that a polynomial is NOT divisible by the quadratic.
         """
         nv, vk = self.nv, self.var_keys
         zs = [1] + [k + 2 for k in range(1, nv)]
         zbs = [-self.metric[0] * sum(self.metric[k] * zs[k] for k in range(1, nv))] + [1] * (nv - 1)
-        vals = [GaussianRational(v) for v in zs + zbs]
-        ones = [ONE] * (2 * nv)
+        vals = zs + zbs
+        ones = [1] * (2 * nv)
         blocks = ("z", "w") if self.two_point else ("z",)
         out = {}
         for b, block in enumerate(blocks):
@@ -254,9 +254,9 @@ class Poly:
         integer point with x = 0 rejects most non-multiples first: a
         multiple of x vanishes there, so a nonzero value proves x does not
         divide.  That value is computed exactly by ``sparse.teval`` on
-        integer triples (one power table per coordinate other than 1, one
-        normalization per call), so the certificate costs a few int
-        multiplies per term; a zero value falls through to the division.
+        integer triples, with the power tables of the integer point built
+        once per process, so the certificate costs a few int multiplies
+        per term; a zero value falls through to the division.
         """
         if not self.terms:
             return Poly.zero(self.space)
@@ -312,10 +312,12 @@ class LaurentElem:
     powers zero.  mz and mw may be negative; x itself is (1, mz=-1).
     Uniqueness follows from x being irreducible (a quadratic form of rank
     2(n+1) >= 4), which also means products of canonical elements need no
-    re-canonicalization.
+    re-canonicalization.  An element is never mutated once its constructor
+    (or the ``_canonicalize`` that follows it) returns, so the lazy
+    ``partials`` slot (block -> ``wick.DerivCache``) holds for life.
     """
 
-    __slots__ = ("space", "num", "mz", "mw")
+    __slots__ = ("space", "num", "mz", "mw", "partials")
 
     def __init__(self, num: Poly, mz: int = 0, mw: int = 0, canonical: bool = False):
         self.space = num.space

@@ -95,7 +95,9 @@ class GaussianRational:
             p //= g
             q //= g
             d //= g
-        return cls._raw(p, q, d)
+        self = object.__new__(cls)  # not via _raw: this runs once per term
+        self.p, self.q, self.d = p, q, d
+        return self
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":

@@ -236,8 +236,9 @@ def teval(a: dict, values, nvars: int) -> GaussianRational:
 
     Every coefficient and every entry of ``values`` (ints, Fractions or
     GaussianRationals) is an integer triple (p + q*i)/d.  One power table
-    is built per slot whose value is not exactly 1; each term then
-    multiplies its numerator pair by table entries in plain int arithmetic,
+    is used per slot whose value is not exactly 1, built once per point and
+    top degree, so a null point's tables serve every certificate; each term
+    then multiplies its numerator pair by table entries in plain int arithmetic,
     and the numerators are summed per denominator.  A single normalization
     over the lcm of those denominators closes the sum, so no gcd is taken
     and no scalar object is built per term.
@@ -245,18 +246,7 @@ def teval(a: dict, values, nvars: int) -> GaussianRational:
     if not a:
         return ZERO
     top = max(a) >> (SLOT * nvars)  # graded keys: bounds every exponent
-    slots = []
-    for i in range(nvars):
-        v = GaussianRational.coerce(values[i])
-        p, q, d = v.p, v.q, v.d
-        if p == 1 and q == 0 and d == 1:
-            continue
-        table = [(1, 0, 1)]
-        tp, tq, td = 1, 0, 1
-        for _ in range(top):
-            tp, tq, td = tp * p - tq * q, tp * q + tq * p, td * d
-            table.append((tp, tq, td))
-        slots.append((SLOT * i, table))
+    slots = _power_tables(tuple(values), top, nvars)
     sums = {}
     for k, c in a.items():
         p, q, d = c.p, c.q, c.d
@@ -281,3 +271,21 @@ def teval(a: dict, values, nvars: int) -> GaussianRational:
         num_p += p * f
         num_q += q * f
     return GaussianRational._norm(num_p, num_q, den)
+
+
+@lru_cache(maxsize=1024)
+def _power_tables(values: tuple, top: int, nvars: int) -> tuple:
+    """(bit shift, [v^0, ..., v^top] as triples) per slot whose v is not 1."""
+    slots = []
+    for i in range(nvars):
+        v = GaussianRational.coerce(values[i])
+        p, q, d = v.p, v.q, v.d
+        if p == 1 and q == 0 and d == 1:
+            continue
+        table = [(1, 0, 1)]
+        tp, tq, td = 1, 0, 1
+        for _ in range(top):
+            tp, tq, td = tp * p - tq * q, tp * q + tq * p, td * d
+            table.append((tp, tq, td))
+        slots.append((SLOT * i, table))
+    return tuple(slots)

@@ -6,8 +6,9 @@ the radial product, and the two-point operators N and calM_r (H is
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import sparse
 from .poly import LaurentElem, Poly, VarSpace
@@ -74,16 +75,13 @@ def _compositions(total: int, parts: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _multi_factorial(beta: tuple) -> int:
-    out = 1
-    for b in beta:
-        for j in range(2, b + 1):
-            out *= j
-    return out
+    return math.prod(map(math.factorial, beta))
 
 
 class DerivCache:
     """Memoized mixed partials d^beta of one element along one variable
-    block (z, zb, or wb); beta is a tuple over the n+1 coordinates.
+    block (z, zb, or wb); beta is a tuple over the n+1 coordinates.  One
+    per element object and block (in its ``partials``): products share it.
 
     ``_reach()`` is the top order with a nonzero partial, read off the
     element P / q^m (q = xw for wb, else x): -1 for zero, the block degree
@@ -92,14 +90,19 @@ class DerivCache:
     whose partials of some order all vanish needs q^m | P, which
     canonical form forbids."""
 
-    __slots__ = ("elem", "block", "cache", "space", "_top")
+    __slots__ = ("block", "cache", "space", "_top")
 
-    def __init__(self, elem: LaurentElem, block: str):
-        self.elem = elem
-        self.block = block
-        self.space = elem.space
-        self.cache = {(0,) * elem.space.nv: elem}
-        self._top = None
+    def __new__(cls, elem: LaurentElem, block: str):
+        views = getattr(elem, "partials", None)
+        if views is None:
+            views = elem.partials = {}
+        self = views.get(block)
+        if self is None:
+            # d^0 is a copy of elem, so no table refers back to its element
+            self = views[block] = object.__new__(cls)
+            self.block, self.space, self._top = block, elem.space, None
+            self.cache = {(0,) * elem.space.nv: LaurentElem(elem.num, elem.mz, elem.mw, canonical=True)}
+        return self
 
     def get(self, beta: tuple) -> LaurentElem:
         got = self.cache.get(beta)
@@ -115,7 +118,7 @@ class DerivCache:
 
     def _reach(self):
         if self._top is None:
-            e, i = self.elem, ("z", "zb", "w", "wb").index(self.block)
+            e, i = self.cache[(0,) * self.space.nv], ("z", "zb", "w", "wb").index(self.block)
             m = e.mw if i > 1 else e.mz
             self._top = (-1 if e.is_zero() else float("inf") if m > 0
                          else max(d[i] for d in map(e.num.degrees, e.num.terms)) - m)
@@ -123,11 +126,7 @@ class DerivCache:
 
 
 def _metric_sign(space: VarSpace, beta: tuple) -> int:
-    s = 1
-    for k, b in enumerate(beta):
-        if b & 1 and space.metric[k] == -1:
-            s = -s
-    return s
+    return -1 if sum(b for b, g in zip(beta, space.metric) if g == -1) & 1 else 1
 
 
 def _contraction(r: int, dF: DerivCache, dG: DerivCache, scale=1) -> list:
@@ -163,13 +162,13 @@ def wick_product(F: Series, G: Series, ctx: StarContext) -> Series:
             if c.space != space:
                 raise ValueError("operands live in a different space than the context")
     K = min(F.order, G.order, ctx.K)
-    cF = [DerivCache(c, "z") for c in F.coeffs[: K + 1]]
-    cG = [DerivCache(c, "zb") for c in G.coeffs[: K + 1]]
+    cF = [(a, DerivCache(c, "z")) for a, c in enumerate(F.coeffs[: K + 1]) if not c.is_zero()]
+    cG = [(b, DerivCache(c, "zb")) for b, c in enumerate(G.coeffs[: K + 1]) if not c.is_zero()]
     items = [[] for _ in range(K + 1)]
-    for a in range(K + 1):
-        for b in range(K + 1 - a):
+    for a, dF in cF:
+        for b, dG in cG:
             for r in range(K + 1 - a - b):
-                items[a + b + r].extend(_contraction(r, cF[a], cG[b]))
+                items[a + b + r].extend(_contraction(r, dF, dG))
     return Series([LaurentElem.sum_of_products(space, its) for its in items])
 
 
@@ -275,7 +274,8 @@ def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
         a = dz.get(beta)
         if a.is_zero():
             continue
-        b = DerivCache(a, "wb").get(beta)
+        # its wb partials are needed once: chained here, kept out of a's table
+        b = reduce(LaurentElem.diff, [sp2.iwb(k) for k, e in enumerate(beta) for _ in range(e)], a)
         if b.is_zero():
             continue
         sign = _metric_sign(sp2, beta)

@@ -629,3 +629,49 @@ def test_readme_command_runs(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.strip()
+
+
+# ----------------------------------------------------------------------
+# the work of `mul` bounded by the operands' size as well
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mul", "--n", "7", "--order", "10",
+      "--lhs", "(z0*zb1+z1*zb2+z2*zb0)/x", "--rhs", "(z1*zb0+z2*zb1+z0*zb2)/x"],
+     "C(17, 7) * 3 * 3 = 175032"),
+    (["mul", "--n", "7", "--order", "10", "--product", "wick",
+      "--lhs", "(z0*zb1+z1*zb2)/x", "--rhs", "z1*zb0/x"],
+     "C(17, 7) * 2 * 1 = 38896"),
+    (["mul", "--n", "1", "--order", "10", "--product", "wick",
+      "--lhs", "(z0+z1)^39*(zb0+zb1)^49", "--rhs", "1"],
+     "C(11, 1) * 2000 * 1 = 22000"),
+])
+def test_cli_mul_past_operand_bound_is_rejected(capsys, argv, message):
+    # each flag and C(order + n, n) are within their bounds, but every
+    # multi-index pairs each term of one operand with each of the other
+    from wickred.cli import MAX_MUL_WORK
+
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --n, --order and the operands must give C(order + n, n) * "
+                   f"terms(lhs) * terms(rhs) <= {MAX_MUL_WORK}, got {message}\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # C(10, 1) * 2000 * 1 = 20000, the cap itself; the product stops at
+    # order 0 of the constant 1, so it is quick
+    ["mul", "--n", "1", "--order", "9", "--product", "wick",
+     "--lhs", "(z0+z1)^39*(zb0+zb1)^49", "--rhs", "1"],
+    # C(17, 7) * 1 * 1 = 19448, the largest C(order + n, n) within
+    # MAX_INDICES, with one-term operands
+    ["mul", "--n", "7", "--order", "10", "--lhs", "z0*zb1/x", "--rhs", "1"],
+])
+def test_cli_mul_at_operand_bound_is_accepted(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["order"] == int(argv[argv.index("--order") + 1])
