@@ -19,12 +19,17 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 # Each command imports the modules it runs, so that a process compiles and
-# loads only those: importing this module loads the package core alone.
+# loads only those.  Importing this module loads `scalar` and `series`
+# alone; `table` adds `coeffs`, `moreno` adds `coeffs`, `sparse` and
+# `moreno`, and `mul` and `verify` load the Laurent kernel through `wick`.
 from . import SUITE_NAMES
 from .series import latex_fraction
-from .wick import StarContext, default_context, wick_product
+
+if TYPE_CHECKING:
+    from .wick import StarContext
 
 
 DEFAULT_ORDER = 6
@@ -70,6 +75,8 @@ def _context(args) -> StarContext:
     if count > cap:
         raise ValueError(f"--n and --order must give C(order + n, n) <= {cap}{scope}, "
                          f"got C({args.order + args.n}, {args.n}) = {count}")
+    from .wick import default_context
+
     return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
 
 
@@ -110,6 +117,8 @@ def cmd_mul(args) -> int:
                          f"terms(rhs) <= {MAX_MUL_WORK}, got C({ctx.K + ctx.n}, {ctx.n}) * "
                          f"{t[0]} * {t[1]} = {work}")
     if args.product == "wick":
+        from .wick import wick_product
+
         result = wick_product(lhs, rhs, ctx)
     elif args.product == "tilde":
         from . import equiv
@@ -137,11 +146,11 @@ def cmd_mul(args) -> int:
 
 def a_table_latex(rmax: int, smax: int) -> list:
     """The A^(r)_s matrix (rows r = 0..rmax, columns s = 0..smax) as LaTeX lines."""
-    from . import equiv
+    from .coeffs import a_coeff
 
     latex = [r"\begin{pmatrix}"]
     for r in range(rmax + 1):
-        row = " & ".join(latex_fraction(equiv.a_coeff(r, s)) for s in range(smax + 1))
+        row = " & ".join(latex_fraction(a_coeff(r, s)) for s in range(smax + 1))
         latex.append(row + (r" \\" if r < rmax else ""))
     latex.append(r"\end{pmatrix}")
     return latex
@@ -149,13 +158,13 @@ def a_table_latex(rmax: int, smax: int) -> list:
 
 def k_table_latex(rmax: int) -> list:
     """K~_r = sum_s c_{r,s} M~_s for r = 1..rmax as LaTeX align lines."""
-    from . import reduction
+    from .coeffs import k_coeff
 
     latex = [r"\begin{align*}"]
     for r in range(1, rmax + 1):
         body = ""
         for s in range(1, r + 1):
-            c = reduction.k_coeff(r, s)
+            c = k_coeff(r, s)
             if not c:
                 continue
             part = f"{latex_fraction(c)}\\,\\tilde{{M}}_{{{s}}}"
@@ -171,18 +180,18 @@ def cmd_table(args) -> int:
         smax = rmax if args.smax is None else args.smax
         _require_in_range("rmax", rmax, 0)
         _require_in_range("smax", smax, 0)
-        from . import equiv
+        from .coeffs import a_coeff
 
-        cells = [(r, s, equiv.a_coeff(r, s)) for r in range(rmax + 1) for s in range(smax + 1)]
+        cells = [(r, s, a_coeff(r, s)) for r in range(rmax + 1) for s in range(smax + 1)]
         obj = {"table": "a-coeff", "rmax": rmax, "smax": smax}
         name, latex = "A", lambda: a_table_latex(rmax, smax)
     else:
         if args.smax is not None:
             raise ValueError("--smax applies to table a-coeff")
         _require_in_range("rmax", rmax, 1)
-        from . import reduction
+        from .coeffs import k_coeff
 
-        cells = [(r, s, reduction.k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
+        cells = [(r, s, k_coeff(r, s)) for r in range(1, rmax + 1) for s in range(1, r + 1)]
         obj = {"table": "k-coeff", "rmax": rmax}
         name, latex = "c", lambda: k_table_latex(rmax)
     obj["entries"] = [{"r": r, "s": s, "value": str(v)} for r, s, v in cells]

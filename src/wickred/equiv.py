@@ -1,6 +1,6 @@
 """The equivalence transformation S between the radial product and the
-pointwise product: its rational coefficient table A^(r)_s, its symbol in
-(x, alpha), the functional equation, the action on powers of x and on the
+pointwise product: its symbol in (x, alpha), the functional equation, the
+action on powers of x (through the table A^(r)_s of `coeffs`) and on the
 whole invariant Laurent class, and the transformed star-product.
 """
 
@@ -8,54 +8,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from . import sparse
+from .coeffs import a_coeff
 from .poly import LaurentElem
-from .scalar import GaussianRational, binomial, factorial
+from .scalar import GaussianRational, factorial
 from .series import Series, UnivarPoly, scalar_series
 from .wick import DerivCache, StarContext, m_op, radial_elem, radial_star, wick_product
-
-
-# ----------------------------------------------------------------------
-# coefficients A^(r)_s
-
-
-@lru_cache(maxsize=None)
-def a_coeff(r: int, s: int) -> Fraction:
-    """A^(r)_s: the u^s coefficient of prod_{k=1..r} (1 + k u)^(-1).
-
-    A^(0)_0 = 1 and A^(0)_s = 0 for s >= 1; for r >= 1 the closed form is
-    (1/(r-1)!) sum_{k=1..r} C(r-1, k-1) k^(s+r-1) (-1)^(r+s-k).
-
-    The sum is taken in plain integers, row by row: row r keeps its running
-    terms C(r-1, k-1) (-1)^(r-k) k^(r-1+t) at the last t asked (`_a_row`),
-    and the step to t + 1 multiplies term k by k.  Entry s is their sum
-    over (r-1)!, with the sign (-1)^s; one Fraction is built per entry.  An
-    s below the row's t starts the row again from t = 0.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("a_coeff wants nonnegative indices")
-    if r == 0:
-        return Fraction(1 if s == 0 else 0)
-    row = _a_row(r)
-    t, terms, start = row
-    if s < t:
-        t, terms = 0, start
-    ks = range(1, r + 1)
-    for _ in range(t, s):
-        terms = list(map(mul, terms, ks))
-    row[:2] = s, terms
-    total = sum(terms)
-    return Fraction(-total if s % 2 else total, factorial(r - 1))
-
-
-@lru_cache(maxsize=None)
-def _a_row(r: int) -> list:
-    """[t, terms at t, terms at 0] for row r >= 1 of A, where term k is
-    C(r-1, k-1) (-1)^(r-k) k^(r-1+t); only `a_coeff` moves t."""
-    start = [binomial(r - 1, k - 1) * (-1) ** (r - k) * k ** (r - 1) for k in range(1, r + 1)]
-    return [0, start, start]
 
 
 # ----------------------------------------------------------------------
@@ -249,18 +208,6 @@ def _d_hat(ctx: StarContext) -> Series:
 def _u_over_d(ctx: StarContext) -> Series:
     """u / Dh(u)."""
     return _d_hat(ctx).invert().times_lambda(1)
-
-
-@lru_cache(maxsize=None)
-def dx_series(ctx: StarContext) -> Series:
-    """D(x, lambda) * x as a series of radial Laurent elements."""
-    return _lift(_d_hat(ctx), 1, ctx)
-
-
-@lru_cache(maxsize=None)
-def lam_over_dx(ctx: StarContext) -> Series:
-    """lambda / (D x): the expansion parameter of the closed formulas."""
-    return _lift(_u_over_d(ctx), 0, ctx)
 
 
 @lru_cache(maxsize=None)

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import sparse
-from .equiv import a_coeff
-from .poly import LaurentElem
+from .coeffs import a_coeff
 from .scalar import ONE, GaussianRational, binomial, factorial
 from .series import UnivarPoly
-from .wick import StarContext, m_op
+
+if TYPE_CHECKING:
+    from .poly import LaurentElem
+    from .wick import StarContext
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +286,8 @@ def chart_cross_check(phi: LaurentElem, psi: LaurentElem, r: int, ctx: StarConte
     """prod_{k<r} (Delta_{u ub} + k(k-n)) applied to phi(u, vb) psi(v, ub),
     restricted to the diagonal, minus the chart image of M_r(phi, psi)
     computed in homogeneous coordinates; must vanish."""
+    from .wick import m_op
+
     n = ctx.n
     T = hom_to_chart(phi, "uv") * hom_to_chart(psi, "vu")
     for k in range(r):

@@ -17,6 +17,7 @@ operator used downstream.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import cached_property
 from typing import NamedTuple
@@ -272,25 +273,30 @@ class Poly:
         lead = quad.lead
         rest = [(k, c.p) for k, c in quad.terms.items() if k != lead]
         norm = GaussianRational._norm
+        # the keys of r are also on a heap, negated, so the largest comes
+        # off first; a step adds only keys t + km below the key t + lead it
+        # removes, so each key enters the heap once, and one that cancels
+        # stays in r as (0, 0) until it comes off
+        heap = [-k for k in r]
+        heapq.heapify(heap)
         q = {}
-        while r:
-            kl = max(r)
+        while heap:
+            kl = -heapq.heappop(heap)
+            p, pi = r.pop(kl)
+            if not (p or pi):
+                continue
             if not sparse.divides(lead, kl, space.nvars):
                 return None
             t = kl - lead
-            p, pi = r.pop(kl)
             q[t] = norm(p, pi, den)
             for km, s in rest:
                 k = t + km
                 prev = r.get(k)
                 if prev is None:
                     r[k] = (-s * p, -s * pi)
+                    heapq.heappush(heap, -k)
                 else:
-                    sp, si = prev[0] - s * p, prev[1] - s * pi
-                    if sp or si:
-                        r[k] = (sp, si)
-                    else:
-                        del r[k]
+                    r[k] = (prev[0] - s * p, prev[1] - s * pi)
         return Poly(space, q)
 
     # ------------------------------------------------------------------

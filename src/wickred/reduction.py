@@ -12,12 +12,13 @@ against direct separation of the momentum ideal from the Wick product.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .equiv import closed_sum, closed_weights, s_apply, tilde_star
+# equiv (S and the transformed product) is imported inside the four
+# cross-checks that use it, so that the reduced product alone never loads it
+from .coeffs import k_coeff
 from .poly import LaurentElem, VarSpace
-from .scalar import GaussianRational, binomial, factorial
+from .scalar import GaussianRational
 from .series import Series, scalar_series
 from .wick import DerivCache, StarContext, m_op, poisson, wick_product
 
@@ -88,21 +89,6 @@ def ideal_decompose(F: Series, ctx: StarContext) -> DecompResult:
 # the reduced star-product
 
 
-@lru_cache(maxsize=None)
-def k_coeff(r: int, s: int) -> Fraction:
-    """c_{r,s} = sum_{k=1..s} k^(r-1) (-1)^(r-k) / (s! (s-k)! (k-1)!),
-    the coefficient of M~_s inside the order-r term of the reduced
-    product; equals A^(s)_{r-s} / s!.
-
-    The sum is taken in plain integers over the common denominator
-    s! (s-1)!, where term k is C(s-1, k-1) k^(r-1) (-1)^(r-k); one Fraction
-    is built at the end."""
-    if not (1 <= s <= r):
-        raise ValueError("k_coeff wants 1 <= s <= r")
-    total = sum(binomial(s - 1, k - 1) * k ** (r - 1) * (-1) ** (r - k) for k in range(1, s + 1))
-    return Fraction(total, factorial(s) * factorial(s - 1))
-
-
 def _k_tilde_items(r: int, ms, scale=1) -> list:
     """(scale * c_{r,s}, M~_s, 1) for s = 1..r, given ms[s] = M~_s: the
     items of scale * K~_r for ``LaurentElem.sum_of_products``."""
@@ -162,6 +148,8 @@ def reduced_poisson(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> Lau
 
 def reduction_compatibility(F: Series, G: Series, ctx: StarContext) -> Series:
     """reduce(F tilde-star G) - (reduce F) mu-star (reduce G); zero."""
+    from .equiv import tilde_star
+
     lhs = reduce_function(tilde_star(F, G, ctx), ctx)
     rhs = mu_star(reduce_function(F, ctx), reduce_function(G, ctx), ctx)
     return lhs - rhs
@@ -176,6 +164,8 @@ def wick_reduce(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> Series:
     """
     if not (phi.is_homogeneous() and psi.is_homogeneous()):
         raise ValueError("wick_reduce wants degree-(0,0) representatives")
+    from .equiv import s_apply
+
     W = wick_product(Series.const(phi, ctx.K), Series.const(psi, ctx.K), ctx)
     return reduce_function(s_apply(W, ctx), ctx)
 
@@ -209,6 +199,8 @@ def wick_reduce_by_division(phi: LaurentElem, psi: LaurentElem, ctx: StarContext
 def quantum_momentum_check(F: Series, ctx: StarContext) -> Series:
     """F tilde-star SJ - SJ tilde-star F - (i lambda / 2) {F, J}; zero for
     every admissible D.  SJ = D J is the quantum momentum map."""
+    from .equiv import s_apply, tilde_star
+
     SJ = s_apply(Series.const(momentum_map(ctx), ctx.K), ctx)
     lhs = tilde_star(F, SJ, ctx) - tilde_star(SJ, F, ctx)
     half_i = GaussianRational(0, Fraction(1, 2))
@@ -226,6 +218,8 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
     """
     if not (phi.is_homogeneous() and psi.is_homogeneous()):
         raise ValueError("reparametrize_check wants degree-(0,0) representatives")
+    from .equiv import closed_sum, closed_weights
+
     K = ctx.K
     D = tuple(Fraction(d) for d in D)
     c = -2 * ctx.mu

@@ -21,8 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
-from wickred.equiv import (a_coeff, closed_weights, dx_series, lam_over_dx, s_apply, s_apply_xpow,
-                           tilde_star_closed)
+from wickred.equiv import a_coeff, closed_weights, s_apply, s_apply_xpow, tilde_star_closed
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
 from wickred.reduction import ideal_decompose, k_coeff, reduce_elem
 from wickred.scalar import ONE, ZERO, GaussianRational, power
@@ -30,6 +29,8 @@ from wickred.series import Series, UnivarPoly
 from wickred.suites import a_table_oracle
 from wickred.wick import StarContext, m_op, op_calm, poisson
 from wickred.wick import DerivCache, default_context
+
+from lambda_series import dx_series, lam_over_dx
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
@@ -676,11 +677,34 @@ def division_cases(draw):
     return p, block
 
 
+def many_term_multiple(space):
+    """x * (1 + sum_i c_i v_i)^4 over every variable of `space`, with mixed
+    denominators: on a two-point space, over 200 terms."""
+    q = Poly.one(space)
+    for i in range(space.nvars):
+        q = q + Poly.variable(space, i).scale(GaussianRational(Fraction(1, i + 2), i % 3 - 1))
+    return divisor(space, "z") * q.pow(4)
+
+
+def low_non_multiple(space):
+    """(a z1 - b z0) w0 with (a, b) the null point's (z0, z1): it vanishes
+    at the null point, so the certificate passes it on, and its keys sit
+    below those of a many-term multiple, so the division reaches it last."""
+    a, b = null_point(space, "z")[:2]
+    z0, z1 = Poly.variable(space, space.iz(0)), Poly.variable(space, space.iz(1))
+    return (z1.scale(a) - z0.scale(b)) * Poly.variable(space, space.iw(0))
+
+
+MANY = many_term_multiple(SPACES[4])
+
+
 # x * i*(z1*zb1 - z0*zb0): the division meets keys that x*q cancelled
 @props
 @given(division_cases())
 @example((divisor(SPACES[0], "z") * Poly.from_exponent_map(
     SPACES[0], {(0, 1, 0, 1): GaussianRational(0, 1), (1, 0, 1, 0): GaussianRational(0, -1)}), "z"))
+@example((MANY, "z"))
+@example((MANY + low_non_multiple(SPACES[4]), "z"))
 def test_divided_by_x_matches_reference_division(case):
     p, block = case
     got = p.divided_by_x(block)
