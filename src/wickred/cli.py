@@ -15,6 +15,7 @@ The truncation order defaults to 6.  `--seed` is a `verify` option, and
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -25,6 +26,11 @@ from typing import TYPE_CHECKING
 # loads only those.  Importing this module loads `scalar` and `series`
 # alone; `table` adds `coeffs`, `moreno` adds `coeffs`, `sparse` and
 # `moreno`, and `mul` and `verify` load the Laurent kernel through `wick`.
+# `verify` adds `sampling` and `suites`, and each suite the layers it checks:
+# `lemma21` none, `equiv` `coeffs` and `equiv`, `reduce` those and
+# `reduction`, `moreno` `coeffs` and `moreno`, `su1n` `coeffs` and
+# `reduction`.  A process enters through `run`, which skips the collector's
+# last full pass at exit.
 from . import SUITE_NAMES
 from .series import latex_fraction
 
@@ -57,8 +63,8 @@ MAX_MUL_WORK = 20000
 
 def _context(args) -> StarContext:
     """The StarContext of a `mul` or `verify` namespace, after the input checks."""
-    mu = Fraction(args.mu)
-    D = tuple(Fraction(p.strip()) for p in getattr(args, "d_series", "1").split(","))
+    mu = _fraction("mu", args.mu)
+    D = tuple(_fraction("d-series", p.strip()) for p in getattr(args, "d_series", "1").split(","))
     if mu >= 0:
         raise ValueError("mu must be negative")
     if args.n < 1 or args.order < 1:
@@ -78,6 +84,14 @@ def _context(args) -> StarContext:
     from .wick import default_context
 
     return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
+
+
+def _fraction(flag: str, text: str) -> Fraction:
+    """A rational flag value; a zero denominator names the flag."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--{flag} must have a nonzero denominator, got {text}") from None
 
 
 def _json(obj) -> list:
@@ -329,5 +343,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: `main`, then `gc.freeze()`.  At shutdown the
+    interpreter would run one full collection over every object the run
+    built, only to free them; frozen, they are left to reference counting.
+    Tests call `main`, which never freezes."""
+    rc = main()
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

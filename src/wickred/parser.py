@@ -215,6 +215,8 @@ class _Parser:
             return v
         if kind == "ident":
             return self.ident(val, pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
     def ident(self, name: str, pos: int) -> Series:

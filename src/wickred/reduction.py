@@ -20,12 +20,7 @@ from .coeffs import k_coeff
 from .poly import LaurentElem, VarSpace
 from .scalar import GaussianRational
 from .series import Series, scalar_series
-from .wick import DerivCache, StarContext, m_op, poisson, wick_product
-
-
-def momentum_map(ctx: StarContext) -> LaurentElem:
-    """J = -x/2 (with the metric-twisted x when the signature is mixed)."""
-    return LaurentElem.x_power(ctx.space, 1).scale(Fraction(-1, 2))
+from .wick import DerivCache, StarContext, m_op, momentum_map, poisson, wick_product
 
 
 def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:

@@ -16,7 +16,9 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from . import SUITE_NAMES, equiv, moreno, reduction, sparse
+# equiv, moreno and reduction are imported by the builders that run them,
+# so that a suite loads only the layers it checks
+from . import SUITE_NAMES, sparse
 from .poly import LaurentElem, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
@@ -26,6 +28,7 @@ from .wick import (
     commutator_check,
     default_context,
     m_op,
+    momentum_map,
     product_formula_check,
     radial_elem,
     radial_invariant_expansion,
@@ -64,11 +67,13 @@ class Report(NamedTuple):
 
 def _first_term(res) -> tuple:
     """(term count, first term) of a nonzero residual that is not a Series."""
-    from .parser import format_term  # only a failing check formats a term
+    # only a failing check formats a term
+    from .equiv import SparsePoly
+    from .parser import format_term
 
-    if isinstance(res, equiv.SparsePoly):
+    if isinstance(res, SparsePoly):
         key = min(res.terms)
-        return len(res.terms), str(equiv.SparsePoly(res.arity, {key: res.terms[key]}))
+        return len(res.terms), str(SparsePoly(res.arity, {key: res.terms[key]}))
     if isinstance(res, UnivarPoly):
         k = next(k for k, c in enumerate(res.coeffs) if not c.is_zero())
         count = sum(not c.is_zero() for c in res.coeffs)
@@ -172,7 +177,7 @@ def check_commutators(checks, ctx, rng, count, tag):
         G = rand_poly(space, rng, max_deg=2)
         res = commutator_check(F, G, ctx)
         _zero(checks, f"{tag}/first-order-commutator-{t}", res.coeffs[1], K=ctx.K)
-    J = reduction.momentum_map(ctx)
+    J = momentum_map(ctx)
     for t in range(count):
         F = rand_poly(space, rng, max_deg=2)
         _zero(checks, f"{tag}/momentum-commutator-exact-{t}", commutator_check(F, J, ctx), K=ctx.K)
@@ -200,17 +205,23 @@ def a_table_oracle(rmax: int, smax: int) -> list:
 
 
 def check_a_table(checks, tag, rmax=6, smax=6):
+    from .coeffs import a_coeff
+
     oracle = a_table_oracle(rmax, smax)
     _add(checks, f"{tag}/a-table-vs-inversion-oracle", all(
-        equiv.a_coeff(r, s) == oracle[r][s] for r in range(rmax + 1) for s in range(smax + 1)))
+        a_coeff(r, s) == oracle[r][s] for r in range(rmax + 1) for s in range(smax + 1)))
 
 
 def check_symbol_at_zero(checks, ctx, tag):
+    from . import equiv
+
     one = Series.const(equiv.SparsePoly.constant(2, 1), ctx.K)
     _add(checks, f"{tag}/symbol-at-zero-is-one", equiv.symbol_at_alpha_zero(ctx) == one)
 
 
 def check_functional_equation(checks, ctx, tag):
+    from . import equiv
+
     for label, c in _d_variants(ctx):
         _zero(checks, f"{tag}/functional-equation-{label}",
               equiv.functional_equation_residual(c), K=c.K)
@@ -218,18 +229,24 @@ def check_functional_equation(checks, ctx, tag):
 
 def check_standard_ordering(checks, ctx, tag, js=range(-3, 4)):
     """S on x^j against the standard-ordered action, for j in js."""
+    from . import equiv
+
     for label, c in _d_variants(ctx):
         diffs = [equiv.s_apply_xpow(j, c) - equiv.standard_order_apply(j, c) for j in js]
         _zero(checks, f"{tag}/standard-ordering-{label}", *diffs, K=c.K)
 
 
 def check_s_roundtrip(checks, ctx, rng, tag):
+    from . import equiv
+
     F = Series([rand_invariant(ctx.space, rng) for _ in range(ctx.K + 1)])
     round_trip = equiv.s_apply(equiv.s_apply(F, ctx), ctx, inverse=True)
     _zero(checks, f"{tag}/s-inverse-roundtrip", round_trip - F, K=ctx.K)
 
 
 def check_equivalence_transform(checks, ctx, rng, count, tag):
+    from . import equiv
+
     for t in range(count):
         res = equiv.equivalence_check(rand_radial(rng), rand_radial(rng), ctx)
         _zero(checks, f"{tag}/equivalence-transform-{t}", res, K=ctx.K)
@@ -238,6 +255,8 @@ def check_equivalence_transform(checks, ctx, rng, count, tag):
 def check_tilde_relations(checks, ctx, rng, tag):
     """Radial functions multiply pointwise under the transformed product,
     and its closed formula on homogeneous functions."""
+    from . import equiv
+
     space, K = ctx.space, ctx.K
     rho1, rho2 = rand_radial(rng), rand_radial(rng)
     R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
@@ -255,6 +274,8 @@ def check_tilde_relations(checks, ctx, rng, tag):
 
 
 def check_tilde_assoc(checks, ctx, rng, count, tag):
+    from . import equiv
+
     for t in range(count):
         A, B, C = (Series.const(rand_invariant(ctx.space, rng), ctx.K) for _ in range(3))
         left = equiv.tilde_star(equiv.tilde_star(A, B, ctx), C, ctx)
@@ -268,13 +289,17 @@ def check_tilde_assoc(checks, ctx, rng, count, tag):
 
 def check_k_coeff_routes(checks, tag):
     """c_{r,s} against A^(s)_{r-s} / s! for r <= 10."""
+    from .coeffs import a_coeff, k_coeff
+
     _add(checks, f"{tag}/k-coeff-two-routes", all(
-        reduction.k_coeff(r, s) == equiv.a_coeff(s, r - s) / factorial(s)
+        k_coeff(r, s) == a_coeff(s, r - s) / factorial(s)
         for r in range(1, 11) for s in range(1, r + 1)))
 
 
 def check_mu_star_symmetries(checks, ctx, tag, phi, psi):
     """1 is the unit of the reduced product, and conjugation reverses it."""
+    from . import reduction
+
     K = ctx.K
     one = Series.const(LaurentElem.one_of(ctx.space), K)
     unit = reduction.mu_star(Series.const(phi, K), one, ctx) - Series.const(phi, K)
@@ -287,6 +312,8 @@ def check_mu_star_symmetries(checks, ctx, tag, phi, psi):
 def check_mu_star(checks, ctx, tag, phi, psi, chi):
     """Associativity of the reduced product on (phi, psi, chi) and its
     first-order commutator against the reduced Poisson bracket."""
+    from . import reduction
+
     K = ctx.K
     prod = reduction.mu_star_elems(phi, psi, ctx)
     left = reduction.mu_star(prod, Series.const(chi, K), ctx)
@@ -299,6 +326,8 @@ def check_mu_star(checks, ctx, tag, phi, psi, chi):
 
 
 def check_reduce_compatibility(checks, ctx, tag, F, G):
+    from . import reduction
+
     _zero(checks, f"{tag}/reduce-compatibility",
           reduction.reduction_compatibility(F, G, ctx), K=ctx.K)
 
@@ -306,6 +335,8 @@ def check_reduce_compatibility(checks, ctx, tag, F, G):
 def check_reduction_routes(checks, ctx, tag, phi, psi):
     """The closed reduced product against projecting the Wick product
     through S and against order-by-order division by (J - mu)."""
+    from . import reduction
+
     t1 = reduction.mu_star_elems(phi, psi, ctx)
     t2 = reduction.wick_reduce(phi, psi, ctx)
     t3 = reduction.wick_reduce_by_division(phi, psi, ctx)
@@ -314,10 +345,12 @@ def check_reduction_routes(checks, ctx, tag, phi, psi):
 
 
 def check_ideal_decomposition(checks, ctx, rng, tag):
+    from . import reduction
+
     space = ctx.space
     inv = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
     dec = reduction.ideal_decompose(inv, ctx)
-    Jmu = reduction.momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
+    Jmu = momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
     rebuilt = dec.projection + dec.multiplier.map(lambda c: Jmu * c)
     _zero(checks, f"{tag}/ideal-decomposition", rebuilt - inv, K=ctx.K)
     _add(checks, f"{tag}/ideal-multiplier-invariant",
@@ -325,12 +358,16 @@ def check_ideal_decomposition(checks, ctx, rng, tag):
 
 
 def check_quantum_momentum(checks, ctx, tag, F):
+    from . import reduction
+
     for label, c in _d_variants(ctx):
         _zero(checks, f"{tag}/quantum-momentum-{label}",
               reduction.quantum_momentum_check(F, c), K=c.K)
 
 
 def check_reparametrization(checks, ctx, tag, phi, psi):
+    from . import reduction
+
     _zero(checks, f"{tag}/reparametrization",
           reduction.reparametrize_check(phi, psi, (1, 1), ctx), K=ctx.K)
 
@@ -347,6 +384,8 @@ def check_two_point(checks, ctx, rng, count, tag):
 
 
 def check_sphere_recursion(checks, tag, rmax):
+    from . import moreno
+
     for r in range(1, rmax + 1):
         _zero(checks, f"{tag}/recursion-r{r}", moreno.moreno_recursion_residual(r))
     _add(checks, f"{tag}/coefficient-vanishing", all(
@@ -357,14 +396,19 @@ def check_sphere_recursion(checks, tag, rmax):
 
 def check_k_polys(checks, tag, rmax):
     """k~_r(Delta) against sum_s c_{r,s} p_s(Delta) on CP^1 and CP^2."""
+    from . import moreno
+    from .coeffs import k_coeff
+
     for nn in (1, 2):
         _add(checks, f"{tag}/k-poly-vs-k-coeff-n{nn}", all(
-            sum((moreno.p_poly(s, nn).scale(reduction.k_coeff(r, s)) for s in range(1, r + 1)),
+            sum((moreno.p_poly(s, nn).scale(k_coeff(r, s)) for s in range(1, r + 1)),
                 UnivarPoly.zero_poly("Delta")) == moreno.k_poly(r, nn)
             for r in range(1, rmax + 1)))
 
 
 def check_charts(checks, ctx, rng, count, tag, rs=(1, 2)):
+    from . import moreno
+
     for t in range(count):
         phi, psi = (rand_homogeneous(ctx.space, rng, deg=1) for _ in range(2))
         for r in rs:

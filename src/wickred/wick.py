@@ -1,7 +1,7 @@
 """Star-products on the punctured complex space: the Wick product (both
-metric signatures), the Poisson bracket, the bidifferential operators M_r,
-the radial product, and the two-point operators N and calM_r (H is
-``LaurentElem.euler("H")``).
+metric signatures), the Poisson bracket, the momentum map J = -x/2, the
+bidifferential operators M_r, the radial product, and the two-point
+operators N and calM_r (H is ``LaurentElem.euler("H")``).
 """
 
 from __future__ import annotations
@@ -185,6 +185,11 @@ def poisson(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> LaurentElem:
     items = (_contraction(1, DerivCache(F, "z"), DerivCache(G, "zb"))
              + _contraction(1, DerivCache(F, "zb"), DerivCache(G, "z"), -1))
     return LaurentElem.sum_of_products(space, items).scale(MINUS_TWO_I)
+
+
+def momentum_map(ctx: StarContext) -> LaurentElem:
+    """J = -x/2 (with the metric-twisted x when the signature is mixed)."""
+    return LaurentElem.x_power(ctx.space, 1).scale(Fraction(-1, 2))
 
 
 def commutator_check(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Series:

@@ -5,6 +5,7 @@ has already imported every module, so a command that forgot to import one
 would pass here and fail on the command line.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -14,11 +15,14 @@ from pathlib import Path
 import pytest
 
 import wickred
+import wickred.cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CORE = {"wickred", "wickred.cli", "wickred.scalar", "wickred.series"}
 # what `mul` and `verify` load through `wick`: the Laurent kernel
 KERNEL = {"poly", "sparse", "wick"}
+# what every `verify` suite loads: the kernel, the random inputs, the suites
+VERIFY = KERNEL | {"sampling", "suites"}
 
 PROBE = """
 import contextlib, io, json, sys
@@ -31,14 +35,22 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 
+def _fresh(args: list, check: bool = True) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports wickred from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _last_json(proc: subprocess.CompletedProcess):
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _loaded(argv: list) -> tuple:
     """(exit code of `wickred ARGV`, or None for a bare import; the module
     names loaded), from a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    got = json.loads(out.splitlines()[-1])
+    got = _last_json(_fresh(["-c", PROBE, *argv]))
     return got["rc"], set(got["modules"])
 
 
@@ -57,9 +69,15 @@ def _loaded(argv: list) -> tuple:
     # the sphere recursion runs on univariate polynomials; the chart check
     # needs the sparse kernel when it runs, which `moreno` never does
     (["moreno", "--rmax", "3", "--format", "latex"], {"coeffs", "sparse", "moreno"}),
-    # a passing report formats no term, so the parser stays unloaded
-    (["verify", "su1n", "--order", "1"],
-     KERNEL | {"coeffs", "equiv", "moreno", "reduction", "sampling", "suites"}),
+    # each suite loads the layers it checks, and a passing report formats
+    # no term, so the parser stays unloaded
+    (["verify", "lemma21", "--order", "1"], VERIFY),
+    (["verify", "equiv", "--order", "1"], VERIFY | {"coeffs", "equiv"}),
+    (["verify", "reduce", "--order", "1"], VERIFY | {"coeffs", "equiv", "reduction"}),
+    (["verify", "moreno", "--order", "1", "--rmax", "3"], VERIFY | {"coeffs", "moreno"}),
+    (["verify", "su1n", "--order", "1"], VERIFY | {"coeffs", "reduction"}),
+    (["verify", "all", "--order", "1", "--rmax", "3"],
+     VERIFY | {"coeffs", "equiv", "moreno", "reduction"}),
 ], ids=lambda a: (" ".join(a)[:60] or "import") if isinstance(a, list) else "+".join(sorted(a)) or "core")
 def test_command_loads_only_its_modules(argv, extra):
     rc, modules = _loaded(argv)
@@ -87,12 +105,64 @@ print(json.dumps({"loaded": loaded, "unknown": unknown, "resolved": resolved,
 def test_bare_package_import_loads_no_submodule():
     """`import wickred` loads no submodule; each public name is imported on
     first use, and an unknown name is an AttributeError."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", BARE], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    got = json.loads(out.splitlines()[-1])
+    got = _last_json(_fresh(["-c", BARE]))
     assert got["loaded"] == []
     assert got["unknown"] == "module 'wickred' has no attribute 'no_such_name'"
     assert sorted(got["resolved"]) == sorted(wickred.__all__)
     assert got["suites"] == ["lemma21", "equiv", "reduce", "moreno", "su1n"]
+
+
+FAILING = """
+import json, sys
+from wickred import suites
+from wickred.series import Series
+from wickred.wick import default_context, momentum_map
+before = sorted(m for m in sys.modules if m.startswith("wickred."))
+ctx = default_context(2, 3)
+checks = []
+suites._zero(checks, "t", Series.const(momentum_map(ctx), ctx.K).times_lambda(1), K=ctx.K)
+after = sorted(m for m in sys.modules if m.startswith("wickred."))
+print(json.dumps({"before": before, "after": after, "check": list(checks[0])}))
+"""
+
+
+def test_failing_check_formats_its_residual_in_a_fresh_process():
+    """A failing check formats its residual through modules that a suite
+    may not have loaded (`equiv`, `parser`); the detail string is the same
+    as in a process that has loaded everything."""
+    from wickred import suites
+    from wickred.series import Series
+    from wickred.wick import default_context, momentum_map
+
+    got = _last_json(_fresh(["-c", FAILING]))
+    # `suites` alone: no `cli`, no layer past the kernel, no parser
+    assert got["before"] == sorted(f"wickred.{m}" for m in VERIFY | {"scalar", "series"})
+    assert {"wickred.equiv", "wickred.parser"} <= set(got["after"])
+    ctx = default_context(2, 3)
+    checks = []
+    suites._zero(checks, "t", Series.const(momentum_map(ctx), ctx.K).times_lambda(1), K=ctx.K)
+    assert got["check"] == ["t", False, checks[0].detail]
+    assert checks[0].detail.startswith("order 3, first nonzero at l^1: ")
+
+
+def test_console_script_enters_through_run():
+    """`wickred` is `cli.run`, which freezes the collector after `main`."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.strip().splitlines() == ['wickred = "wickred.cli:run"']
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["verify", "moreno", "--order", "1"], 0),
+    (["mul", "--lhs", "(", "--rhs", "x"], 2),
+])
+def test_module_entry_matches_main(argv, rc, capsys):
+    """`python -m wickred.cli` gives `main`'s exit code and output; `main`
+    itself, as tests and in-process callers run it, leaves the collector
+    unfrozen."""
+    frozen = gc.get_freeze_count()
+    assert wickred.cli.main(argv) == rc
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    proc = _fresh(["-m", "wickred.cli", *argv], check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)

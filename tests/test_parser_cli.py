@@ -384,10 +384,33 @@ def test_cli_huge_exponent_is_rejected(capsys):
     (["--n", "0", "--order", "2"], "need n >= 1 and order >= 1"),
     (["--mu", "1"], "mu must be negative"),
     (["--mu", "abc"], "Invalid literal for Fraction: 'abc'"),
+    (["--mu", "1/0"], "--mu must have a nonzero denominator, got 1/0"),
+    (["--mu", "-1/0"], "--mu must have a nonzero denominator, got -1/0"),
 ])
 def test_cli_verify_rejects_bad_input(args, message, capsys):
     # bad input exits 2 with one clear message, not a traceback
     assert main(["verify", "all", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--lhs", "("], "unexpected end of input (at position 1)"),
+    (["--lhs", ""], "unexpected end of input (at position 0)"),
+    (["--rhs", "x +"], "unexpected end of input (at position 3)"),
+    (["--lhs", "x^"], "exponent must be an integer (at position 2)"),
+    (["--lhs", "(x"], "expected ')' (at position 2)"),
+    (["--mu", "1/0"], "--mu must have a nonzero denominator, got 1/0"),
+    (["--product", "tilde", "--d-series", "1,1/0"],
+     "--d-series must have a nonzero denominator, got 1/0"),
+    (["--product", "tilde", "--d-series", "1, 2/0"],
+     "--d-series must have a nonzero denominator, got 2/0"),
+])
+def test_cli_mul_rejects_bad_input(args, message, capsys):
+    # input that ends early or names a zero denominator exits 2 with a
+    # message that says so, not "unexpected token None" or "Fraction(1, 0)"
+    assert main(["mul", "--order", "2", "--lhs", "x", "--rhs", "x", *args]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
