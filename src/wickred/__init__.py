@@ -14,7 +14,6 @@ _EXPORTS = {
     "GaussianRational": "scalar",
     "LaurentElem": "poly",
     "Poly": "poly",
-    "Rational": "scalar",
     "Series": "series",
     "StarContext": "wick",
     "UnivarPoly": "series",

@@ -224,9 +224,6 @@ class ChartElem:
         out = sparse.rekey(self.num, self.var_keys[2 * self.n:] * 2, self.nvars)
         return ChartElem(self.n, out, (0, 0, 0, sum(self.den)))
 
-    def __eq__(self, other):
-        return (self - other).is_zero()
-
     def __repr__(self):
         return f"ChartElem(n={self.n}, {len(self.num)} terms, den={self.den})"
 

@@ -81,9 +81,6 @@ class VarSpace:
     def izb(self, k: int) -> int:
         return self.nv + k
 
-    def iw(self, k: int) -> int:
-        return 2 * self.nv + k
-
     def iwb(self, k: int) -> int:
         return 3 * self.nv + k
 
@@ -498,15 +495,6 @@ class LaurentElem:
     def __hash__(self):
         raise TypeError("LaurentElem is unhashable")
 
-    def eq_cross_mult(self, other) -> bool:
-        """Equality via cross-multiplication (no canonical forms needed)."""
-        self._check(other)
-        dz = other.mz - self.mz
-        dw = other.mw - self.mw
-        a = self.num * _x_pow_poly(self.space, max(dz, 0), max(dw, 0))
-        b = other.num * _x_pow_poly(self.space, max(-dz, 0), max(-dw, 0))
-        return a == b
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -566,12 +554,6 @@ class LaurentElem:
         """Invariance under the circle action: every monomial has equal
         z- and zb-degree (the kernel of the rotation operator Y)."""
         return all(d[0] == d[1] for d in map(self.num.degrees, self.num.terms))
-
-    def is_doubly_homogeneous(self) -> bool:
-        if not self.space.two_point:
-            raise ValueError("needs a two-point space")
-        return all(zd == zbd == self.mz and wd == wbd == self.mw
-                   for zd, zbd, wd, wbd in map(self.num.degrees, self.num.terms))
 
     def weighted(self, weight, lift: int = 0):
         """The diagonal map behind every Euler-type operator: each monomial

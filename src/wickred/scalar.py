@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Exact rationals.  Fraction is always stored reduced with a positive
-# denominator, which is precisely the canonical form we need.
-Rational = Fraction
-
 
 def factorial(r: int) -> int:
     if r < 0:

@@ -32,9 +32,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, m: int):
-        return self.coeffs[m]
-
     @classmethod
     def const(cls, c, order: int) -> "Series":
         z = c.zero()
@@ -78,10 +75,14 @@ class Series:
         return Series([f(c) for c in self.coeffs])
 
     def times_lambda(self, k: int = 1) -> "Series":
-        """Multiply by the k-th power of the series variable."""
+        """Multiply by the k-th power of the series variable; a shift past
+        the order leaves the zero series of the same order."""
+        if k < 0:
+            raise ValueError(f"cannot shift by a negative power {k}")
         if k == 0:
             return self
         z = self.coeffs[0].zero()
+        k = min(k, len(self.coeffs))
         return Series([z] * k + self.coeffs[: len(self.coeffs) - k])
 
     def pow(self, e: int) -> "Series":
@@ -158,10 +159,6 @@ class UnivarPoly:
         return cls([], var)
 
     @classmethod
-    def const(cls, c, var: str = "x"):
-        return cls([c], var)
-
-    @classmethod
     def monomial(cls, c, k: int, var: str = "x"):
         return cls([0] * k + [c], var)
 
@@ -213,6 +210,8 @@ class UnivarPoly:
 
     def shift(self, k: int):
         """Multiply by var^k."""
+        if k < 0:
+            raise ValueError(f"cannot shift by a negative power {k}")
         if not self.coeffs:
             return self
         return UnivarPoly([GaussianRational.coerce(0)] * k + self.coeffs, self.var)

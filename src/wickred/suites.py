@@ -22,7 +22,7 @@ from . import SUITE_NAMES, sparse
 from .poly import LaurentElem, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
-from .series import Series, UnivarPoly
+from .series import Series, UnivarPoly, scalar_series
 from .wick import (
     StarContext,
     commutator_check,
@@ -190,17 +190,11 @@ def check_commutators(checks, ctx, rng, count, tag):
 def a_table_oracle(rmax: int, smax: int) -> list:
     """u-series of prod_{k=1..r}(1 + k u) inverted order by order."""
     rows = []
+    prod = scalar_series([1], smax)
     for r in range(rmax + 1):
-        prod = UnivarPoly([1], "u")
-        for k in range(1, r + 1):
-            prod = prod * UnivarPoly([1, k], "u")
-        inv = [Fraction(1)]
-        for s in range(1, smax + 1):
-            acc = Fraction(0)
-            for t in range(1, min(s, prod.degree) + 1):
-                acc += prod.coeff(t).re * inv[s - t]
-            inv.append(-acc)
-        rows.append(inv)
+        if r:
+            prod = prod * scalar_series([1, r], smax)
+        rows.append([c.re for c in prod.invert().coeffs])
     return rows
 
 

@@ -48,9 +48,6 @@ class StarContext:
     def n(self) -> int:
         return self.space.n
 
-    def d_coeff(self, r: int) -> Fraction:
-        return self.D[r] if r < len(self.D) else Fraction(0)
-
     def is_trivial_D(self) -> bool:
         return all(d == 0 for d in self.D[1:])
 

@@ -1,10 +1,11 @@
-"""Golden values: the sha256 of `wickred mul --format json` (and of both
-coefficient tables) over CP^n and D^n for n = 1, 2, 3, every product, two
-levels mu and three D series, recorded in golden_cli.json.
+"""Golden values: the sha256 of `wickred mul --format json` over CP^n and
+D^n for n = 1, 2, 3, every product, two levels mu and three D series; of
+both coefficient tables; and of the sphere tables `moreno --rmax 18` in
+json, latex and text; recorded in golden_cli.json.
 
 The `verify` digests pin verdicts only; these pin every coefficient that
 S(x^j), the null-point certificate, the derivative tables and the three
-products compute.
+products compute, and every printed sphere polynomial.
 """
 
 import hashlib

@@ -5,11 +5,14 @@ has already imported every module, so a command that forgot to import one
 would pass here and fail on the command line.
 """
 
+import ast
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -166,3 +169,21 @@ def test_module_entry_matches_main(argv, rc, capsys):
     out, err = capsys.readouterr()
     proc = _fresh(["-m", "wickred.cli", *argv], check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+
+
+def test_every_library_name_has_a_caller():
+    """Each function, method and class defined in `src/wickred` (dunders
+    aside) is named in `src/wickred` or `perfbench` more often than it is
+    defined there: code that only tests call lives under `tests/`."""
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "wickred").glob("*.py"))
+    text = "\n".join(p.read_text() for p in sources + sorted((root / "perfbench").glob("*.py")))
+    defined = Counter(
+        node.name
+        for p in sources
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__"))
+    words = Counter(re.findall(r"\w+", text))
+    unused = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert unused == []

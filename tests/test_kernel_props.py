@@ -38,6 +38,12 @@ props = settings(deadline=None, max_examples=150)
 SMALL = st.integers(-6, 6)
 DEN = st.integers(1, 5)
 
+
+def iw(space, k):
+    """Slot of w^k on a two-point space (after z^0..z^n, zb^0..zb^n)."""
+    return 2 * space.nv + k
+
+
 rationals = st.builds(Fraction, SMALL, DEN)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 nonzero_gaussians = gaussians.filter(bool)
@@ -411,7 +417,7 @@ def test_two_point_diff_divides_the_other_block():
     # d/dz0 of (x*w0 + xw)/x = -zb0 * xw / x^2: the z block of the quotient
     # rule is canonical by proof, but xw divides the numerator
     sp = TWO_POINT
-    f = LaurentElem(divisor(sp, "z") * Poly.variable(sp, sp.iw(0)) + divisor(sp, "w"), 1)
+    f = LaurentElem(divisor(sp, "z") * Poly.variable(sp, iw(sp, 0)) + divisor(sp, "w"), 1)
     assert (f.mz, f.mw) == (1, 0)
     d = f.diff(sp.iz(0))
     assert (d.mz, d.mw) == (2, -1)
@@ -628,7 +634,7 @@ def test_sum_of_products_edge_cases(space):
     # divides by q
     blocks = [("z", 0, space.izb(0))]
     if space.two_point:
-        blocks.append(("w", space.iw(0), space.iwb(0)))
+        blocks.append(("w", iw(space, 0), space.iwb(0)))
     for block, v, vb in blocks:
         q = LaurentElem.x_power(space, 1, block)
         vvb = LaurentElem.variable(space, v) * LaurentElem.variable(space, vb)
@@ -647,7 +653,7 @@ def reference_divided_by_x(p, block):
     div = divisor(space, block).terms
     lead = max(div)
     n = space.n
-    ia, ib = (space.iz(n), space.izb(n)) if block == "z" else (space.iw(n), space.iwb(n))
+    ia, ib = (space.iz(n), space.izb(n)) if block == "z" else (iw(space, n), space.iwb(n))
     r = dict(p.terms)
     q = {}
     while r:
@@ -692,7 +698,7 @@ def low_non_multiple(space):
     below those of a many-term multiple, so the division reaches it last."""
     a, b = null_point(space, "z")[:2]
     z0, z1 = Poly.variable(space, space.iz(0)), Poly.variable(space, space.iz(1))
-    return (z1.scale(a) - z0.scale(b)) * Poly.variable(space, space.iw(0))
+    return (z1.scale(a) - z0.scale(b)) * Poly.variable(space, iw(space, 0))
 
 
 MANY = many_term_multiple(SPACES[4])

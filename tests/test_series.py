@@ -146,3 +146,23 @@ def test_negative_powers_raise(sp1):
 def test_zero_power_is_one(sp1):
     assert s_of([2, 1], 3).pow(0) == s_of([1], 3)
     assert UnivarPoly([1, 1], "alpha").pow(0) == UnivarPoly([1], "alpha")
+
+
+def test_times_lambda_past_the_order_is_zero():
+    # a shift past the order once lengthened the series and kept
+    # coefficients it should have dropped
+    s = s_of([1, 2, 3], 2)
+    assert s.times_lambda(2) == s_of([0, 0, 1], 2)
+    for k in (3, 4, 9):
+        assert s.times_lambda(k) == s_of([0], 2)
+    with pytest.raises(ValueError):
+        s.times_lambda(-1)
+
+
+def test_univar_shift_rejects_negative_powers():
+    # a negative power once returned the input unchanged
+    p = UnivarPoly([1, 1])
+    assert p.shift(2) == UnivarPoly([0, 0, 1, 1])
+    for q in (p, UnivarPoly([])):
+        with pytest.raises(ValueError):
+            q.shift(-1)
