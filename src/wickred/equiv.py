@@ -14,7 +14,7 @@ from .coeffs import a_coeff
 from .poly import LaurentElem
 from .scalar import GaussianRational, factorial
 from .series import Series, UnivarPoly, scalar_series
-from .wick import DerivCache, StarContext, m_op, radial_elem, radial_star, wick_product
+from .wick import StarContext, m_op, radial_elem, radial_star, wick_product
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +325,7 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
         raise ValueError("the closed formula wants homogeneous arguments")
     K = ctx.K
     weights = closed_weights(_u_over_d(ctx), K)
-    dF, dG = DerivCache(f, "z"), DerivCache(g, "zb")
-    return closed_sum(f, g, [(m_op(f, g, r, ctx, dF, dG), _lift(weights[r], 0, ctx))
+    return closed_sum(f, g, [(m_op(f, g, r, ctx), _lift(weights[r], 0, ctx))
                              for r in range(1, K + 1)], K)
 
 

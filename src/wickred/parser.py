@@ -275,7 +275,7 @@ def _size(nums: list, nvars: int) -> tuple:
     if not t:
         return 0, 0, 0, 0, nvars
     degs = [sparse.total_degree(k, nvars) for p in nums for k in p]
-    bits = max(max(abs(c.p), abs(c.q), c.d).bit_length() for p in nums for c in p.values())
+    bits = max(c.bits() for p in nums for c in p.values())
     return t, min(degs), max(degs), bits, nvars
 
 

@@ -17,8 +17,6 @@ operator used downstream.
 
 from __future__ import annotations
 
-import heapq
-import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -241,60 +239,21 @@ class Poly:
         return Poly(space, {k: c.conj() for k, c in terms.items()})
 
     # ------------------------------------------------------------------
-    # division by the quadratic x (single-divisor reduction)
-
     def divided_by_x(self, block: str = "z"):
-        """Return q with self = x * q, or None when x does not divide self.
+        """Return q with self = x * q, or None when x does not divide self
+        (xw for block "w").
 
-        Reduction by the single divisor x under the packed graded order
-        (leading monomial z^n*zb^n, unit leading coefficient): remainder
-        zero is an exact divisibility test for a principal ideal.  A fixed
-        integer point with x = 0 rejects most non-multiples first: a
-        multiple of x vanishes there, so a nonzero value proves x does not
-        divide.  That value is computed exactly by ``sparse.teval`` on
-        integer triples, with the power tables of the integer point built
-        once per process, so the certificate costs a few int multiplies
-        per term; a zero value falls through to the division.
+        A nonzero value at the quadratic's null point proves that it does
+        not divide (``sparse.teval``, on integer triples with power tables
+        built once per process); otherwise ``sparse.tdiv`` decides.
         """
         if not self.terms:
             return Poly.zero(self.space)
-        space = self.space
-        quad = space.quads[block]
+        quad = self.space.quads[block]
         if self.eval(quad.null_point):
             return None
-        # over the common denominator every coefficient is a Gaussian
-        # integer (p, q); x has coefficients +-1, so each step is integer
-        # addition and only the quotient terms are normalized
-        den = math.lcm(*(c.d for c in self.terms.values()))
-        r = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in self.terms.items()}
-        lead = quad.lead
-        rest = [(k, c.p) for k, c in quad.terms.items() if k != lead]
-        norm = GaussianRational._norm
-        # the keys of r are also on a heap, negated, so the largest comes
-        # off first; a step adds only keys t + km below the key t + lead it
-        # removes, so each key enters the heap once, and one that cancels
-        # stays in r as (0, 0) until it comes off
-        heap = [-k for k in r]
-        heapq.heapify(heap)
-        q = {}
-        while heap:
-            kl = -heapq.heappop(heap)
-            p, pi = r.pop(kl)
-            if not (p or pi):
-                continue
-            if not sparse.divides(lead, kl, space.nvars):
-                return None
-            t = kl - lead
-            q[t] = norm(p, pi, den)
-            for km, s in rest:
-                k = t + km
-                prev = r.get(k)
-                if prev is None:
-                    r[k] = (-s * p, -s * pi)
-                    heapq.heappush(heap, -k)
-                else:
-                    r[k] = (prev[0] - s * p, prev[1] - s * pi)
-        return Poly(space, q)
+        q = sparse.tdiv(self.terms, quad.terms, quad.lead, self.space.nvars)
+        return None if q is None else Poly(self.space, q)
 
     # ------------------------------------------------------------------
     def degrees(self, key: int) -> tuple:
@@ -571,15 +530,6 @@ class LaurentElem:
                 out[key] = c * f
         return LaurentElem(Poly(self.space, out), self.mz + lift, self.mw)
 
-    def euler(self, which: str):
-        """Euler/rotation operators: E, Ebar, Y, or the four-variable H."""
-        weight = _EULER_WEIGHTS.get(which)
-        if weight is None:
-            raise ValueError(f"unknown Euler operator {which!r}")
-        if which == "H" and not self.space.two_point:
-            raise ValueError("H needs a two-point space")
-        return self.weighted(weight)
-
     def dx(self):
         """d/dx on invariant elements, realized as (E + Ebar) / (2x)."""
         if not self.is_invariant():
@@ -643,14 +593,6 @@ class LaurentElem:
 
     def __repr__(self):
         return f"LaurentElem({len(self.num.terms)} terms, mz={self.mz})"
-
-
-_EULER_WEIGHTS = {
-    "E": lambda d: d[0],
-    "Ebar": lambda d: d[1],
-    "Y": lambda d: GaussianRational(0, d[0] - d[1]),
-    "H": sum,
-}
 
 
 def _x_pow_poly(space: VarSpace, ez: int, ew: int = 0) -> Poly:

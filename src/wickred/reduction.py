@@ -20,7 +20,7 @@ from .coeffs import k_coeff
 from .poly import LaurentElem, VarSpace
 from .scalar import GaussianRational
 from .series import Series, scalar_series
-from .wick import DerivCache, StarContext, m_op, momentum_map, poisson, wick_product
+from .wick import StarContext, m_op, momentum_map, poisson, wick_product
 
 
 def reduce_elem(F: LaurentElem, ctx: StarContext) -> LaurentElem:
@@ -118,14 +118,12 @@ def mu_star(phi: Series, psi: Series, ctx: StarContext) -> Series:
         fa = phi.coeffs[a]
         if fa.is_zero():
             continue
-        dF = DerivCache(fa, "z")
         for b in range(K + 1 - a):
             gb = psi.coeffs[b]
             if gb.is_zero():
                 continue
-            dG = DerivCache(gb, "zb")
             items[a + b].append((1, fa, gb))
-            ms = [None] + [m_op(fa, gb, s, ctx, dF, dG) for s in range(1, K + 1 - a - b)]
+            ms = [None] + [m_op(fa, gb, s, ctx) for s in range(1, K + 1 - a - b)]
             for r in range(1, K + 1 - a - b):
                 items[a + b + r].extend(_k_tilde_items(r, ms, cinv ** r))
     return Series([LaurentElem.sum_of_products(space, its) for its in items])
@@ -222,8 +220,7 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
     Dc = scalar_series([D[r] * c ** (-r) if r < len(D) else 0 for r in range(K + 1)], K)
     u = Dc.scale(c).invert().times_lambda(1)
 
-    dF, dG = DerivCache(phi, "z"), DerivCache(psi, "zb")
-    ms = [None] + [reduce_elem(m_op(phi, psi, s, ctx, dF, dG), ctx) for s in range(1, K + 1)]
+    ms = [None] + [reduce_elem(m_op(phi, psi, s, ctx), ctx) for s in range(1, K + 1)]
 
     def lift(w: Series) -> Series:
         return w.map(lambda sc: LaurentElem.scalar(phi.space, sc))

@@ -207,6 +207,10 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.q == 0
 
+    def bits(self) -> int:
+        """Bit length of the largest of p, q and d in (p + q*i)/d."""
+        return max(abs(self.p), abs(self.q), self.d).bit_length()
+
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
 

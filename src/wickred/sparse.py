@@ -23,15 +23,20 @@ cheap.
 Products work on the same triples: ``tmac`` adds c*a*b into an
 accumulator of unnormalized triples, so a whole linear combination of
 products is summed in plain ints, and ``tnorm`` normalizes each surviving
-term once.  ``tmul`` is the two of them on an empty accumulator.
+term once.  ``tmul`` is the two of them on an empty accumulator.  Exact
+division by the quadratic x, behind ``Poly.divided_by_x``, is ``tdiv``:
+Gaussian-integer pairs over one common denominator, the remainder's keys
+ordered on a heap.
 
-This is the only module that reads or builds keys.  Every change of
-variables elsewhere (conjugation, the two-point tensor and diagonal, the
-inhomogeneous chart) is one ``rekey`` onto the keys of ``var_keys``.
+This is the only module that reads or builds keys, and with ``scalar``
+the only one that reads the triples.  Every change of variables elsewhere
+(conjugation, the two-point tensor and diagonal, the inhomogeneous chart)
+is one ``rekey`` onto the keys of ``var_keys``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import lru_cache
 
@@ -104,6 +109,52 @@ def divides(m: int, k: int, nvars: int) -> bool:
     top bit clear, so ``k - m`` borrows into a slot's top bit (the guard)
     exactly when some exponent of m exceeds the matching one of k."""
     return not (k - m) & _guard(nvars)
+
+
+def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
+    """Exact quotient terms of ``a`` by ``divisor``, or None when it does
+    not divide.
+
+    The divisor has plain integer coefficients, and its leading key
+    ``lead`` has coefficient 1 (the quadratics x and xw).  This is
+    reduction by a single divisor under the graded key order: remainder
+    zero is an exact divisibility test for a principal ideal, and the first
+    remainder term whose key ``lead`` does not divide proves a nonzero
+    remainder.  The remainder's keys wait on a heap (Monagan & Pearce,
+    CASC 2007).
+    """
+    # over the common denominator every coefficient is a Gaussian
+    # integer (p, q); the divisor's are integers, so each step is integer
+    # addition and only the quotient terms are normalized
+    den = math.lcm(*(c.d for c in a.values()))
+    r = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in a.items()}
+    rest = [(k, c.p) for k, c in divisor.items() if k != lead]
+    norm = GaussianRational._norm
+    # the keys of r are also on a heap, negated, so the largest comes
+    # off first; a step adds only keys t + km below the key t + lead it
+    # removes, so each key enters the heap once, and one that cancels
+    # stays in r as (0, 0) until it comes off
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        kl = -heapq.heappop(heap)
+        p, pi = r.pop(kl)
+        if not (p or pi):
+            continue
+        if not divides(lead, kl, nvars):
+            return None
+        t = kl - lead
+        q[t] = norm(p, pi, den)
+        for km, s in rest:
+            k = t + km
+            prev = r.get(k)
+            if prev is None:
+                r[k] = (-s * p, -s * pi)
+                heapq.heappush(heap, -k)
+            else:
+                r[k] = (prev[0] - s * p, prev[1] - s * pi)
+    return q
 
 
 def block_degrees(key: int, nvars: int, width: int) -> tuple:

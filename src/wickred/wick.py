@@ -1,7 +1,8 @@
 """Star-products on the punctured complex space: the Wick product (both
 metric signatures), the Poisson bracket, the momentum map J = -x/2, the
 bidifferential operators M_r, the radial product, and the two-point
-operators N and calM_r (H is ``LaurentElem.euler("H")``).
+operators N and calM_r (H, the total-degree operator, is
+``LaurentElem.weighted(sum)``).
 """
 
 from __future__ import annotations
@@ -197,17 +198,13 @@ def commutator_check(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Series
     return lhs - Series.const(bracket, ctx.K).times_lambda(1)
 
 
-def m_op(F: LaurentElem, G: LaurentElem, r: int, ctx: StarContext,
-         dF: DerivCache = None, dG: DerivCache = None) -> LaurentElem:
+def m_op(F: LaurentElem, G: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
     """M_r(F, G) = x^r * (contracted r-fold derivative pairing).
 
     M_0 is the pointwise product; on homogeneous arguments every M_r is
-    homogeneous again.  Passing DerivCache instances shares the mixed
-    partials across different orders r.
+    homogeneous again.
     """
-    dF = dF or DerivCache(F, "z")
-    dG = dG or DerivCache(G, "zb")
-    items = _contraction(r, dF, dG, _multi_factorial((r,)))
+    items = _contraction(r, DerivCache(F, "z"), DerivCache(G, "zb"), _multi_factorial((r,)))
     return LaurentElem.sum_of_products(F.space, items).mul_xpow(r)
 
 

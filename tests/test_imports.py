@@ -12,7 +12,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -171,19 +170,77 @@ def test_module_entry_matches_main(argv, rc, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "wickred").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _trees(paths: list) -> dict:
+    """File name -> parsed module, for each path."""
+    return {p.name: ast.parse(p.read_text()) for p in paths}
+
+
+def _docstrings(tree) -> set:
+    """ids of the docstring nodes of a module and of its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def _identifier_uses(tree) -> set:
+    """Identifiers that code uses: names, attributes, imported names and
+    the identifier parts of strings that are not docstrings (span paths,
+    export tables).  Comments and docstrings do not count."""
+    docs = _docstrings(tree)
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.add(node.attr)
+        elif isinstance(node, ast.alias):
+            uses.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            uses.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return uses
+
+
 def test_every_library_name_has_a_caller():
     """Each function, method and class defined in `src/wickred` (dunders
-    aside) is named in `src/wickred` or `perfbench` more often than it is
-    defined there: code that only tests call lives under `tests/`."""
-    root = Path(__file__).resolve().parents[1]
-    sources = sorted((root / "src" / "wickred").glob("*.py"))
-    text = "\n".join(p.read_text() for p in sources + sorted((root / "perfbench").glob("*.py")))
-    defined = Counter(
-        node.name
-        for p in sources
-        for node in ast.walk(ast.parse(p.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("__"))
-    words = Counter(re.findall(r"\w+", text))
-    unused = sorted(name for name, count in defined.items() if words[name] <= count)
-    assert unused == []
+    aside) is used by code in `src/wickred` or `perfbench`, not only named
+    in a comment or docstring: code that only tests call lives under
+    `tests/`."""
+    library = _trees(LIBRARY)
+    defined = {node.name
+               for tree in library.values()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("__")}
+    uses = set()
+    for tree in [*library.values(), *_trees(BENCH).values()]:
+        uses |= _identifier_uses(tree)
+    assert sorted(defined - uses) == []
+
+
+def test_only_the_kernel_reads_triples_and_orders_keys():
+    """Only `scalar` and `sparse` read the (p, q, d) triples of a
+    coefficient, only `sparse` orders keys on a heap, and only `wick`
+    builds derivative tables: every other layer goes through their API."""
+    triples, heaps, tables = set(), set(), set()
+    for name, tree in _trees(LIBRARY).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("p", "q", "d"):
+                triples.add(name)
+            elif isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names):
+                heaps.add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
+                heaps.add(name)
+            elif isinstance(node, ast.Call) and "DerivCache" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                tables.add(name)
+    assert triples <= {"scalar.py", "sparse.py"}
+    assert heaps <= {"sparse.py"}
+    assert tables <= {"wick.py"}

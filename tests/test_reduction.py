@@ -25,6 +25,8 @@ from wickred.scalar import factorial, gauss
 from wickred.series import Series
 from wickred.wick import StarContext, poisson, wick_product_elems
 
+from euler_ops import euler
+
 
 def zvar(sp, k):
     return LaurentElem.variable(sp, sp.iz(k))
@@ -54,7 +56,7 @@ def test_is_invariant(ctx1, sp1, rng):
     for _ in range(6):
         F = rand_poly(sp1, rng, max_deg=2)
         flag = F.is_invariant()
-        assert flag == F.euler("Y").is_zero()
+        assert flag == euler(F, "Y").is_zero()
         comm = wick_product_elems(F, J, ctx1) - wick_product_elems(J, F, ctx1)
         assert flag == comm.is_zero()
 
