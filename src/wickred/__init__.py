@@ -19,7 +19,6 @@ _EXPORTS = {
     "UnivarPoly": "series",
     "VarSpace": "poly",
     "binomial": "scalar",
-    "default_context": "wick",
     "factorial": "scalar",
     "gauss": "scalar",
     "is_radial": "poly",

@@ -81,9 +81,11 @@ def _context(args) -> StarContext:
     if count > cap:
         raise ValueError(f"--n and --order must give C(order + n, n) <= {cap}{scope}, "
                          f"got C({args.order + args.n}, {args.n}) = {count}")
-    from .wick import default_context
+    from .poly import VarSpace
+    from .wick import StarContext
 
-    return default_context(args.n, args.order, mu, getattr(args, "space", "cpn"), D)
+    space = VarSpace.cpn(args.n) if getattr(args, "space", "cpn") == "cpn" else VarSpace.dn(args.n)
+    return StarContext(space, args.order, D, mu)
 
 
 def _fraction(flag: str, text: str) -> Fraction:

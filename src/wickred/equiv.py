@@ -325,7 +325,7 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
         raise ValueError("the closed formula wants homogeneous arguments")
     K = ctx.K
     weights = closed_weights(_u_over_d(ctx), K)
-    return closed_sum(f, g, [(m_op(f, g, r, ctx), _lift(weights[r], 0, ctx))
+    return closed_sum(f, g, [(m_op(f, g, r), _lift(weights[r], 0, ctx))
                              for r in range(1, K + 1)], K)
 
 

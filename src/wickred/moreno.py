@@ -27,7 +27,6 @@ from .series import UnivarPoly
 
 if TYPE_CHECKING:
     from .poly import LaurentElem
-    from .wick import StarContext
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +220,7 @@ class ChartElem:
 
     def restrict_diagonal(self) -> "ChartElem":
         """u -> v, ub -> vb; all denominator factors collapse onto D4."""
-        out = sparse.rekey(self.num, self.var_keys[2 * self.n:] * 2, self.nvars)
+        out = sparse.rekey(self.num, self.var_keys[2 * self.n:] * 2)
         return ChartElem(self.n, out, (0, 0, 0, sum(self.den)))
 
     def __repr__(self):
@@ -273,24 +272,24 @@ def hom_to_chart(f: LaurentElem, mode: str) -> ChartElem:
         raise ValueError(mode) from None
     vk = sparse.var_keys(4 * n)
     images = (0,) + vk[zblock * n:(zblock + 1) * n] + (0,) + vk[zbblock * n:(zbblock + 1) * n]
-    out = sparse.rekey(f.num.terms, images, space.nvars)
+    out = sparse.rekey(f.num.terms, images)
     den = [0, 0, 0, 0]
     den[den_idx] = d
     return ChartElem(n, out, tuple(den))
 
 
-def chart_cross_check(phi: LaurentElem, psi: LaurentElem, r: int, ctx: StarContext) -> ChartElem:
+def chart_cross_check(phi: LaurentElem, psi: LaurentElem, r: int) -> ChartElem:
     """prod_{k<r} (Delta_{u ub} + k(k-n)) applied to phi(u, vb) psi(v, ub),
     restricted to the diagonal, minus the chart image of M_r(phi, psi)
     computed in homogeneous coordinates; must vanish."""
     from .wick import m_op
 
-    n = ctx.n
+    n = phi.space.n
     T = hom_to_chart(phi, "uv") * hom_to_chart(psi, "vu")
     for k in range(r):
         T2 = laplacian(T)
         shift = k * (k - n)
         T = T2 + T.scale(shift) if shift else T2
     lhs = T.restrict_diagonal()
-    rhs = hom_to_chart(m_op(phi, psi, r, ctx), "vv")
+    rhs = hom_to_chart(m_op(phi, psi, r), "vv")
     return lhs - rhs

@@ -235,7 +235,7 @@ class Poly:
         images = vk[nv:2 * nv] + vk[:nv]
         if space.two_point:
             images += vk[3 * nv:] + vk[2 * nv:3 * nv]
-        terms = sparse.rekey(self.terms, images, space.nvars)
+        terms = sparse.rekey(self.terms, images)
         return Poly(space, {k: c.conj() for k, c in terms.items()})
 
     # ------------------------------------------------------------------

@@ -123,7 +123,7 @@ def mu_star(phi: Series, psi: Series, ctx: StarContext) -> Series:
             if gb.is_zero():
                 continue
             items[a + b].append((1, fa, gb))
-            ms = [None] + [m_op(fa, gb, s, ctx) for s in range(1, K + 1 - a - b)]
+            ms = [None] + [m_op(fa, gb, s) for s in range(1, K + 1 - a - b)]
             for r in range(1, K + 1 - a - b):
                 items[a + b + r].extend(_k_tilde_items(r, ms, cinv ** r))
     return Series([LaurentElem.sum_of_products(space, its) for its in items])
@@ -136,7 +136,7 @@ def mu_star_elems(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> Serie
 def reduced_poisson(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> LaurentElem:
     """Poisson bracket on the reduced space: the ambient bracket of the
     representatives (invariant again) pushed through the reduction."""
-    return reduce_elem(poisson(phi, psi, ctx), ctx)
+    return reduce_elem(poisson(phi, psi), ctx)
 
 
 def reduction_compatibility(F: Series, G: Series, ctx: StarContext) -> Series:
@@ -194,16 +194,16 @@ def quantum_momentum_check(F: Series, ctx: StarContext) -> Series:
     every admissible D.  SJ = D J is the quantum momentum map."""
     from .equiv import s_apply, tilde_star
 
-    SJ = s_apply(Series.const(momentum_map(ctx), ctx.K), ctx)
+    SJ = s_apply(Series.const(momentum_map(ctx.space), ctx.K), ctx)
     lhs = tilde_star(F, SJ, ctx) - tilde_star(SJ, F, ctx)
     half_i = GaussianRational(0, Fraction(1, 2))
-    bracket = [poisson(c, momentum_map(ctx), ctx).scale(half_i) for c in F.coeffs[: ctx.K + 1]]
+    bracket = [poisson(c, momentum_map(ctx.space)).scale(half_i) for c in F.coeffs[: ctx.K + 1]]
     return lhs - Series(bracket).times_lambda(1)
 
 
-def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext) -> Series:
-    """General-D reduced product against the D == 1 product with the
-    deformation parameter replaced by lambda / D(-2 mu, lambda).
+def reparametrize_check(phi: LaurentElem, psi: LaurentElem, ctx: StarContext) -> Series:
+    """The reduced product for the context's D against the D == 1 product
+    with the deformation parameter replaced by lambda / D(-2 mu, lambda).
 
     Both are series in u = lambda/(D(-2mu,lambda) (-2mu)); the first is
     the closed tilde-star formula evaluated at x = -2 mu, the second the
@@ -213,14 +213,13 @@ def reparametrize_check(phi: LaurentElem, psi: LaurentElem, D, ctx: StarContext)
         raise ValueError("reparametrize_check wants degree-(0,0) representatives")
     from .equiv import closed_sum, closed_weights
 
-    K = ctx.K
-    D = tuple(Fraction(d) for d in D)
+    K, D = ctx.K, ctx.D
     c = -2 * ctx.mu
     # scalar series D(-2mu, lambda) and u = lambda/(c D)
     Dc = scalar_series([D[r] * c ** (-r) if r < len(D) else 0 for r in range(K + 1)], K)
     u = Dc.scale(c).invert().times_lambda(1)
 
-    ms = [None] + [reduce_elem(m_op(phi, psi, s, ctx), ctx) for s in range(1, K + 1)]
+    ms = [None] + [reduce_elem(m_op(phi, psi, s), ctx) for s in range(1, K + 1)]
 
     def lift(w: Series) -> Series:
         return w.map(lambda sc: LaurentElem.scalar(phi.space, sc))

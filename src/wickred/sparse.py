@@ -80,9 +80,10 @@ def var_keys(nvars: int) -> tuple:
     return tuple((1 << (SLOT * nvars)) | (1 << (SLOT * i)) for i in range(nvars))
 
 
-def rekey(terms: dict, images, nvars: int) -> dict:
+def rekey(terms: dict, images) -> dict:
     """Substitute variable i by the monomial whose key is ``images[i]``,
-    where 0 means "set to 1": a key's image is sum_i e_i * images[i].
+    where 0 means "set to 1": a key's image is sum_i e_i * images[i], over
+    the ``len(images)`` slots of the source keys.
 
     Images of degree <= 1 (0 or an entry of ``var_keys``) never raise the
     total degree, so the result stays packable.  Terms that land on the

@@ -19,14 +19,13 @@ from typing import NamedTuple
 # equiv, moreno and reduction are imported by the builders that run them,
 # so that a suite loads only the layers it checks
 from . import SUITE_NAMES, sparse
-from .poly import LaurentElem, is_radial
+from .poly import LaurentElem, VarSpace, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from .scalar import GaussianRational, factorial
 from .series import Series, UnivarPoly, scalar_series
 from .wick import (
     StarContext,
     commutator_check,
-    default_context,
     m_op,
     momentum_map,
     product_formula_check,
@@ -163,7 +162,7 @@ def check_radial_tuple(checks, ctx, rng, idx, tag):
     fg = wick_product_elems(f, g, ctx)
     rebuilt, homog = [], True
     for r in range(K + 1):
-        mr = m_op(f, g, r, ctx)
+        mr = m_op(f, g, r)
         homog = homog and (mr.is_zero() or mr.is_homogeneous())
         rebuilt.append(mr.mul_xpow(-r).scale(Fraction(1, factorial(r))))
     _add(checks, f"{tag}/m-operators-homogeneous-{idx}", homog)
@@ -177,7 +176,7 @@ def check_commutators(checks, ctx, rng, count, tag):
         G = rand_poly(space, rng, max_deg=2)
         res = commutator_check(F, G, ctx)
         _zero(checks, f"{tag}/first-order-commutator-{t}", res.coeffs[1], K=ctx.K)
-    J = momentum_map(ctx)
+    J = momentum_map(space)
     for t in range(count):
         F = rand_poly(space, rng, max_deg=2)
         _zero(checks, f"{tag}/momentum-commutator-exact-{t}", commutator_check(F, J, ctx), K=ctx.K)
@@ -344,7 +343,7 @@ def check_ideal_decomposition(checks, ctx, rng, tag):
     space = ctx.space
     inv = Series([rand_invariant(space, rng) for _ in range(ctx.K + 1)])
     dec = reduction.ideal_decompose(inv, ctx)
-    Jmu = momentum_map(ctx) - LaurentElem.scalar(space, ctx.mu)
+    Jmu = momentum_map(space) - LaurentElem.scalar(space, ctx.mu)
     rebuilt = dec.projection + dec.multiplier.map(lambda c: Jmu * c)
     _zero(checks, f"{tag}/ideal-decomposition", rebuilt - inv, K=ctx.K)
     _add(checks, f"{tag}/ideal-multiplier-invariant",
@@ -362,8 +361,9 @@ def check_quantum_momentum(checks, ctx, tag, F):
 def check_reparametrization(checks, ctx, tag, phi, psi):
     from . import reduction
 
+    _, ctx_d = _d_variants(ctx)[1]
     _zero(checks, f"{tag}/reparametrization",
-          reduction.reparametrize_check(phi, psi, (1, 1), ctx), K=ctx.K)
+          reduction.reparametrize_check(phi, psi, ctx_d), K=ctx.K)
 
 
 def check_two_point(checks, ctx, rng, count, tag):
@@ -400,13 +400,13 @@ def check_k_polys(checks, tag, rmax):
             for r in range(1, rmax + 1)))
 
 
-def check_charts(checks, ctx, rng, count, tag, rs=(1, 2)):
+def check_charts(checks, space, rng, count, tag, rs=(1, 2)):
     from . import moreno
 
     for t in range(count):
-        phi, psi = (rand_homogeneous(ctx.space, rng, deg=1) for _ in range(2))
+        phi, psi = (rand_homogeneous(space, rng, deg=1) for _ in range(2))
         for r in rs:
-            _zero(checks, f"{tag}/chart-r{r}-{t}", moreno.chart_cross_check(phi, psi, r, ctx))
+            _zero(checks, f"{tag}/chart-r{r}-{t}", moreno.chart_cross_check(phi, psi, r))
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +416,7 @@ def check_charts(checks, ctx, rng, count, tag, rs=(1, 2)):
 def suite_lemma21(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu)
+    ctx = StarContext(VarSpace.cpn(n), K, mu=mu)
     tag = f"lemma21-n{n}-cpn"
     check_associativity(checks, ctx, rng, 3, tag)
     for idx in range(3):
@@ -428,7 +428,7 @@ def suite_lemma21(n, K, mu, seed) -> list:
 def suite_equiv(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu)
+    ctx = StarContext(VarSpace.cpn(n), K, mu=mu)
     tag = f"equiv-n{n}"
     check_a_table(checks, tag)
     check_symbol_at_zero(checks, ctx, tag)
@@ -444,7 +444,7 @@ def suite_equiv(n, K, mu, seed) -> list:
 def suite_reduce(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu)
+    ctx = StarContext(VarSpace.cpn(n), K, mu=mu)
     space = ctx.space
     tag = f"reduce-n{n}-cpn"
     check_k_coeff_routes(checks, tag)
@@ -463,20 +463,21 @@ def suite_reduce(n, K, mu, seed) -> list:
 
 def suite_moreno(rmax: int = 10, seed: int = 0) -> list:
     """The sphere (n = 1): its report depends only on rmax and seed, since
-    the chart check reads only n from its context."""
+    the chart check runs on CP^1 whatever the n, order and level of the
+    other suites."""
     rng = Random(seed)
     checks = []
     tag = "moreno"
     check_sphere_recursion(checks, tag, rmax)
     check_k_polys(checks, tag, rmax)
-    check_charts(checks, default_context(1), rng, 3, tag)
+    check_charts(checks, VarSpace.cpn(1), rng, 3, tag)
     return checks
 
 
 def suite_su1n(n, K, mu, seed) -> list:
     rng = Random(seed)
     checks = []
-    ctx = default_context(n, K, mu, "dn")
+    ctx = StarContext(VarSpace.dn(n), K, mu=mu)
     tag = f"su1n-n{n}"
     check_associativity(checks, ctx, rng, 2, tag)
     for idx in range(2):

@@ -1,8 +1,12 @@
 """Star-products on the punctured complex space: the Wick product (both
 metric signatures), the Poisson bracket, the momentum map J = -x/2, the
 bidifferential operators M_r, the radial product, and the two-point
-operators N and calM_r (H, the total-degree operator, is
+operators calM_r, with N = calM_1 (H, the total-degree operator, is
 ``LaurentElem.weighted(sum)``).
+
+Only the truncated products read a ``StarContext`` (its order K).  The
+bracket, J, M_r and calM_r depend on the metric alone, which every operand
+carries in its ``VarSpace``, so they take no context.
 """
 
 from __future__ import annotations
@@ -53,12 +57,6 @@ class StarContext:
         return all(d == 0 for d in self.D[1:])
 
 
-def default_context(n: int = 1, K: int = 6, mu=Fraction(-1, 2), space_kind: str = "cpn",
-                    D=(Fraction(1),)) -> StarContext:
-    space = VarSpace.cpn(n) if space_kind == "cpn" else VarSpace.dn(n)
-    return StarContext(space=space, K=K, D=tuple(D), mu=mu)
-
-
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple:
     """All exponent tuples beta with |beta| = total over `parts` slots."""
@@ -78,15 +76,14 @@ def _multi_factorial(beta: tuple) -> int:
 
 class DerivCache:
     """Memoized mixed partials d^beta of one element along one variable
-    block (z, zb, or wb); beta is a tuple over the n+1 coordinates.  One
-    per element object and block (in its ``partials``): products share it.
+    block (z or zb); beta is a tuple over the n+1 coordinates.  One per
+    element object and block (in its ``partials``): products share it.
 
     ``_reach()`` is the top order with a nonzero partial, read off the
-    element P / q^m (q = xw for wb, else x): -1 for zero, the block degree
-    of the polynomial P q^-m for m <= 0, and unbounded for m > 0, since q
-    is irreducible and primitive in the block: by Gauss's lemma a P / q^m
-    whose partials of some order all vanish needs q^m | P, which
-    canonical form forbids."""
+    element P / x^m: -1 for zero, the block degree of the polynomial
+    P x^-m for m <= 0, and unbounded for m > 0, since x is irreducible and
+    primitive in the block: by Gauss's lemma a P / x^m whose partials of
+    some order all vanish needs x^m | P, which canonical form forbids."""
 
     __slots__ = ("block", "cache", "space", "_top")
 
@@ -109,17 +106,16 @@ class DerivCache:
         k = max(i for i, b in enumerate(beta) if b)
         prev = list(beta)
         prev[k] -= 1
-        slot = {"z": self.space.iz, "zb": self.space.izb, "wb": self.space.iwb}[self.block]
+        slot = {"z": self.space.iz, "zb": self.space.izb}[self.block]
         res = self.get(tuple(prev)).diff(slot(k))
         self.cache[beta] = res
         return res
 
     def _reach(self):
         if self._top is None:
-            e, i = self.cache[(0,) * self.space.nv], ("z", "zb", "w", "wb").index(self.block)
-            m = e.mw if i > 1 else e.mz
-            self._top = (-1 if e.is_zero() else float("inf") if m > 0
-                         else max(d[i] for d in map(e.num.degrees, e.num.terms)) - m)
+            e, i = self.cache[(0,) * self.space.nv], ("z", "zb").index(self.block)
+            self._top = (-1 if e.is_zero() else float("inf") if e.mz > 0
+                         else max(d[i] for d in map(e.num.degrees, e.num.terms)) - e.mz)
         return self._top
 
 
@@ -175,30 +171,28 @@ def wick_product_elems(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Seri
     return wick_product(Series.const(F, K), Series.const(G, K), ctx)
 
 
-def poisson(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> LaurentElem:
+def poisson(F: LaurentElem, G: LaurentElem) -> LaurentElem:
     """(2/i) * g^kk (dF/dz^k dG/dzb^k - dF/dzb^k dG/dz^k), exactly."""
-    space = ctx.space
-    if F.space != space or G.space != space:
-        raise ValueError("operands live in a different space than the context")
+    F._check(G)
     items = (_contraction(1, DerivCache(F, "z"), DerivCache(G, "zb"))
              + _contraction(1, DerivCache(F, "zb"), DerivCache(G, "z"), -1))
-    return LaurentElem.sum_of_products(space, items).scale(MINUS_TWO_I)
+    return LaurentElem.sum_of_products(F.space, items).scale(MINUS_TWO_I)
 
 
-def momentum_map(ctx: StarContext) -> LaurentElem:
+def momentum_map(space: VarSpace) -> LaurentElem:
     """J = -x/2 (with the metric-twisted x when the signature is mixed)."""
-    return LaurentElem.x_power(ctx.space, 1).scale(Fraction(-1, 2))
+    return LaurentElem.x_power(space, 1).scale(Fraction(-1, 2))
 
 
 def commutator_check(F: LaurentElem, G: LaurentElem, ctx: StarContext) -> Series:
     """(F*G - G*F) - (i lambda / 2) {F, G}; the order-1 coefficient must
     vanish identically."""
     lhs = wick_product_elems(F, G, ctx) - wick_product_elems(G, F, ctx)
-    bracket = poisson(F, G, ctx).scale(GaussianRational(0, Fraction(1, 2)))
+    bracket = poisson(F, G).scale(GaussianRational(0, Fraction(1, 2)))
     return lhs - Series.const(bracket, ctx.K).times_lambda(1)
 
 
-def m_op(F: LaurentElem, G: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
+def m_op(F: LaurentElem, G: LaurentElem, r: int) -> LaurentElem:
     """M_r(F, G) = x^r * (contracted r-fold derivative pairing).
 
     M_0 is the pointwise product; on homogeneous arguments every M_r is
@@ -237,8 +231,8 @@ def tensor(f: LaurentElem, g: LaurentElem) -> LaurentElem:
     sp2 = f.space.with_two_point()
     nv2 = 2 * f.space.nv
     # f's variables keep their slots; g's move into the (w, wb) block
-    fnum = Poly(sp2, sparse.rekey(f.num.terms, sp2.var_keys[:nv2], nv2))
-    gnum = Poly(sp2, sparse.rekey(g.num.terms, sp2.var_keys[nv2:], nv2))
+    fnum = Poly(sp2, sparse.rekey(f.num.terms, sp2.var_keys[:nv2]))
+    gnum = Poly(sp2, sparse.rekey(g.num.terms, sp2.var_keys[nv2:]))
     return LaurentElem(fnum, f.mz, 0, canonical=True) * LaurentElem(gnum, 0, g.mz, canonical=True)
 
 
@@ -248,17 +242,13 @@ def restrict_diagonal(F: LaurentElem) -> LaurentElem:
     if not sp2.two_point:
         raise ValueError("needs a two-point element")
     sp1 = sp2.one_point()
-    out = sparse.rekey(F.num.terms, sp1.var_keys * 2, sp2.nvars)
+    out = sparse.rekey(F.num.terms, sp1.var_keys * 2)
     return LaurentElem(Poly(sp1, out), F.mz + F.mw)
 
 
-def op_n(F: LaurentElem, ctx: StarContext) -> LaurentElem:
-    """N(F) = (g_ii z^i wb^i) g_jj d^2 F / dz^j dwb^j."""
-    return op_calm(F, 1, ctx)
-
-
-def op_calm(F: LaurentElem, r: int, ctx: StarContext) -> LaurentElem:
-    """calM_r(F) = (g z wb)^r * contracted d^r/dz d^r/dwb of F."""
+def op_calm(F: LaurentElem, r: int) -> LaurentElem:
+    """calM_r(F) = (g z wb)^r * contracted d^r/dz d^r/dwb of F.  calM_1 is
+    N(F) = (g_ii z^i wb^i) g_jj d^2 F / dz^j dwb^j."""
     sp2 = F.space
     if not sp2.two_point:
         raise ValueError("needs a two-point element")
@@ -297,8 +287,8 @@ def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarConte
     n = ctx.n
     acc = tensor(f, g)
     for s in range(r):
-        acc = op_n(acc, ctx) - acc.scale(s * (n - s))
-    return m_op(f, g, r, ctx) - restrict_diagonal(acc)
+        acc = op_calm(acc, 1) - acc.scale(s * (n - s))
+    return m_op(f, g, r) - restrict_diagonal(acc)
 
 
 # ----------------------------------------------------------------------

@@ -165,8 +165,7 @@ def test_c10_moreno_comparison():
     rng = Random(SEED + 10)
     checks = []
     suites.check_sphere_recursion(checks, "C10", rmax=10)
-    ctx = StarContext(space=VarSpace.cpn(1), K=4)
-    suites.check_charts(checks, ctx, rng, 10, "C10", rs=(1, 2, 3))
+    suites.check_charts(checks, VarSpace.cpn(1), rng, 10, "C10", rs=(1, 2, 3))
     passed(checks, 42, "C10 sphere-recursion comparison and chart cross-check", t0)
 
 

@@ -167,7 +167,7 @@ def test_tilde_star_radial_relations(ctx1, sp1, phi, rng):
 def test_tilde_star_first_order(ctx1, sp1, phi):
     ts = tilde_star_elems(phi, phi, ctx1)
     assert ts.coeffs[0] == phi * phi
-    assert ts.coeffs[1] == m_op(phi, phi, 1, ctx1).mul_xpow(-1)
+    assert ts.coeffs[1] == m_op(phi, phi, 1).mul_xpow(-1)
 
 
 def test_tilde_star_closed_formula(sp1, rng):

@@ -17,7 +17,7 @@ from wickred.equiv import a_coeff, s_apply_xpow
 from wickred.poly import LaurentElem, Poly, VarSpace
 from wickred.scalar import ONE, ZERO, GaussianRational
 from wickred.series import Series
-from wickred.wick import DerivCache, default_context
+from wickred.wick import DerivCache, StarContext
 
 from lambda_series import dx_series, lam_over_dx
 
@@ -51,9 +51,8 @@ def elements(draw, space):
 @st.composite
 def view_cases(draw):
     space = draw(st.sampled_from(VIEW_SPACES))
-    blocks = ("z", "zb", "wb") if space.two_point else ("z", "zb")
     steps = draw(st.lists(st.tuples(
-        st.sampled_from(blocks),
+        st.sampled_from(("z", "zb")),
         st.lists(st.integers(0, 2), min_size=space.nv, max_size=space.nv).map(tuple)),
         min_size=1, max_size=8))
     return draw(elements(space)), steps
@@ -63,7 +62,7 @@ def diff_chain(f, block, beta):
     """d^beta f along one block, highest coordinate first (the reverse of
     the order the table fills in)."""
     sp = f.space
-    slot = {"z": sp.iz, "zb": sp.izb, "wb": sp.iwb}[block]
+    slot = {"z": sp.iz, "zb": sp.izb}[block]
     for k in reversed(range(sp.nv)):
         for _ in range(beta[k]):
             f = f.diff(slot(k))
@@ -90,8 +89,7 @@ def test_interleaved_views_match_a_fresh_diff_chain(case):
 
 def test_tables_hold_no_cycle_back_to_their_element():
     # an element and its tables are freed by reference counting alone
-    ctx = default_context(2, 3)
-    sp = ctx.space
+    sp = VarSpace.cpn(2)
     gc.collect()
     gc.disable()
     try:
@@ -118,7 +116,7 @@ def test_tables_are_not_copied_by_arithmetic(sp1):
 def test_products_share_the_partials_of_one_element():
     from wickred.wick import m_op, wick_product_elems
 
-    ctx = default_context(2, 4)
+    ctx = StarContext(VarSpace.cpn(2), 4)
     sp = ctx.space
     f = LaurentElem(Poly.variable(sp, sp.iz(0)) * Poly.variable(sp, sp.izb(1)), 1)
     g = LaurentElem(Poly.variable(sp, sp.iz(1)) * Poly.variable(sp, sp.izb(0)), 1)
@@ -126,7 +124,7 @@ def test_products_share_the_partials_of_one_element():
     filled = dict(DerivCache(f, "z").cache)
     # M_r differentiates the same two objects: it adds no partial of order <= K
     for r in range(1, ctx.K + 1):
-        m_op(f, g, r, ctx)
+        m_op(f, g, r)
     assert {k: v for k, v in DerivCache(f, "z").cache.items() if sum(k) <= ctx.K} == filled
 
 
@@ -153,8 +151,8 @@ def series_s_xpow(j, ctx):
     return out
 
 
-S_CONTEXTS = [default_context(n, K, Fraction(-1, 2), kind, D)
-              for n, kind in ((1, "cpn"), (1, "dn"), (2, "cpn"))
+S_CONTEXTS = [StarContext(space, K, D)
+              for space in (VarSpace.cpn(1), VarSpace.dn(1), VarSpace.cpn(2))
               for K in (1, 3, 6)
               for D in ((Fraction(1),), (Fraction(1), Fraction(1)))]
 

@@ -117,12 +117,12 @@ def test_bare_package_import_loads_no_submodule():
 FAILING = """
 import json, sys
 from wickred import suites
+from wickred.poly import VarSpace
 from wickred.series import Series
-from wickred.wick import default_context, momentum_map
+from wickred.wick import momentum_map
 before = sorted(m for m in sys.modules if m.startswith("wickred."))
-ctx = default_context(2, 3)
 checks = []
-suites._zero(checks, "t", Series.const(momentum_map(ctx), ctx.K).times_lambda(1), K=ctx.K)
+suites._zero(checks, "t", Series.const(momentum_map(VarSpace.cpn(2)), 3).times_lambda(1), K=3)
 after = sorted(m for m in sys.modules if m.startswith("wickred."))
 print(json.dumps({"before": before, "after": after, "check": list(checks[0])}))
 """
@@ -133,16 +133,16 @@ def test_failing_check_formats_its_residual_in_a_fresh_process():
     may not have loaded (`equiv`, `parser`); the detail string is the same
     as in a process that has loaded everything."""
     from wickred import suites
+    from wickred.poly import VarSpace
     from wickred.series import Series
-    from wickred.wick import default_context, momentum_map
+    from wickred.wick import momentum_map
 
     got = _last_json(_fresh(["-c", FAILING]))
     # `suites` alone: no `cli`, no layer past the kernel, no parser
     assert got["before"] == sorted(f"wickred.{m}" for m in VERIFY | {"scalar", "series"})
     assert {"wickred.equiv", "wickred.parser"} <= set(got["after"])
-    ctx = default_context(2, 3)
     checks = []
-    suites._zero(checks, "t", Series.const(momentum_map(ctx), ctx.K).times_lambda(1), K=ctx.K)
+    suites._zero(checks, "t", Series.const(momentum_map(VarSpace.cpn(2)), 3).times_lambda(1), K=3)
     assert got["check"] == ["t", False, checks[0].detail]
     assert checks[0].detail.startswith("order 3, first nonzero at l^1: ")
 
@@ -244,3 +244,28 @@ def test_only_the_kernel_reads_triples_and_orders_keys():
     assert triples <= {"scalar.py", "sparse.py"}
     assert heaps <= {"sparse.py"}
     assert tables <= {"wick.py"}
+
+
+def _unnamed_parameters(tree) -> list:
+    """(function, parameter) for each parameter of a function or lambda,
+    `self` and `cls` aside, that its body never names."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [(getattr(node, "name", "<lambda>"), p) for p in params
+                if p not in ("self", "cls") and p not in named]
+    return out
+
+
+def test_every_parameter_is_read():
+    """Each function and lambda in `src/wickred` names every parameter it
+    takes in its body: a context, a size or a table that a function never
+    reads is not passed to it."""
+    unread = [f"{name[:-3]}.{func}/{param}" for name, tree in _trees(LIBRARY).items()
+              for func, param in _unnamed_parameters(tree)]
+    assert unread == []

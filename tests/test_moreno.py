@@ -138,25 +138,25 @@ def test_chart_laplacian_on_phi(ctx1, sp1, phi):
     assert (lap - expected).is_zero()
 
 
-def test_chart_cross_check_examples(ctx1, sp1, phi):
-    assert chart_cross_check(phi, phi, 1, ctx1).is_zero()
+def test_chart_cross_check_examples(sp1, phi):
+    assert chart_cross_check(phi, phi, 1).is_zero()
     one = LaurentElem.one_of(sp1)
-    assert chart_cross_check(phi, one, 1, ctx1).is_zero()
-    assert chart_cross_check(one, phi, 2, ctx1).is_zero()
+    assert chart_cross_check(phi, one, 1).is_zero()
+    assert chart_cross_check(one, phi, 2).is_zero()
 
 
-def test_chart_cross_check_random(ctx1, sp1, rng):
+def test_chart_cross_check_random(sp1, rng):
     for _ in range(4):
         f = rand_homogeneous(sp1, rng, deg=1)
         g = rand_homogeneous(sp1, rng, deg=1)
         for r in (1, 2, 3):
-            assert chart_cross_check(f, g, r, ctx1).is_zero()
+            assert chart_cross_check(f, g, r).is_zero()
 
 
-def test_chart_cross_check_order_four(ctx1, sp1, rng):
+def test_chart_cross_check_order_four(sp1, rng):
     f = rand_homogeneous(sp1, rng, deg=1)
     g = rand_homogeneous(sp1, rng, deg=1)
-    assert chart_cross_check(f, g, 4, ctx1).is_zero()
+    assert chart_cross_check(f, g, 4).is_zero()
 
 
 def test_chart_rejects_indefinite_metric(sp1d, ctx1d):

@@ -11,7 +11,6 @@ from wickred.wick import (
     commutator_check,
     m_op,
     op_calm,
-    op_n,
     poisson,
     product_formula_check,
     radial_elem,
@@ -85,16 +84,16 @@ def test_wick_indefinite_metric(ctx1d, sp1d):
     assert prod.coeffs[1] == LaurentElem.one_of(sp1d)
 
 
-def test_poisson(ctx1, sp1):
+def test_poisson(sp1):
     for i in range(2):
         for j in range(2):
-            br = poisson(zvar(sp1, i), zbvar(sp1, j), ctx1)
+            br = poisson(zvar(sp1, i), zbvar(sp1, j))
             expected = LaurentElem.scalar(sp1, gauss(0, -2)) if i == j else LaurentElem.zero_of(sp1)
             assert br == expected
     x = LaurentElem.x_power(sp1, 1)
     F = zvar(sp1, 0) * zbvar(sp1, 0)
-    assert poisson(x, F, ctx1).is_zero()
-    assert poisson(F, F, ctx1).is_zero()
+    assert poisson(x, F).is_zero()
+    assert poisson(F, F).is_zero()
 
 
 def test_commutator_check(ctx1, sp1):
@@ -107,13 +106,13 @@ def test_commutator_check(ctx1, sp1):
     assert res.coeffs[1].is_zero()
 
 
-def test_m_ops(ctx1, sp1, phi):
+def test_m_ops(sp1, phi):
     g = rand_invariant(sp1, __import__("random").Random(1))
-    assert m_op(phi, g, 0, ctx1) == phi * g
-    assert m_op(phi, phi, 1, ctx1) == phi - phi * phi
+    assert m_op(phi, g, 0) == phi * g
+    assert m_op(phi, phi, 1) == phi - phi * phi
     one = LaurentElem.one_of(sp1)
     for r in (1, 2, 3):
-        assert m_op(one, g, r, ctx1).is_zero()
+        assert m_op(one, g, r).is_zero()
 
 
 def test_radial_star(ctx1, sp1):
@@ -217,7 +216,7 @@ def _radial_product_suite(ctx, rng, tuples):
         for r in range(ctx.K + 1):
             if r:
                 fact *= r
-            mr = m_op(f, g, r, ctx)
+            mr = m_op(f, g, r)
             assert mr.is_zero() or mr.is_homogeneous()
             assert fg.coeffs[r] == mr.mul_xpow(-r).scale(Fraction(1, fact))
 
@@ -266,7 +265,7 @@ def test_m_op_against_tuple_oracle(rng):
             F = rand_invariant(ctx.space, rng)
             G = rand_homogeneous(ctx.space, rng)
             for r in (1, 2, 3):
-                assert m_op(F, G, r, ctx) == _m_op_tuple_oracle(F, G, r, ctx)
+                assert m_op(F, G, r) == _m_op_tuple_oracle(F, G, r, ctx)
 
 
 def test_first_order_commutator_fifty_pairs(ctx1, ctx1d, rng):
@@ -289,29 +288,28 @@ def test_momentum_commutator_no_higher_orders(ctx1, sp1, rng):
     for _ in range(5):
         F = rand_poly(sp1, rng, max_deg=3)
         comm = wick_product_elems(F, J, ctx1) - wick_product_elems(J, F, ctx1)
-        br = Series.const(poisson(F, J, ctx1).scale(gauss(0, Fraction(1, 2))), ctx1.K)
+        br = Series.const(poisson(F, J).scale(gauss(0, Fraction(1, 2))), ctx1.K)
         assert (comm - br.times_lambda(1)).is_zero()
     Finv = rand_invariant(sp1, rng)
     comm = wick_product_elems(Finv, J, ctx1) - wick_product_elems(J, Finv, ctx1)
     assert comm.is_zero()
-    assert poisson(Finv, J, ctx1).is_zero()
+    assert poisson(Finv, J).is_zero()
 
 
 # ----------------------------------------------------------------------
 # two-point operators
 
 
-def test_two_point_restriction(ctx1, sp1, phi):
+def test_two_point_restriction(sp1, phi):
     f, g = phi, phi
     T = tensor(f, g)
     assert restrict_diagonal(T) == f * g
-    assert (restrict_diagonal(op_calm(T, 1, ctx1)) - m_op(f, g, 1, ctx1)).is_zero()
-    assert (restrict_diagonal(op_n(T, ctx1)) - m_op(f, g, 1, ctx1)).is_zero()
+    assert (restrict_diagonal(op_calm(T, 1)) - m_op(f, g, 1)).is_zero()
 
 
-def test_two_point_errors(ctx1, sp1, phi):
+def test_two_point_errors(sp1, phi):
     with pytest.raises(ValueError):
-        op_n(phi, ctx1)
+        op_calm(phi, 1)
     with pytest.raises(ValueError):
         euler(phi, "H")
 
@@ -329,9 +327,9 @@ def test_recursion_on_tensor_inputs(ctx1, sp1, rng):
     n = ctx1.n
     f, g = rand_homogeneous(sp1, rng), rand_homogeneous(sp1, rng)
     T = tensor(f, g)
-    m1 = op_calm(T, 1, ctx1)
-    rhs = op_n(m1, ctx1) - m1.scale(1 * (n - 1)) - euler(m1, "H")
-    assert (op_calm(T, 2, ctx1) - rhs).is_zero()
+    m1 = op_calm(T, 1)
+    rhs = op_calm(m1, 1) - m1.scale(1 * (n - 1)) - euler(m1, "H")
+    assert (op_calm(T, 2) - rhs).is_zero()
 
 
 def test_recursion_general_inputs(rng):
@@ -346,9 +344,9 @@ def test_recursion_general_inputs(rng):
         for _ in range(3):
             T = tensor(rand_poly(ctx.space, rng, max_deg=2), rand_invariant(ctx.space, rng))
             for r in (1, 2):
-                mr = op_calm(T, r, ctx)
-                rhs = op_n(mr, ctx) - mr.scale(r * (n - r)) - mr.weighted(lambda d: d[0] + d[3]).scale(r)
-                assert (op_calm(T, r + 1, ctx) - rhs).is_zero()
+                mr = op_calm(T, r)
+                rhs = op_calm(mr, 1) - mr.scale(r * (n - r)) - mr.weighted(lambda d: d[0] + d[3]).scale(r)
+                assert (op_calm(T, r + 1) - rhs).is_zero()
 
 
 def test_product_formula(rng):
@@ -366,9 +364,8 @@ def test_calm_on_the_diagonal_is_m_op(space, rng):
     # calM_r(f (x) g) restricted to the diagonal is M_r(f, g) term for term:
     # (g z.wb)^r becomes x^r and dbar_w^beta g(w) becomes dbar_z^beta g(z),
     # homogeneous or not, with or without an x in the denominator
-    ctx = StarContext(space=space, K=4)
     pairs = [(rand_homogeneous(space, rng), rand_homogeneous(space, rng)),
              (rand_poly(space, rng, max_deg=2), rand_invariant(space, rng))]
     for f, g in pairs:
         for r in (1, 2, 3):
-            assert restrict_diagonal(op_calm(tensor(f, g), r, ctx)) == m_op(f, g, r, ctx)
+            assert restrict_diagonal(op_calm(tensor(f, g), r)) == m_op(f, g, r)
