@@ -13,8 +13,8 @@ from . import sparse
 from .coeffs import a_coeff
 from .poly import LaurentElem
 from .scalar import GaussianRational, factorial
-from .series import Series, UnivarPoly, scalar_series
-from .wick import StarContext, m_op, radial_elem, radial_star, wick_product
+from .series import Series, scalar_series
+from .wick import StarContext, m_op, radial_invariant_expansion, wick_product
 
 
 # ----------------------------------------------------------------------
@@ -268,15 +268,12 @@ def s_apply(F: Series, ctx: StarContext, inverse: bool = False) -> Series:
     return Series(G)
 
 
-def equivalence_check(rho1: UnivarPoly, rho2: UnivarPoly, ctx: StarContext) -> Series:
-    """S(rho1 radial-star rho2) - (S rho1)(S rho2); must vanish."""
-    space = ctx.space
-    star = radial_star(rho1, rho2, ctx)
-    star_elems = Series([p.subst_elem(LaurentElem.x_power(space, 1)) for p in star.coeffs])
-    lhs = s_apply(star_elems, ctx)
-    r1 = s_apply(Series.const(radial_elem(rho1, space), ctx.K), ctx)
-    r2 = s_apply(Series.const(radial_elem(rho2, space), ctx.K), ctx)
-    return lhs - r1 * r2
+def equivalence_check(R1: LaurentElem, R2: LaurentElem, ctx: StarContext) -> Series:
+    """S(R1 * R2) - (S R1)(S R2) for radial R1, R2, the Wick product in its
+    closed radial form; must vanish."""
+    K = ctx.K
+    lhs = s_apply(radial_invariant_expansion(R1, R2, ctx), ctx)
+    return lhs - s_apply(Series.const(R1, K), ctx) * s_apply(Series.const(R2, K), ctx)
 
 
 # ----------------------------------------------------------------------

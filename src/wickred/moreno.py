@@ -4,14 +4,17 @@ identities, and the inhomogeneous-chart cross-check of the local
 expression for the reduced bidifferential operators.
 
 Chart calculus: inhomogeneous coordinates v = z/z0 with a second copy u
-for the two-point continuation.  Every denominator that can occur is a
-power of one of the four irreducible factors
+for the two-point continuation, and the four irreducible factors
 
     D1 = 1 + u.vb    D2 = 1 + v.ub    D3 = 1 + u.ub    D4 = 1 + v.vb
 
-whose u/ub derivatives are polynomial, so the class is closed under the
-chart Laplacian; restriction to the diagonal (u -> v) merges D1, D2, D3
-into D4.  Equality is decided on cross-multiplied numerators.
+A denominator is a product of powers of D1 and D2 (the two-point
+continuations) or a power of D4 (the diagonal); D3 only multiplies a
+numerator, in the chart Laplacian.  D1 depends on u alone among u and ub,
+D2 on ub alone, and D4 on neither, so each derivative touches one factor
+and the class is closed under the Laplacian; restriction to the diagonal
+(u -> v) merges the factors into D4.  Equality is decided on
+cross-multiplied numerators.
 """
 
 from __future__ import annotations
@@ -192,31 +195,23 @@ class ChartElem:
         return not self.num
 
     def diff(self, block: str, k: int) -> "ChartElem":
-        """d/du^k or d/dub^k with the quotient rule on the D factors."""
-        var = self.iu(k) if block == "u" else self.iub(k)
-        # which denominator factors depend on the variable, and their derivative
-        if block == "u":
-            affected = [(0, self.ivb(k)), (2, self.iub(k))]
-        else:
-            affected = [(1, self.iv(k)), (2, self.iu(k))]
-        affected = [(i, partner) for i, partner in affected if self.den[i] > 0]
+        """d/du^k or d/dub^k, with the quotient rule on the one factor that
+        depends on it: D1 for u^k (dD1/du^k = vb^k), D2 for ub^k
+        (dD2/dub^k = v^k)."""
+        if self.den[2]:
+            raise ValueError("D3 = 1 + u.ub does not occur in a denominator")
+        var, i, partner = (self.iu(k), 0, self.ivb(k)) if block == "u" else (self.iub(k), 1, self.iv(k))
         dnum = sparse.tdiff(self.num, var, self.nvars)
-        if not affected:
+        m = self.den[i]
+        if not m:
             return ChartElem(self.n, dnum, self.den)
-        num_total = dnum
-        for i, _ in affected:
-            num_total = sparse.tmul(num_total, self._den_poly(i), self.nvars)
-        for i, partner in affected:
-            dD = {self.var_keys[partner]: ONE}
-            t = sparse.tscale(sparse.tmul(self.num, dD, self.nvars), GaussianRational.coerce(-self.den[i]))
-            for j, _ in affected:
-                if j != i:
-                    t = sparse.tmul(t, self._den_poly(j), self.nvars)
-            num_total = sparse.tadd(num_total, t)
+        # (num / D^m)' = (num' D - m num D') / D^(m+1)
+        t = sparse.tscale(sparse.tmul(self.num, {self.var_keys[partner]: ONE}, self.nvars),
+                          GaussianRational.coerce(-m))
+        num = sparse.tadd(sparse.tmul(dnum, self._den_poly(i), self.nvars), t)
         den = list(self.den)
-        for i, _ in affected:
-            den[i] += 1
-        return ChartElem(self.n, num_total, tuple(den))
+        den[i] += 1
+        return ChartElem(self.n, num, tuple(den))
 
     def restrict_diagonal(self) -> "ChartElem":
         """u -> v, ub -> vb; all denominator factors collapse onto D4."""

@@ -328,13 +328,7 @@ def parse_expr(text: str, space: VarSpace, order: int) -> Series:
 
 
 def _format_coeff(c: GaussianRational) -> str:
-    re_, im = c.re, c.im
-    if im == 0:
-        return f"{re_}" if re_ >= 0 else f"({re_})"
-    if re_ == 0:
-        return f"({im}*i)" if im >= 0 else f"(-{-im}*i)"
-    sign = "+" if im >= 0 else "-"
-    return f"({re_}{sign}{abs(im)}*i)"
+    return str(c) if c.is_real() and c.re >= 0 else f"({c})"
 
 
 def format_term(c: GaussianRational, exps, names) -> str:

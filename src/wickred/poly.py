@@ -551,29 +551,6 @@ class LaurentElem:
         }
 
     # ------------------------------------------------------------------
-    def eval(self, zs, ws=None) -> GaussianRational:
-        """Exact evaluation with zb = conj(z) (and wb = conj(w))."""
-        space = self.space
-        zs = [GaussianRational.coerce(v) for v in zs]
-        if len(zs) != space.nv:
-            raise ValueError(f"need {space.nv} coordinates")
-        values = list(zs) + [v.conj() for v in zs]
-        if space.two_point:
-            if ws is None:
-                raise ValueError("two-point element needs w coordinates")
-            ws = [GaussianRational.coerce(v) for v in ws]
-            values += list(ws) + [v.conj() for v in ws]
-        total = self.num.eval(values)
-        for block, m in (("z", self.mz), ("w", self.mw)):
-            if m == 0:
-                continue
-            xv = sparse.teval(space.quads[block].terms, values, space.nvars)
-            if m > 0 and not xv:
-                raise ZeroDivisionError("evaluation point lies on the null set x = 0")
-            total = total * xv.inverse() ** m if m > 0 else total * xv ** (-m)
-        return total
-
-    # ------------------------------------------------------------------
     def to_obj(self):
         obj = {
             "terms": [

@@ -79,10 +79,10 @@ def rand_invariant(space: VarSpace, rng: Random) -> LaurentElem:
     return out
 
 
-def rand_radial(rng: Random, max_deg: int = 2):
-    from .series import UnivarPoly
-
-    coeffs = [rand_coeff(rng) for _ in range(max_deg + 1)]
+def rand_radial(space: VarSpace, rng: Random) -> LaurentElem:
+    """Random nonzero radial element c_0 + c_1 x + c_2 x^2."""
+    coeffs = [rand_coeff(rng) for _ in range(3)]
     if all(c.is_zero() for c in coeffs):
         coeffs[-1] = GaussianRational(1)
-    return UnivarPoly(coeffs)
+    return LaurentElem.sum_of_products(space, [(1, LaurentElem.x_power(space, k), LaurentElem.scalar(space, c))
+                                               for k, c in enumerate(coeffs)])

@@ -1,5 +1,6 @@
 """Truncated formal power series in the deformation parameter, over any
-carrier algebra, plus exact univariate polynomials.
+carrier algebra, plus exact univariate polynomials (the sphere's
+Laplacian polynomials in Delta).
 
 A carrier only needs +, -, unary -, * (same type), .scale(scalar),
 .one(), .zero(), .is_zero() and, where inversion is wanted, .inverse().
@@ -142,8 +143,9 @@ def scalar_series(values, order: int) -> Series:
 
 
 class UnivarPoly:
-    """Dense exact polynomial in one formal variable (x, alpha or Delta;
-    the role is carried along so unrelated carriers cannot be mixed)."""
+    """Dense exact polynomial in one formal variable (Delta for the
+    sphere's Laplacian polynomials; the role is carried along so unrelated
+    carriers cannot be mixed)."""
 
     __slots__ = ("coeffs", "var")
 
@@ -207,32 +209,6 @@ class UnivarPoly:
         if e == 0:
             return self.one()
         return power(self, e)
-
-    def shift(self, k: int):
-        """Multiply by var^k."""
-        if k < 0:
-            raise ValueError(f"cannot shift by a negative power {k}")
-        if not self.coeffs:
-            return self
-        return UnivarPoly([GaussianRational.coerce(0)] * k + self.coeffs, self.var)
-
-    def deriv(self):
-        c = self.coeffs
-        return UnivarPoly([c[k].scale(k) for k in range(1, len(c))], self.var)
-
-    def eval(self, value):
-        total = GaussianRational.coerce(0)
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
-    def subst_elem(self, elem):
-        """Evaluate on an element of any commutative carrier (e.g. the
-        Laurent class, substituting the variable by x)."""
-        total = elem.zero()
-        for c in reversed(self.coeffs):
-            total = total * elem + elem.one().scale(c)
-        return total
 
     def one(self):
         return UnivarPoly([1], self.var)

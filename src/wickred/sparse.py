@@ -65,10 +65,6 @@ def unpack(key: int, nvars: int) -> tuple:
     return tuple((key >> (SLOT * i)) & MASK for i in range(nvars))
 
 
-def exponent(key: int, i: int) -> int:
-    return (key >> (SLOT * i)) & MASK
-
-
 def total_degree(key: int, nvars: int) -> int:
     return key >> (SLOT * nvars)
 

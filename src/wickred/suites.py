@@ -29,7 +29,6 @@ from .wick import (
     m_op,
     momentum_map,
     product_formula_check,
-    radial_elem,
     radial_invariant_expansion,
     wick_product,
     wick_product_elems,
@@ -138,13 +137,12 @@ def check_radial_tuple(checks, ctx, rng, idx, tag):
     """Radial/invariant/homogeneous product relations and the M_r expansion
     on one random tuple."""
     space, K = ctx.space, ctx.K
-    rho1, rho2 = rand_radial(rng), rand_radial(rng)
-    R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
+    R1, R2 = rand_radial(space, rng), rand_radial(space, rng)
     F = rand_invariant(space, rng)
     f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
 
     lhs = wick_product_elems(R1, F, ctx)
-    expansion = radial_invariant_expansion(rho1, F, ctx)
+    expansion = radial_invariant_expansion(R1, F, ctx)
     sym = wick_product_elems(F, R1, ctx)
     _zero(checks, f"{tag}/radial-invariant-expansion-{idx}", lhs - expansion, K=K)
     _zero(checks, f"{tag}/radial-invariant-symmetric-{idx}", lhs - sym, K=K)
@@ -241,7 +239,8 @@ def check_equivalence_transform(checks, ctx, rng, count, tag):
     from . import equiv
 
     for t in range(count):
-        res = equiv.equivalence_check(rand_radial(rng), rand_radial(rng), ctx)
+        R1, R2 = rand_radial(ctx.space, rng), rand_radial(ctx.space, rng)
+        res = equiv.equivalence_check(R1, R2, ctx)
         _zero(checks, f"{tag}/equivalence-transform-{t}", res, K=ctx.K)
 
 
@@ -251,8 +250,7 @@ def check_tilde_relations(checks, ctx, rng, tag):
     from . import equiv
 
     space, K = ctx.space, ctx.K
-    rho1, rho2 = rand_radial(rng), rand_radial(rng)
-    R1, R2 = radial_elem(rho1, space), radial_elem(rho2, space)
+    R1, R2 = rand_radial(space, rng), rand_radial(space, rng)
     F1 = rand_invariant(space, rng)
     f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
     tilde = equiv.tilde_star_elems

@@ -1,6 +1,6 @@
 """Star-products on the punctured complex space: the Wick product (both
 metric signatures), the Poisson bracket, the momentum map J = -x/2, the
-bidifferential operators M_r, the radial product, and the two-point
+bidifferential operators M_r, the radial expansion, and the two-point
 operators calM_r, with N = calM_1 (H, the total-degree operator, is
 ``LaurentElem.weighted(sum)``).
 
@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from . import sparse
 from .poly import LaurentElem, Poly, VarSpace
 from .scalar import GaussianRational, MINUS_TWO_I
-from .series import Series, UnivarPoly
+from .series import Series
 
 
 class StarContext:
@@ -202,24 +202,6 @@ def m_op(F: LaurentElem, G: LaurentElem, r: int) -> LaurentElem:
     return LaurentElem.sum_of_products(F.space, items).mul_xpow(r)
 
 
-def radial_star(rho1: UnivarPoly, rho2: UnivarPoly, ctx: StarContext) -> Series:
-    """Radial product: sum_r lambda^r (x^r / r!) rho1^(r) rho2^(r)."""
-    K = ctx.K
-    zero = UnivarPoly.zero_poly(rho1.var)
-    out = [zero] * (K + 1)
-    a, b = rho1, rho2
-    fact = 1
-    for r in range(K + 1):
-        if r:
-            a = a.deriv()
-            b = b.deriv()
-            fact *= r
-        if a.is_zero() or b.is_zero():
-            break
-        out[r] = (a * b).shift(r).scale(Fraction(1, fact))
-    return Series(out)
-
-
 # ----------------------------------------------------------------------
 # two-point operators
 
@@ -292,30 +274,20 @@ def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarConte
 
 
 # ----------------------------------------------------------------------
-# helpers for the radial/invariant relations
+# the radial expansion
 
 
-def radial_elem(rho: UnivarPoly, space: VarSpace) -> LaurentElem:
-    """rho(x) as a Laurent element."""
-    return rho.subst_elem(LaurentElem.x_power(space, 1))
-
-
-def radial_invariant_expansion(rho: UnivarPoly, F: LaurentElem, ctx: StarContext) -> Series:
-    """sum_r (lambda^r / r!) x^r rho^(r)(x) (d/dx)^r F -- the closed form
-    of the Wick product of a radial with an invariant function."""
-    space = ctx.space
-    K = ctx.K
-    out = [LaurentElem.zero_of(space) for _ in range(K + 1)]
-    dxF = F
-    rd = rho
+def radial_invariant_expansion(R: LaurentElem, F: LaurentElem, ctx: StarContext) -> Series:
+    """sum_r (lambda^r / r!) x^r R^(r)(x) (d/dx)^r F for a radial R -- the
+    closed form of the Wick product of a radial with an invariant function,
+    and so, for F radial too, of the radial product."""
+    out = [R.zero()] * (ctx.K + 1)
     fact = 1
-    for r in range(K + 1):
+    for r in range(ctx.K + 1):
         if r:
-            rd = rd.deriv()
-            dxF = dxF.dx()
+            R, F = R.dx(), F.dx()
             fact *= r
-        if rd.is_zero():
+        if R.is_zero():
             break
-        radial_part = rd.subst_elem(LaurentElem.x_power(space, 1)).mul_xpow(r)
-        out[r] = (radial_part * dxF).scale(Fraction(1, fact))
+        out[r] = (R.mul_xpow(r) * F).scale(Fraction(1, fact))
     return Series(out)

@@ -189,8 +189,8 @@ def naive_teval(a, values, nvars):
     total = ZERO
     for k, c in a.items():
         term = c
-        for i in range(nvars):
-            term = term * GaussianRational.coerce(values[i]) ** sparse.exponent(k, i)
+        for v, e in zip(values, sparse.unpack(k, nvars)):
+            term = term * GaussianRational.coerce(v) ** e
         total = total + term
     return total
 

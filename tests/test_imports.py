@@ -269,3 +269,14 @@ def test_every_parameter_is_read():
     unread = [f"{name[:-3]}.{func}/{param}" for name, tree in _trees(LIBRARY).items()
               for func, param in _unnamed_parameters(tree)]
     assert unread == []
+
+
+def test_radial_functions_are_laurent_elements():
+    """A radial function is a Laurent element in x: only the sphere's
+    Delta-polynomials are `UnivarPoly`s, so only `series` (which defines
+    it), `moreno` (which builds them) and `suites` (which formats their
+    residuals) name it.  The package's export table lists every public
+    name, so it does not count."""
+    naming = {name[:-3] for name, tree in _trees(LIBRARY).items()
+              if name != "__init__.py" and "UnivarPoly" in _identifier_uses(tree)}
+    assert naming == {"series", "moreno", "suites"}

@@ -14,9 +14,11 @@ from wickred.moreno import (
     moreno_recursion_residual,
     p_poly,
 )
+from wickred import sparse
 from wickred.poly import LaurentElem, VarSpace
 from wickred.reduction import k_coeff
 from wickred.sampling import rand_homogeneous
+from wickred.scalar import GaussianRational
 from wickred.series import UnivarPoly
 
 
@@ -128,6 +130,19 @@ def test_chart_map_basics(sp1, phi):
     assert list(c.num.values())[0].re == 1 and len(c.num) == 1
     with pytest.raises(ValueError):
         hom_to_chart(LaurentElem.variable(sp1, 0), "vv")
+
+
+def test_chart_diff_touches_one_factor():
+    # u, ub, v, vb on CP^1: d/du (1/D1) = -vb/D1^2, d/dub (1/D2) = -v/D2^2,
+    # and neither derivative touches the other factor or D4
+    one, minus_one = GaussianRational(1), GaussianRational(-1)
+    vb, v = sparse.pack([0, 0, 0, 1]), sparse.pack([0, 0, 1, 0])
+    inv = ChartElem(1, {0: one}, (1, 1, 0, 1))
+    du, dub = inv.diff("u", 0), inv.diff("ub", 0)
+    assert (du.num, du.den) == ({vb: minus_one}, (2, 1, 0, 1))
+    assert (dub.num, dub.den) == ({v: minus_one}, (1, 2, 0, 1))
+    with pytest.raises(ValueError):
+        ChartElem(1, {0: one}, (0, 0, 1, 0)).diff("u", 0)
 
 
 def test_chart_laplacian_on_phi(ctx1, sp1, phi):

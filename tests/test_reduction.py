@@ -26,6 +26,7 @@ from wickred.series import Series
 from wickred.wick import StarContext, poisson, wick_product_elems
 
 from euler_ops import euler
+from point_eval import point_eval
 
 
 def zvar(sp, k):
@@ -40,7 +41,7 @@ def test_momentum_map(sp1, sp1d):
     J = momentum_map(sp1)
     z0, zb0, z1, zb1 = zvar(sp1, 0), zbvar(sp1, 0), zvar(sp1, 1), zbvar(sp1, 1)
     assert J == (z0 * zb0 + z1 * zb1).scale(Fraction(-1, 2))
-    assert J.eval([1, 0]) == gauss(Fraction(-1, 2))
+    assert point_eval(J, [1, 0]) == gauss(Fraction(-1, 2))
     Jd = momentum_map(sp1d)
     z0, zb0, z1, zb1 = zvar(sp1d, 0), zbvar(sp1d, 0), zvar(sp1d, 1), zbvar(sp1d, 1)
     assert Jd == ((-(z0 * zb0)) + z1 * zb1).scale(Fraction(-1, 2))

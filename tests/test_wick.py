@@ -13,9 +13,7 @@ from wickred.wick import (
     op_calm,
     poisson,
     product_formula_check,
-    radial_elem,
     radial_invariant_expansion,
-    radial_star,
     restrict_diagonal,
     tensor,
     wick_product,
@@ -115,25 +113,32 @@ def test_m_ops(sp1, phi):
         assert m_op(one, g, r).is_zero()
 
 
-def test_radial_star(ctx1, sp1):
-    x = UnivarPoly([0, 1])
-    prod = radial_star(x, x, ctx1)
-    assert prod.coeffs[0] == UnivarPoly([0, 0, 1])
-    assert prod.coeffs[1] == UnivarPoly([0, 1])
-    one = UnivarPoly([1])
-    rho = UnivarPoly([2, 0, 3])
-    assert radial_star(one, rho, ctx1).coeffs[0] == rho
-    assert all(c.is_zero() for c in radial_star(one, rho, ctx1).coeffs[1:])
-    x2 = UnivarPoly([0, 0, 1])
-    prod = radial_star(x2, x2, ctx1)
-    assert prod.coeffs[0] == UnivarPoly([0, 0, 0, 0, 1])
-    assert prod.coeffs[1] == UnivarPoly([0, 0, 0, 4])
-    assert prod.coeffs[2] == UnivarPoly([0, 0, 2])
-    # consistency with the Wick product of the corresponding elements
-    xe = LaurentElem.x_power(sp1, 1)
-    wick = wick_product_elems(xe, xe, ctx1)
-    for m, p in enumerate(radial_star(x, x, ctx1).coeffs):
-        assert p.subst_elem(xe) == wick.coeffs[m]
+def test_radial_wick_products(ctx1, sp1):
+    x = LaurentElem.x_power(sp1, 1)
+    prod = wick_product_elems(x, x, ctx1)
+    assert prod.coeffs[0] == x.pow(2)
+    assert prod.coeffs[1] == x
+    one = LaurentElem.one_of(sp1)
+    rho = one.scale(2) + x.pow(2).scale(3)
+    assert wick_product_elems(one, rho, ctx1).coeffs[0] == rho
+    assert all(c.is_zero() for c in wick_product_elems(one, rho, ctx1).coeffs[1:])
+    x2 = x.pow(2)
+    prod = wick_product_elems(x2, x2, ctx1)
+    assert prod.coeffs[0] == x.pow(4)
+    assert prod.coeffs[1] == x.pow(3).scale(4)
+    assert prod.coeffs[2] == x2.scale(2)
+    # the radial expansion is the same series
+    for R, G in ((x, x), (one, rho), (x2, x2)):
+        assert radial_invariant_expansion(R, G, ctx1) == wick_product_elems(R, G, ctx1)
+
+
+def _deriv(p: UnivarPoly) -> UnivarPoly:
+    return UnivarPoly([c.scale(k) for k, c in enumerate(p.coeffs)][1:], p.var)
+
+
+def _shift(p: UnivarPoly, k: int) -> UnivarPoly:
+    """p times its variable to the k-th power."""
+    return UnivarPoly([0] * k + p.coeffs, p.var)
 
 
 class ExpPoly:
@@ -146,7 +151,7 @@ class ExpPoly:
         self.g = g
 
     def deriv(self) -> "ExpPoly":
-        return ExpPoly(self.prefactor.deriv() + self.prefactor.scale(self.g), self.g)
+        return ExpPoly(_deriv(self.prefactor) + self.prefactor.scale(self.g), self.g)
 
 
 def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
@@ -170,7 +175,7 @@ def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
             ea = ea.deriv()
             eb = eb.deriv()
             fact *= r
-        lhs.append((ea.prefactor * eb.prefactor).shift(r).scale(Fraction(1, fact)))
+        lhs.append(_shift(ea.prefactor * eb.prefactor, r).scale(Fraction(1, fact)))
     # right side: e^((a+b)x) * sum_m lambda^m (a b x)^m / m!
     rhs = []
     fact = 1
@@ -194,13 +199,12 @@ def test_exp_symbol_product(ctx1):
 def _radial_product_suite(ctx, rng, tuples):
     sp = ctx.space
     for _ in range(tuples):
-        rho1, rho2 = rand_radial(rng), rand_radial(rng)
-        R1, R2 = radial_elem(rho1, sp), radial_elem(rho2, sp)
+        R1, R2 = rand_radial(sp, rng), rand_radial(sp, rng)
         F = rand_invariant(sp, rng)
         f, g = rand_homogeneous(sp, rng), rand_homogeneous(sp, rng)
         # (i) radial * invariant via x-derivative expansion, both orders
         lhs = wick_product_elems(R1, F, ctx)
-        assert (lhs - radial_invariant_expansion(rho1, F, ctx)).is_zero()
+        assert (lhs - radial_invariant_expansion(R1, F, ctx)).is_zero()
         assert (lhs - wick_product_elems(F, R1, ctx)).is_zero()
         # (ii) radial * radial commute and stay radial
         r12 = wick_product_elems(R1, R2, ctx)
