@@ -250,8 +250,6 @@ def hom_to_chart(f: LaurentElem, mode: str) -> ChartElem:
     used by the two-point Laplacian formula.
     """
     space = f.space
-    if space.two_point:
-        raise ValueError("chart map wants a one-point element")
     if any(s != 1 for s in space.metric):
         raise ValueError("the chart comparison is set up for the definite metric")
     if not f.is_homogeneous():

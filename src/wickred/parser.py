@@ -114,7 +114,7 @@ class _Parser:
         of ``size``."""
         k = max((hi - lo for lo, hi in filter(None, spans)), default=0)
         if k > 0:
-            xk = predicted_power_size(_size([self.space.quads["z"].terms], self.space.nvars), k)
+            xk = predicted_power_size(_size([self.space.quad.terms], self.space.nvars), k)
             _check_caps(what, xk, pos)
             _check_caps(what, predicted_product_size(size, xk), pos)
 
@@ -349,8 +349,6 @@ def format_elem(e: LaurentElem) -> str:
     if e.mz:
         xp = -e.mz
         body = f"({body})*x^{xp}" if xp != 1 else f"({body})*x"
-    if space.two_point and e.mw:
-        raise ValueError("two-point elements have no printable grammar")
     return body
 
 

@@ -4,7 +4,7 @@ Laplacian polynomials in Delta).
 
 A carrier only needs +, -, unary -, * (same type), .scale(scalar),
 .one(), .zero(), .is_zero() and, where inversion is wanted, .inverse().
-GaussianRational, LaurentElem, UnivarPoly and the symbol polynomials all
+GaussianRational, LaurentElem and the symbol polynomials (``equiv.SparsePoly``)
 satisfy this.
 
 The order K is explicit: coefficient lists always have length K+1 and
@@ -164,10 +164,6 @@ class UnivarPoly:
     def monomial(cls, c, k: int, var: str = "x"):
         return cls([0] * k + [c], var)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def coeff(self, k: int) -> GaussianRational:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -186,9 +182,6 @@ class UnivarPoly:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return UnivarPoly([self.coeff(k) - other.coeff(k) for k in range(n)], self.var)
-
-    def __neg__(self):
-        return UnivarPoly([-c for c in self.coeffs], self.var)
 
     def __mul__(self, other):
         self._check(other)
@@ -213,16 +206,8 @@ class UnivarPoly:
     def one(self):
         return UnivarPoly([1], self.var)
 
-    def zero(self):
-        return UnivarPoly([], self.var)
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def inverse(self):
-        if len(self.coeffs) != 1:
-            raise ValueError("only constant polynomials are invertible")
-        return UnivarPoly([self.coeffs[0].inverse()], self.var)
 
     def __eq__(self, other):
         return (
@@ -271,7 +256,7 @@ class UnivarPoly:
         return out
 
     def __repr__(self):
-        return f"UnivarPoly({self.var}, deg={self.degree})"
+        return f"UnivarPoly({self.var}, deg={len(self.coeffs) - 1})"
 
 
 def latex_fraction(f: Fraction) -> str:

@@ -30,8 +30,8 @@ ordered on a heap.
 
 This is the only module that reads or builds keys, and with ``scalar``
 the only one that reads the triples.  Every change of variables elsewhere
-(conjugation, the two-point tensor and diagonal, the inhomogeneous chart)
-is one ``rekey`` onto the keys of ``var_keys``.
+(conjugation, the inhomogeneous chart) is one ``rekey`` onto the keys of
+``var_keys``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
     not divide.
 
     The divisor has plain integer coefficients, and its leading key
-    ``lead`` has coefficient 1 (the quadratics x and xw).  This is
+    ``lead`` has coefficient 1 (the quadratic x).  This is
     reduction by a single divisor under the graded key order: remainder
     zero is an exact divisibility test for a principal ideal, and the first
     remainder term whose key ``lead`` does not divide proves a nonzero

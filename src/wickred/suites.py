@@ -78,7 +78,7 @@ def _first_term(res) -> tuple:
         return count, str(UnivarPoly.monomial(res.coeffs[k], k, res.var))
     if isinstance(res, LaurentElem):
         terms, nvars, names = res.num.terms, res.space.nvars, res.space.var_names
-        den = {"x": res.mz, "xw": res.mw}
+        den = {"x": res.mz}
     else:  # moreno.ChartElem: num / (D1^a D2^b D3^c D4^d) in u, ub, v, vb
         terms, nvars = res.num, res.nvars
         names = [f"{b}{k}" for b in ("u", "ub", "v", "vb") for k in range(1, res.n + 1)]

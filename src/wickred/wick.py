@@ -1,8 +1,10 @@
 """Star-products on the punctured complex space: the Wick product (both
 metric signatures), the Poisson bracket, the momentum map J = -x/2, the
 bidifferential operators M_r, the radial expansion, and the two-point
-operators calM_r, with N = calM_1 (H, the total-degree operator, is
-``LaurentElem.weighted(sum)``).
+operators calM_r, with N = calM_1, on tensor symbols (``TwoPoint``): a
+two-point function of f and g is kept as polynomial coefficients of the
+partials of f and g, which meet only on the diagonal, where they are the
+derivative tables of M_r.
 
 Only the truncated products read a ``StarContext`` (its order K).  The
 bracket, J, M_r and calM_r depend on the metric alone, which every operand
@@ -11,12 +13,13 @@ carries in its ``VarSpace``, so they take no context.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import sparse
-from .poly import LaurentElem, Poly, VarSpace
+from .poly import LaurentElem, Poly, VarSpace, is_radial
 from .scalar import GaussianRational, MINUS_TWO_I
 from .series import Series
 
@@ -96,7 +99,7 @@ class DerivCache:
             # d^0 is a copy of elem, so no table refers back to its element
             self = views[block] = object.__new__(cls)
             self.block, self.space, self._top = block, elem.space, None
-            self.cache = {(0,) * elem.space.nv: LaurentElem(elem.num, elem.mz, elem.mw, canonical=True)}
+            self.cache = {(0,) * elem.space.nv: LaurentElem(elem.num, elem.mz, canonical=True)}
         return self
 
     def get(self, beta: tuple) -> LaurentElem:
@@ -206,58 +209,111 @@ def m_op(F: LaurentElem, G: LaurentElem, r: int) -> LaurentElem:
 # two-point operators
 
 
-def tensor(f: LaurentElem, g: LaurentElem) -> LaurentElem:
-    """f(z) * g(w) on the two-point space."""
-    if f.space != g.space or f.space.two_point:
-        raise ValueError("tensor takes two one-point elements of one space")
-    sp2 = f.space.with_two_point()
-    nv2 = 2 * f.space.nv
-    # f's variables keep their slots; g's move into the (w, wb) block
-    fnum = Poly(sp2, sparse.rekey(f.num.terms, sp2.var_keys[:nv2]))
-    gnum = Poly(sp2, sparse.rekey(g.num.terms, sp2.var_keys[nv2:]))
-    return LaurentElem(fnum, f.mz, 0, canonical=True) * LaurentElem(gnum, 0, g.mz, canonical=True)
+class TwoPoint:
+    """A two-point function of f(z, zb) and g(w, wb) by its tensor symbol:
+    terms {(alpha, beta): P} stand for
+
+        sum P(z, wb) * d_z^alpha f(z, zb) * dbar_w^beta g(w, wb).
+
+    Each P is a one-point ``Poly`` whose zb slots stand for wb, so the
+    contraction prefactor g_kk z^k wb^k is the one-point x.  The symbol is
+    the normal-ordered form of a differential operator in z and wb applied
+    to f (x) g, so an operator identity on tensors is an identity of
+    symbols; zero P are never stored."""
+
+    __slots__ = ("f", "g", "terms")
+
+    def __init__(self, f: LaurentElem, g: LaurentElem, terms: dict):
+        self.f, self.g, self.terms = f, g, terms
+
+    def __eq__(self, other):
+        return (isinstance(other, TwoPoint) and self.f == other.f and self.g == other.g
+                and self.terms == other.terms)
+
+    def __add__(self, other):
+        if not (self.f == other.f and self.g == other.g):
+            raise ValueError("two-point functions of different factors")
+        out = dict(self.terms)
+        for key, p in other.terms.items():
+            out[key] = out[key] + p if key in out else p
+        return TwoPoint(self.f, self.g, {key: p for key, p in out.items() if not p.is_zero()})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        scaled = ((key, p.scale(c)) for key, p in self.terms.items())
+        return TwoPoint(self.f, self.g, {key: p for key, p in scaled if not p.is_zero()})
 
 
-def restrict_diagonal(F: LaurentElem) -> LaurentElem:
-    """Substitute w -> z, wb -> zb, landing on the one-point space."""
-    sp2 = F.space
-    if not sp2.two_point:
-        raise ValueError("needs a two-point element")
-    sp1 = sp2.one_point()
-    out = sparse.rekey(F.num.terms, sp1.var_keys * 2)
-    return LaurentElem(Poly(sp1, out), F.mz + F.mw)
+def tensor(f: LaurentElem, g: LaurentElem) -> TwoPoint:
+    """f(z) * g(w): the symbol {(0, 0): 1}."""
+    if f.space != g.space:
+        raise ValueError("tensor takes two elements of one space")
+    zero = (0,) * f.space.nv
+    return TwoPoint(f, g, {(zero, zero): Poly.one(f.space)})
 
 
-def op_calm(F: LaurentElem, r: int) -> LaurentElem:
-    """calM_r(F) = (g z wb)^r * contracted d^r/dz d^r/dwb of F.  calM_1 is
-    N(F) = (g_ii z^i wb^i) g_jj d^2 F / dz^j dwb^j."""
-    sp2 = F.space
-    if not sp2.two_point:
-        raise ValueError("needs a two-point element")
-    if r == 0:
-        return F
-    dz = DerivCache(F, "z")
-    if r > dz._reach():
-        return F.zero()
-    prefactor = LaurentElem(_zwb_poly(sp2), canonical=True).pow(r)
+def restrict_diagonal(T: TwoPoint) -> LaurentElem:
+    """Substitute w -> z, wb -> zb: sum P * d^alpha f * dbar^beta g on the
+    one-point space, from the derivative tables that M_r fills too.
+
+    P is multiplied into d^alpha f uncanonicalized (x may divide P), so
+    the sum, not each P, takes the full canonicalization."""
+    dF, dG = DerivCache(T.f, "z"), DerivCache(T.g, "zb")
     items = []
-    for beta in _compositions(r, sp2.nv):
-        a = dz.get(beta)
+    for (alpha, beta), p in T.terms.items():
+        if sum(alpha) > dF._reach() or sum(beta) > dG._reach():
+            continue
+        a = dF.get(alpha)
         if a.is_zero():
             continue
-        # its wb partials are needed once: chained here, kept out of a's table
-        b = reduce(LaurentElem.diff, [sp2.iwb(k) for k, e in enumerate(beta) for _ in range(e)], a)
+        b = dG.get(beta)
         if b.is_zero():
             continue
-        sign = _metric_sign(sp2, beta)
-        items.append((Fraction(_multi_factorial((r,)) * sign, _multi_factorial(beta)), b, prefactor))
-    return LaurentElem.sum_of_products(sp2, items)
+        items.append((1, LaurentElem(p * a.num, a.mz, canonical=True), b))
+    out = LaurentElem.sum_of_products(T.f.space, items)
+    return LaurentElem(out.num, out.mz)
 
 
-def _zwb_poly(sp2: VarSpace) -> Poly:
-    vk = sp2.var_keys
-    return Poly(sp2, {vk[sp2.iz(k)] + vk[sp2.iwb(k)]: GaussianRational.coerce(sp2.metric[k])
-                      for k in range(sp2.nv)})
+def op_calm(T: TwoPoint, r: int) -> TwoPoint:
+    """calM_r = (g z wb)^r * sum_{|gamma| = r} r! g^gamma / gamma!
+    d_z^gamma d_wb^gamma, by the Leibniz rule on P, d^alpha f and dbar^beta g:
+    d_z^gamma sends P d^alpha f to C(gamma, a) d_z^a P d^(alpha+gamma-a) f
+    over a <= gamma, and d_wb^gamma likewise on the zb slots of P and beta.
+    calM_1 is N."""
+    if r == 0:
+        return T
+    space = T.f.space
+    nvars = space.nvars
+    xr = Poly.x(space).pow(r).terms
+    acc = {}
+    for gamma in _compositions(r, space.nv):
+        w = math.factorial(r) * _metric_sign(space, gamma) // _multi_factorial(gamma)
+        subs = [(a, math.prod(map(math.comb, gamma, a)))
+                for a in itertools.product(*(range(e + 1) for e in gamma))]
+        for (alpha, beta), p in T.terms.items():
+            for a, ca in subs:
+                pa = _partial(p, space.iz, a)
+                if pa.is_zero():
+                    continue
+                key_a = tuple(x + g - e for x, g, e in zip(alpha, gamma, a))
+                for b, cb in subs:
+                    pab = _partial(pa, space.izb, b)
+                    if pab.is_zero():
+                        continue
+                    key = (key_a, tuple(x + g - e for x, g, e in zip(beta, gamma, b)))
+                    sparse.tmac(acc.setdefault(key, {}), pab.terms, xr, nvars, w * ca * cb)
+    terms = ((key, sparse.tnorm(t)) for key, t in acc.items())
+    return TwoPoint(T.f, T.g, {key: Poly(space, t) for key, t in terms if t})
+
+
+def _partial(p: Poly, slot, a: tuple) -> Poly:
+    """d^a p along the slots ``slot(k)``."""
+    for k, e in enumerate(a):
+        for _ in range(e):
+            p = p.diff(slot(k))
+    return p
 
 
 def product_formula_check(r: int, f: LaurentElem, g: LaurentElem, ctx: StarContext) -> LaurentElem:
@@ -281,6 +337,8 @@ def radial_invariant_expansion(R: LaurentElem, F: LaurentElem, ctx: StarContext)
     """sum_r (lambda^r / r!) x^r R^(r)(x) (d/dx)^r F for a radial R -- the
     closed form of the Wick product of a radial with an invariant function,
     and so, for F radial too, of the radial product."""
+    if not is_radial(R):
+        raise ValueError("the radial expansion wants a radial first factor")
     out = [R.zero()] * (ctx.K + 1)
     fact = 1
     for r in range(ctx.K + 1):

@@ -1,6 +1,6 @@
-"""The Euler and rotation operators E, Ebar, Y and the two-point H, as
+"""The Euler and rotation operators E, Ebar, Y and H = E + Ebar, as
 weights of `LaurentElem.weighted`: each monomial times its z-degree,
-zb-degree, i*(z-degree - zb-degree) or total degree, net of the x powers."""
+zb-degree, i*(z-degree - zb-degree) or total degree, net of the x power."""
 
 from wickred.scalar import GaussianRational
 
@@ -13,10 +13,8 @@ EULER_WEIGHTS = {
 
 
 def euler(elem, which):
-    """E, Ebar, Y or (on a two-point space) H applied to ``elem``."""
+    """E, Ebar, Y or H applied to ``elem``."""
     weight = EULER_WEIGHTS.get(which)
     if weight is None:
         raise ValueError(f"unknown Euler operator {which!r}")
-    if which == "H" and not elem.space.two_point:
-        raise ValueError("H needs a two-point space")
     return elem.weighted(weight)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -16,7 +17,7 @@ from wickred.equiv import (
     tilde_star_closed,
     tilde_star_elems,
 )
-from wickred.poly import LaurentElem, VarSpace
+from wickred.poly import LaurentElem
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_radial
 from wickred.series import Series
 from wickred.suites import a_table_oracle
@@ -152,6 +153,16 @@ def test_equivalence_check_examples(ctx1, rng):
     assert equivalence_check(x.pow(2), x, ctx).is_zero()
     for _ in range(3):
         assert equivalence_check(rand_radial(sp, rng), rand_radial(sp, rng), ctx1).is_zero()
+
+
+def test_equivalence_check_rejects_a_non_radial_factor(sp1):
+    # the check runs the Wick product in its closed radial form, which
+    # holds only for a radial first factor
+    ctx = StarContext(space=sp1, K=3)
+    rng = Random(5)
+    R1, R2 = rand_invariant(sp1, rng), rand_invariant(sp1, rng)
+    with pytest.raises(ValueError, match="radial"):
+        equivalence_check(R1, R2, ctx)
 
 
 def test_tilde_star_radial_relations(ctx1, sp1, phi, rng):

@@ -33,7 +33,7 @@ gaussians = st.builds(GaussianRational, st.builds(Fraction, SMALL, st.integers(1
 # ----------------------------------------------------------------------
 # derivative tables on the element
 
-VIEW_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), VarSpace.cpn(1, two_point=True)]
+VIEW_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), VarSpace.cpn(3)]
 
 
 @st.composite
@@ -44,8 +44,7 @@ def elements(draw, space):
     num = Poly.from_exponent_map(space, terms)
     if draw(st.booleans()):
         num = num * Poly.x(space)
-    mw = draw(st.integers(-1, 1)) if space.two_point else 0
-    return LaurentElem(num, draw(st.integers(-1, 2)), mw)
+    return LaurentElem(num, draw(st.integers(-1, 2)))
 
 
 @st.composite
@@ -228,7 +227,6 @@ def test_teval_top_exponent_on_an_integer_point():
 
 
 def test_null_points_are_plain_ints():
-    for sp in (VarSpace.cpn(3), VarSpace.dn(2, two_point=True)):
-        for quad in sp.quads.values():
-            assert all(type(v) is int for v in quad.null_point)
-            assert not Poly(sp, quad.terms).eval(quad.null_point)
+    for sp in (VarSpace.cpn(3), VarSpace.dn(2)):
+        assert all(type(v) is int for v in sp.quad.null_point)
+        assert not Poly(sp, sp.quad.terms).eval(sp.quad.null_point)

@@ -173,6 +173,7 @@ def test_module_entry_matches_main(argv, rc, capsys):
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "wickred").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _trees(paths: list) -> dict:
@@ -280,3 +281,24 @@ def test_radial_functions_are_laurent_elements():
     naming = {name[:-3] for name, tree in _trees(LIBRARY).items()
               if name != "__init__.py" and "UnivarPoly" in _identifier_uses(tree)}
     assert naming == {"series", "moreno", "suites"}
+
+
+def _unused_imports(tree) -> list:
+    """Names that an import binds and the module never reads: no Name
+    node loads it and no attribute chain starts at it.  `__future__`
+    imports bind nothing."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_used():
+    """No module of `src/wickred` or `tests/` imports a name it never uses."""
+    unused = [f"{path.parent.name}/{path.name}: {name}" for path in (*LIBRARY, *TESTS)
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []

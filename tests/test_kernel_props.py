@@ -3,10 +3,11 @@ the null-point certificate in front of division by x, the re-keying merge,
 the one power routine and the product; and for the Laurent class: sums and
 derivatives that skip divisibility tests by proof agree with the full
 canonicalization, the Leibniz rule, uniqueness of the canonical form, the
-table of localizing quadratics, and the diagonal operators against a
-per-term reference; and S, the reduction, the closed product formulas, the
-Poisson bracket and calM_r, which each sum one item list per order,
-against references that fold their sums with pairwise +; and the
+localizing quadratic, and the diagonal operators against a per-term
+reference; and S, the reduction, the closed product formulas and the
+Poisson bracket, which each sum one item list per order, and calM_r on a
+tensor symbol, against references that fold their sums with pairwise +
+(calM_r one derivative at a time on the symbol); and the
 coefficient tables A^(r)_s and c_{r,s} against the product recurrence,
 Stirling numbers of the second kind and the series oracle."""
 
@@ -32,17 +33,13 @@ from wickred.wick import DerivCache, StarContext, m_op, op_calm, poisson
 from lambda_series import dx_series, lam_over_dx
 from euler_ops import euler
 from point_eval import point_eval
+from two_point_ops import d_wb, d_z, from_pairs, times
 
 # exact big-int work at exponent 127 has no fixed time budget
 props = settings(deadline=None, max_examples=150)
 
 SMALL = st.integers(-6, 6)
 DEN = st.integers(1, 5)
-
-
-def iw(space, k):
-    """Slot of w^k on a two-point space (after z^0..z^n, zb^0..zb^n)."""
-    return 2 * space.nv + k
 
 
 rationals = st.builds(Fraction, SMALL, DEN)
@@ -133,53 +130,45 @@ def test_teval_empty_is_zero():
 # ----------------------------------------------------------------------
 # division by x and its certificate
 
-SPACES = [
-    VarSpace.cpn(1), VarSpace.dn(1), VarSpace.cpn(2), VarSpace.dn(2),
-    VarSpace.cpn(1, two_point=True), VarSpace.dn(1, two_point=True),
-]
-BLOCKS = [(sp, "z") for sp in SPACES] + [(sp, "w") for sp in SPACES if sp.two_point]
+SPACES = [VarSpace.cpn(1), VarSpace.dn(1), VarSpace.cpn(2), VarSpace.dn(2), VarSpace.cpn(3)]
 
 
-def divisor(space, block):
-    return Poly(space, dict(space.quads[block].terms))
-
-
-def null_point(space, block):
-    return space.quads[block].null_point
+def divisor(space):
+    return Poly(space, dict(space.quad.terms))
 
 
 @st.composite
 def quotient_cases(draw):
-    space, block = draw(st.sampled_from(BLOCKS))
+    space = draw(st.sampled_from(SPACES))
     q = Poly(space, draw(term_dicts(space.nvars, max_deg=5)))
-    return space, block, q
+    return space, q
 
 
 @props
 @given(quotient_cases())
 def test_divided_by_x_inverts_multiplication(case):
-    space, block, q = case
-    p = divisor(space, block) * q
-    assert p.divided_by_x(block) == q
+    space, q = case
+    p = divisor(space) * q
+    assert p.divided_by_x() == q
 
 
 @props
 @given(quotient_cases())
 def test_certificate_never_rejects_a_multiple(case):
-    space, block, q = case
-    p = divisor(space, block) * q
-    assert not p.eval(null_point(space, block))
+    space, q = case
+    p = divisor(space) * q
+    assert not p.eval(space.quad.null_point)
 
 
 @props
 @given(quotient_cases())
 def test_divided_by_x_quotient_is_exact(case):
-    space, block, p = case
-    q = p.divided_by_x(block)
+    space, p = case
+    q = p.divided_by_x()
     if q is None:
         assert p.terms  # zero is always divisible
     else:
-        assert divisor(space, block) * q == p
+        assert divisor(space) * q == p
 
 
 # ----------------------------------------------------------------------
@@ -320,23 +309,18 @@ def test_tmul_matches_naive_reference(a, b):
 # ----------------------------------------------------------------------
 # the Laurent class: canonical form without redundant divisibility tests
 
-TWO_POINT = VarSpace.cpn(1, two_point=True)
-LAURENT_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), TWO_POINT]
+LAURENT_SPACES = [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), VarSpace.dn(2)]
 laurent_settings = settings(deadline=None, max_examples=100)
 
 
 @st.composite
-def laurent_elems(draw, space, mz=None, mw=None):
+def laurent_elems(draw, space, mz=None):
     """A canonical element built by the full canonicalization; its numerator
-    is sometimes a multiple of x or xw, so the stored powers vary."""
+    is sometimes a multiple of x, so the stored power varies."""
     num = Poly(space, draw(term_dicts(space.nvars, max_deg=3, max_terms=4)))
     if draw(st.booleans()):
-        num = num * divisor(space, "z")
-    if space.two_point and draw(st.booleans()):
-        num = num * divisor(space, "w")
-    mz = draw(st.integers(-2, 2)) if mz is None else mz
-    mw = (draw(st.integers(-2, 2)) if mw is None else mw) if space.two_point else 0
-    return LaurentElem(num, mz, mw)
+        num = num * divisor(space)
+    return LaurentElem(num, draw(st.integers(-2, 2)) if mz is None else mz)
 
 
 @st.composite
@@ -347,45 +331,33 @@ def laurent_pairs(draw):
     a = draw(laurent_elems(space))
     kind = draw(st.sampled_from(["same", "cancel", "free"]))
     if kind == "same":
-        b = draw(laurent_elems(space, a.mz, a.mw))
+        b = draw(laurent_elems(space, a.mz))
     elif kind == "cancel":
-        c = draw(laurent_elems(space, a.mz - 1, a.mw))
-        b = LaurentElem(-a.num, a.mz, a.mw) + c
+        c = draw(laurent_elems(space, a.mz - 1))
+        b = LaurentElem(-a.num, a.mz) + c
     else:
         b = draw(laurent_elems(space))
     return space, a, b
 
 
 def full_sum(a, b):
-    """Reference sum: both numerators over the common powers, then the
-    full canonicalization with every block tested."""
-    space = a.space
-    mz, mw = max(a.mz, b.mz), max(a.mw, b.mw)
-    nums = []
-    for e in (a, b):
-        num = e.num
-        if mz > e.mz:
-            num = num * divisor(space, "z").pow(mz - e.mz)
-        if mw > e.mw:
-            num = num * divisor(space, "w").pow(mw - e.mw)
-        nums.append(num)
-    return LaurentElem(nums[0] + nums[1], mz, mw)
+    """Reference sum: both numerators over the common power, then the
+    full canonicalization."""
+    mz = max(a.mz, b.mz)
+    nums = [e.num * divisor(a.space).pow(mz - e.mz) for e in (a, b)]
+    return LaurentElem(nums[0] + nums[1], mz)
 
 
 def full_diff(a, v):
-    """Reference derivative of P / (x^mz xw^mw) over the common denominator
-    x^(mz+1) xw^(mw+1), then the full canonicalization."""
-    space = a.space
-    x = divisor(space, "z")
-    xw = divisor(space, "w") if space.two_point else Poly.one(space)
-    dxw = xw.diff(v) if space.two_point else Poly.zero(space)
+    """Reference derivative of P / x^mz over the common denominator
+    x^(mz+1), then the full canonicalization."""
+    x = divisor(a.space)
     p = a.num
-    num = p.diff(v) * x * xw - (p * x.diff(v) * xw).scale(a.mz) - (p * dxw * x).scale(a.mw)
-    return LaurentElem(num, a.mz + 1, a.mw + (1 if space.two_point else 0))
+    return LaurentElem(p.diff(v) * x - (p * x.diff(v)).scale(a.mz), a.mz + 1)
 
 
 def assert_same(got, want):
-    assert (got.num, got.mz, got.mw) == (want.num, want.mz, want.mw)
+    assert (got.num, got.mz) == (want.num, want.mz)
 
 
 @laurent_settings
@@ -412,46 +384,6 @@ def test_laurent_diff_matches_full_canonicalization(a):
         assert_same(a.diff(v), full_diff(a, v))
 
 
-def test_two_point_diff_divides_the_other_block():
-    # d/dz0 of (x*w0 + xw)/x = -zb0 * xw / x^2: the z block of the quotient
-    # rule is canonical by proof, but xw divides the numerator
-    sp = TWO_POINT
-    f = LaurentElem(divisor(sp, "z") * Poly.variable(sp, iw(sp, 0)) + divisor(sp, "w"), 1)
-    assert (f.mz, f.mw) == (1, 0)
-    d = f.diff(sp.iz(0))
-    assert (d.mz, d.mw) == (2, -1)
-    assert d.num == -Poly.variable(sp, sp.izb(0))
-
-
-@st.composite
-def other_block_cases(draw):
-    """(f, block): f = (x*P + xw*Q)/x with P free of z and zb, or the same
-    with the blocks swapped.  Differentiating in that block leaves the
-    other quadratic dividing the numerator, as in the pinned example."""
-    sp = TWO_POINT
-    block = draw(st.sampled_from(["z", "w"]))
-    other = "w" if block == "z" else "z"
-    half = 2 * sp.nv  # slots per block
-    exps = draw(st.lists(exponent_vectors(half, max_deg=3), min_size=1, max_size=3))
-    coeffs = draw(st.lists(nonzero_gaussians, min_size=len(exps), max_size=len(exps)))
-    pad = [0] * half
-    p = Poly.from_exponent_map(sp, {
-        tuple(pad + e if block == "z" else e + pad): c for e, c in zip(exps, coeffs)})
-    q = Poly(sp, draw(term_dicts(sp.nvars, max_deg=3, max_terms=3).filter(bool)))
-    num = divisor(sp, block) * p + divisor(sp, other) * q
-    f = LaurentElem(num, 1, 0) if block == "z" else LaurentElem(num, 0, 1)
-    return f, block
-
-
-@laurent_settings
-@given(other_block_cases())
-def test_laurent_diff_tests_the_other_block(case):
-    f, block = case
-    half = 2 * f.space.nv
-    for v in (range(half) if block == "z" else range(half, 2 * half)):
-        assert_same(f.diff(v), full_diff(f, v))
-
-
 @laurent_settings
 @given(st.sampled_from(LAURENT_SPACES).flatmap(
     lambda sp: st.tuples(laurent_elems(sp), laurent_elems(sp))))
@@ -465,7 +397,7 @@ def test_laurent_diff_leibniz_rule(pair):
 # the top order with a nonzero partial (DerivCache._reach) against
 # brute-force differentiation
 
-REACH_SPACES = LAURENT_SPACES + [VarSpace.dn(1, two_point=True)]
+REACH_SPACES = LAURENT_SPACES + [VarSpace.cpn(3)]
 # an unbounded reach is checked up to this order; a bounded one is at most
 # 6 here (numerator degree 3, one drawn factor x, x^2 from mz = -2)
 REACH_CHECKED = 4
@@ -510,25 +442,18 @@ def test_m_op_past_the_reach_differentiates_nothing():
 
 
 def test_x_pow_memo_matches_direct_powers():
-    sp = VarSpace.cpn(1, two_point=True)  # a new space: its memo starts empty
-    for ez in range(3):
-        for ew in range(3):
-            want = divisor(sp, "z").pow(ez) * divisor(sp, "w").pow(ew)
-            assert _x_pow_poly(sp, ez, ew) == want
-            assert _x_pow_poly(sp, ez, ew) == want  # served by the memo
+    sp = VarSpace.dn(3)  # a new space: its memo starts empty
+    for e in range(5):
+        want = divisor(sp).pow(e)
+        assert _x_pow_poly(sp, e) == want
+        assert _x_pow_poly(sp, e) == want  # served by the memo
 
 
 @laurent_settings
-@given(st.sampled_from(LAURENT_SPACES).flatmap(laurent_elems), st.integers(0, 3), st.integers(0, 3))
-def test_canonical_form_is_unique(a, k, j):
-    # P * x^k * xw^j / (x^(m+k) xw^(mw+j)) canonicalizes back to P / (x^m xw^mw)
-    space = a.space
-    num = a.num * divisor(space, "z").pow(k)
-    if not space.two_point:
-        j = 0
-    elif j:
-        num = num * divisor(space, "w").pow(j)
-    assert_same(LaurentElem(num, a.mz + k, a.mw + j), a)
+@given(st.sampled_from(LAURENT_SPACES).flatmap(laurent_elems), st.integers(0, 3))
+def test_canonical_form_is_unique(a, k):
+    # P * x^k / x^(m+k) canonicalizes back to P / x^m
+    assert_same(LaurentElem(a.num * divisor(a.space).pow(k), a.mz + k), a)
 
 
 # ----------------------------------------------------------------------
@@ -576,27 +501,25 @@ def product_items(draw):
     """(space, items) for sum_of_products.  'tied' items share their powers,
     'unique' lifts one product above the rest, 'cancel' adds the negation
     of every item (a sum of zero), 'divides' adds c*(q*D - A)*B to each
-    c*A*B, q being x or xw (a sum whose numerator q divides), and 'free'
-    draws the powers freely; elements and scales are sometimes zero."""
+    c*A*B (a sum whose numerator x divides), and 'free' draws the powers
+    freely; elements and scales are sometimes zero."""
     space = draw(st.sampled_from(LAURENT_SPACES))
     kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "free"]))
     n = draw(st.integers(1, 4))
     items = []
     for i in range(n):
         if kind == "tied":
-            a, b = draw(laurent_elems(space, 1, 1)), draw(laurent_elems(space, 0, 0))
+            a, b = draw(laurent_elems(space, 1)), draw(laurent_elems(space, 0))
         elif kind == "unique" and i == 0:
-            a, b = draw(laurent_elems(space, 5, 5)), draw(laurent_elems(space, 2, 2))
+            a, b = draw(laurent_elems(space, 5)), draw(laurent_elems(space, 2))
         else:
             a, b = draw(laurent_elems(space)), draw(laurent_elems(space))
         items.append((draw(scales), a, b))
     if kind == "cancel":
         items += [(-c, a, b) for c, a, b in items]
     elif kind == "divides":
-        block = draw(st.sampled_from(["z", "w"] if space.two_point else ["z"]))
-        q = LaurentElem.x_power(space, 1, block)
-        mz, mw = (2, 1) if block == "z" else (1, 2)
-        items += [(c, q * draw(laurent_elems(space, mz, mw)) - a, b) for c, a, b in items]
+        x = LaurentElem.x_power(space, 1)
+        items += [(c, x * draw(laurent_elems(space, 2)) - a, b) for c, a, b in items]
     return space, items
 
 
@@ -628,30 +551,24 @@ def test_sum_of_products_edge_cases(space):
     assert (got.num, got.mz) == (z0.num, 1)
     # (x*z0)(1/x^2) - z0(1/x): factors stored at other powers cancel to zero
     assert_same(LaurentElem.sum_of_products(space, [(1, x * z0, inv_x * inv_x), (-1, z0, inv_x)]), zero)
-    # (q - v*vb)/q + v*vb/q = 1, q = x or xw: tied top powers whose sum
-    # divides by q
-    blocks = [("z", 0, space.izb(0))]
-    if space.two_point:
-        blocks.append(("w", iw(space, 0), space.iwb(0)))
-    for block, v, vb in blocks:
-        q = LaurentElem.x_power(space, 1, block)
-        vvb = LaurentElem.variable(space, v) * LaurentElem.variable(space, vb)
-        got = LaurentElem.sum_of_products(space, [(1, q - vvb, q.inverse()), (1, vvb, q.inverse())])
-        assert_same(got, one)
+    # (x - z0*zb0)/x + z0*zb0/x = 1: tied top powers whose sum divides by x
+    zzb = z0 * LaurentElem.variable(space, space.izb(0))
+    got = LaurentElem.sum_of_products(space, [(1, x - zzb, inv_x), (1, zzb, inv_x)])
+    assert_same(got, one)
     # a unique top power: 1/x^2 + z0/x keeps x^2 in the denominator
     got = LaurentElem.sum_of_products(space, [(1, inv_x, inv_x), (Fraction(1, 2), z0, inv_x)])
     assert_same(got, folded_sum(space, [(1, inv_x, inv_x), (Fraction(1, 2), z0, inv_x)]))
     assert got.mz == 2
 
 
-def reference_divided_by_x(p, block):
-    """Reference long division by x (or xw) on GaussianRational
-    coefficients, with no null-point certificate in front."""
+def reference_divided_by_x(p):
+    """Reference long division by x on GaussianRational coefficients, with
+    no null-point certificate in front."""
     space = p.space
-    div = divisor(space, block).terms
+    div = divisor(space).terms
     lead = max(div)
     n = space.n
-    ia, ib = (space.iz(n), space.izb(n)) if block == "z" else (iw(space, n), space.iwb(n))
+    ia, ib = space.iz(n), space.izb(n)
     r = dict(p.terms)
     q = {}
     while r:
@@ -670,34 +587,34 @@ def reference_divided_by_x(p, block):
 
 @st.composite
 def division_cases(draw):
-    """(p, block): a multiple of the block's quadratic (with mixed
-    denominators), that multiple plus a random remainder, or a free p."""
-    space, block, q = draw(quotient_cases())
+    """A multiple of x (with mixed denominators), that multiple plus a
+    random remainder, or a free p."""
+    space, q = draw(quotient_cases())
     kind = draw(st.sampled_from(["multiple", "perturbed", "free"]))
     if kind == "free":
-        return q, block
-    p = divisor(space, block) * q
+        return q
+    p = divisor(space) * q
     if kind == "perturbed":
         p = p + Poly(space, draw(term_dicts(space.nvars, max_deg=5, max_terms=2)))
-    return p, block
+    return p
 
 
 def many_term_multiple(space):
     """x * (1 + sum_i c_i v_i)^4 over every variable of `space`, with mixed
-    denominators: on a two-point space, over 200 terms."""
+    denominators: on CP^3, over 200 terms."""
     q = Poly.one(space)
     for i in range(space.nvars):
         q = q + Poly.variable(space, i).scale(GaussianRational(Fraction(1, i + 2), i % 3 - 1))
-    return divisor(space, "z") * q.pow(4)
+    return divisor(space) * q.pow(4)
 
 
 def low_non_multiple(space):
-    """(a z1 - b z0) w0 with (a, b) the null point's (z0, z1): it vanishes
+    """(a z1 - b z0) z2 with (a, b) the null point's (z0, z1): it vanishes
     at the null point, so the certificate passes it on, and its keys sit
     below those of a many-term multiple, so the division reaches it last."""
-    a, b = null_point(space, "z")[:2]
+    a, b = space.quad.null_point[:2]
     z0, z1 = Poly.variable(space, space.iz(0)), Poly.variable(space, space.iz(1))
-    return (z1.scale(a) - z0.scale(b)) * Poly.variable(space, iw(space, 0))
+    return (z1.scale(a) - z0.scale(b)) * Poly.variable(space, space.iz(2))
 
 
 MANY = many_term_multiple(SPACES[4])
@@ -706,14 +623,13 @@ MANY = many_term_multiple(SPACES[4])
 # x * i*(z1*zb1 - z0*zb0): the division meets keys that x*q cancelled
 @props
 @given(division_cases())
-@example((divisor(SPACES[0], "z") * Poly.from_exponent_map(
-    SPACES[0], {(0, 1, 0, 1): GaussianRational(0, 1), (1, 0, 1, 0): GaussianRational(0, -1)}), "z"))
-@example((MANY, "z"))
-@example((MANY + low_non_multiple(SPACES[4]), "z"))
-def test_divided_by_x_matches_reference_division(case):
-    p, block = case
-    got = p.divided_by_x(block)
-    want = reference_divided_by_x(p, block)
+@example(divisor(SPACES[0]) * Poly.from_exponent_map(
+    SPACES[0], {(0, 1, 0, 1): GaussianRational(0, 1), (1, 0, 1, 0): GaussianRational(0, -1)}))
+@example(MANY)
+@example(MANY + low_non_multiple(SPACES[4]))
+def test_divided_by_x_matches_reference_division(p):
+    got = p.divided_by_x()
+    want = reference_divided_by_x(p)
     assert (got is None) == (want is None)
     if got is not None:
         assert got == want
@@ -833,20 +749,18 @@ def test_restrict_diagonal_of_tensor_is_product(pair):
 
 
 def reference_conj(p):
-    """Reference: unpack, swap the z/zb (and w/wb) slices, pack."""
+    """Reference: unpack, swap the z/zb slices, pack."""
     space, nv = p.space, p.space.nv
     out = {}
     for k, c in p.terms.items():
         exps = list(sparse.unpack(k, space.nvars))
         exps[0:nv], exps[nv:2 * nv] = exps[nv:2 * nv], exps[0:nv]
-        if space.two_point:
-            exps[2 * nv:3 * nv], exps[3 * nv:4 * nv] = exps[3 * nv:4 * nv], exps[2 * nv:3 * nv]
         out[sparse.pack(exps)] = c.conj()
     return out
 
 
 @laurent_settings
-@given(st.sampled_from(REKEY_SPACES + [TWO_POINT, VarSpace.dn(2, two_point=True)]).flatmap(
+@given(st.sampled_from(REKEY_SPACES).flatmap(
     lambda sp: term_dicts(sp.nvars, max_deg=3, max_terms=5).map(lambda t: Poly(sp, t))))
 def test_conj_matches_reference_and_is_an_involution(p):
     assert p.conj().terms == reference_conj(p)
@@ -909,42 +823,36 @@ def test_hom_to_chart_rejects_the_indefinite_metric(n):
 
 
 # ----------------------------------------------------------------------
-# one table per localizing quadratic, one map for every diagonal operator
+# the localizing quadratic, one map for every diagonal operator
 
-QUAD_SPACES = [make(n, two_point=tp) for make in (VarSpace.cpn, VarSpace.dn)
-               for n in (1, 2, 3) for tp in (False, True)]
+QUAD_SPACES = [make(n) for make in (VarSpace.cpn, VarSpace.dn) for n in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("space", QUAD_SPACES, ids=repr)
-def test_quads_hold_each_metric_quadratic(space):
+def test_quad_holds_the_metric_quadratic(space):
     nv = space.nv
-    assert list(space.quads) == (["z", "w"] if space.two_point else ["z"])
-    for block, quad in space.quads.items():
-        off = 0 if block == "z" else 2 * nv
-        want = Poly.zero(space)
-        for k in range(nv):
-            v, vb = Poly.variable(space, off + k), Poly.variable(space, off + nv + k)
-            want = want + (v * vb).scale(space.metric[k])
-        assert quad.terms == want.terms
-        assert quad.lead == max(want.terms)
-        assert want.eval(quad.null_point) == ZERO
+    want = Poly.zero(space)
+    for k in range(nv):
+        v, vb = Poly.variable(space, space.iz(k)), Poly.variable(space, space.izb(k))
+        want = want + (v * vb).scale(space.metric[k])
+    assert space.quad.terms == want.terms
+    assert space.quad.lead == max(want.terms)
+    assert want.eval(space.quad.null_point) == ZERO
 
 
 def degrees_reference(f, key):
-    """The degrees (z, zb[, w, wb]) of one term of f as a function: unpack
-    the key, sum each block, subtract the x and xw powers."""
+    """The degrees (z, zb) of one term of f as a function: unpack the key,
+    sum each block, subtract the x power."""
     nv = f.space.nv
     exps = sparse.unpack(key, f.space.nvars)
-    sums = [sum(exps[b:b + nv]) for b in range(0, len(exps), nv)]
-    return [d - m for d, m in zip(sums, (f.mz, f.mz, f.mw, f.mw))]
+    return [sum(exps[:nv]) - f.mz, sum(exps[nv:]) - f.mz]
 
 
 DIAGONAL_WEIGHTS = {
     "E": lambda d: d[0],
     "Ebar": lambda d: d[1],
     "Y": lambda d: GaussianRational(0, d[0] - d[1]),
-    "H": lambda d: d[0] + d[1] + d[2] + d[3],
-    "zwb": lambda d: d[0] + d[3],
+    "H": lambda d: d[0] + d[1],
     "dx": lambda d: d[0],
 }
 
@@ -954,7 +862,7 @@ def diagonal_reference(f, which):
     Laurent element; d/dx also divides each term by x."""
     out = LaurentElem.zero_of(f.space)
     for key, c in f.num.terms.items():
-        term = LaurentElem(Poly(f.space, {key: c}), f.mz, f.mw)
+        term = LaurentElem(Poly(f.space, {key: c}), f.mz)
         term = term.scale(DIAGONAL_WEIGHTS[which](degrees_reference(f, key)))
         out = out + (term.mul_xpow(-1) if which == "dx" else term)
     return out
@@ -963,43 +871,35 @@ def diagonal_reference(f, which):
 @st.composite
 def invariant_elems(draw, space):
     """A canonical element whose every monomial has equal z- and
-    zb-degree; the w block (two-point spaces) is free."""
+    zb-degree."""
     nv = space.nv
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         d = draw(st.integers(0, 2))
         exps = draw(exponent_vectors(nv, d).filter(lambda e, d=d: sum(e) == d))
         exps += draw(exponent_vectors(nv, d).filter(lambda e, d=d: sum(e) == d))
-        if space.two_point:
-            exps += draw(exponent_vectors(2 * nv, 2))
         terms[sparse.pack(exps)] = draw(nonzero_gaussians)
     num = Poly(space, terms)
     if draw(st.booleans()):
-        num = num * divisor(space, "z")
-    mw = draw(st.integers(-2, 2)) if space.two_point else 0
-    return LaurentElem(num, draw(st.integers(-2, 2)), mw)
+        num = num * divisor(space)
+    return LaurentElem(num, draw(st.integers(-2, 2)))
 
 
-DIAGONAL_SPACES = LAURENT_SPACES + [VarSpace.dn(1, two_point=True)]
+DIAGONAL_SPACES = LAURENT_SPACES + [VarSpace.cpn(3)]
 
 
 @laurent_settings
 @given(st.sampled_from(DIAGONAL_SPACES).flatmap(
     lambda sp: st.tuples(laurent_elems(sp), invariant_elems(sp))))
-@example((LaurentElem.zero_of(TWO_POINT), LaurentElem.zero_of(TWO_POINT)))
+@example((LaurentElem.zero_of(VarSpace.cpn(1)), LaurentElem.zero_of(VarSpace.cpn(1))))
 def test_diagonal_operators_match_per_term_reference(pair):
     f, inv = pair
-    for which in ("E", "Ebar", "Y", "H") if f.space.two_point else ("E", "Ebar", "Y"):
+    for which in ("E", "Ebar", "Y", "H"):
         assert euler(f, which) == diagonal_reference(f, which)
-    if f.space.two_point:
-        assert f.weighted(lambda d: d[0] + d[3]) == diagonal_reference(f, "zwb")
     assert inv.dx() == diagonal_reference(inv, "dx")
 
 
-@pytest.mark.parametrize("space, which", [
-    (VarSpace.cpn(1), "bogus"), (TWO_POINT, "bogus"), (VarSpace.cpn(1), "H"),
-    (VarSpace.dn(2), "H"),
-])
+@pytest.mark.parametrize("space, which", [(VarSpace.cpn(1), "bogus"), (VarSpace.dn(2), "bogus")])
 def test_euler_rejects_an_unknown_operator_before_any_term(space, which):
     # a zero element has no term to look at, so the name is checked first
     with pytest.raises(ValueError):
@@ -1011,17 +911,14 @@ def quadratic_value(space, pt):
 
 
 @laurent_settings
-@given(st.sampled_from(DIAGONAL_SPACES + [VarSpace.dn(2)]).flatmap(lambda sp: st.tuples(
-    laurent_elems(sp), st.lists(gaussians, min_size=sp.nv, max_size=sp.nv),
-    st.lists(gaussians, min_size=sp.nv, max_size=sp.nv), st.sampled_from(list(sp.quads)))),
+@given(st.sampled_from(DIAGONAL_SPACES).flatmap(lambda sp: st.tuples(
+    laurent_elems(sp), st.lists(gaussians, min_size=sp.nv, max_size=sp.nv))),
     st.integers(-2, 2))
 def test_mul_xpow_scales_the_value_by_the_quadratic(case, j):
-    f, zs, ws, block = case
-    space = f.space
-    ws = ws if space.two_point else None
-    xv = quadratic_value(space, zs if block == "z" else ws)
-    assume(quadratic_value(space, zs) and (ws is None or quadratic_value(space, ws)))
-    assert point_eval(f.mul_xpow(j, block), zs, ws) == point_eval(f, zs, ws) * xv ** j
+    f, zs = case
+    xv = quadratic_value(f.space, zs)
+    assume(xv)
+    assert point_eval(f.mul_xpow(j), zs) == point_eval(f, zs) * xv ** j
 
 
 # ----------------------------------------------------------------------
@@ -1103,41 +1000,52 @@ def folded_poisson(F, G):
     return acc.scale(GaussianRational(0, -2))
 
 
-def folded_op_calm(F, r):
+def folded_op_calm(T, r):
     """(g z wb)^r times sum over |beta| = r of r! g^beta / beta! times
-    d^beta/dz d^beta/dwb F, each derivative taken variable by variable."""
-    space = F.space
+    d^beta/dz d^beta/dwb T, each derivative taken variable by variable on
+    the symbol."""
+    space = T.f.space
     nv = space.nv
-    acc = LaurentElem.zero_of(space)
+    acc = T.scale(0)
     for beta in itertools.product(range(r + 1), repeat=nv):
         if sum(beta) != r:
             continue
-        d = F
+        d = T
         for k, b in enumerate(beta):
             for _ in range(b):
-                d = d.diff(space.iz(k)).diff(space.iwb(k))
+                d = d_wb(d_z(d, k), k)
         sign = reduce(operator.mul, (space.metric[k] ** b for k, b in enumerate(beta)), 1)
         den = reduce(operator.mul, map(math.factorial, beta), 1)
         acc = acc + d.scale(Fraction(math.factorial(r) * sign, den))
-    zwb = LaurentElem.zero_of(space)
+    zwb = Poly.zero(space)
     for k in range(nv):
-        v = LaurentElem.variable(space, space.iz(k)) * LaurentElem.variable(space, space.iwb(k))
-        zwb = zwb + v.scale(space.metric[k])
-    return zwb.pow(r) * acc
+        zwb = zwb + (Poly.variable(space, space.iz(k)) * Poly.variable(space, space.izb(k))).scale(
+            space.metric[k])
+    return times(acc, zwb.pow(r))
+
+
+@st.composite
+def two_point_symbols(draw, space):
+    """A symbol of two free elements with up to three terms at free keys."""
+    f, g = draw(laurent_elems(space)), draw(laurent_elems(space))
+    index = st.lists(st.integers(0, 2), min_size=space.nv, max_size=space.nv).map(tuple)
+    pairs = draw(st.lists(st.tuples(st.tuples(index, index), term_dicts(space.nvars, max_deg=3, max_terms=3)),
+                          max_size=3))
+    return from_pairs(f, g, [(key, Poly(space, t)) for key, t in pairs])
 
 
 @st.composite
 def sum_cases(draw):
     """A context on CP^1, CP^2 or D^1 with D = 1 or 1 + l/x, an invariant
     series, two homogeneous elements, two free elements and one two-point
-    element."""
+    symbol."""
     space = draw(st.sampled_from(SUM_SPACES))
     ctx = StarContext(space=space, K=3, D=draw(st.sampled_from([(1,), (1, 1)])),
                       mu=draw(st.sampled_from([Fraction(-1, 2), Fraction(-2, 3)])))
     F = Series([draw(invariant_elems(space)) for _ in range(ctx.K + 1)])
     f, g = draw(homogeneous_elems(space)), draw(homogeneous_elems(space))
     a, b = draw(laurent_elems(space)), draw(laurent_elems(space))
-    return ctx, F, f, g, a, b, draw(laurent_elems(space.with_two_point()))
+    return ctx, F, f, g, a, b, draw(two_point_symbols(space))
 
 
 @sum_settings

@@ -15,7 +15,7 @@ from wickred.moreno import (
     p_poly,
 )
 from wickred import sparse
-from wickred.poly import LaurentElem, VarSpace
+from wickred.poly import LaurentElem
 from wickred.reduction import k_coeff
 from wickred.sampling import rand_homogeneous
 from wickred.scalar import GaussianRational

@@ -14,6 +14,14 @@ kernel, the Laurent class, the derivative tables or the coefficient
 tables: an element enters through ``LaurentElem.to_obj``, the JSON form
 the CLI prints, and S(r, s), the Stirling numbers of the second kind,
 come from sympy.
+
+The two-point operators are re-derived the same way on f(z, zb) g(w, wb),
+with z, zb, w and wb independent:
+
+    calM_r(F)  =  (g_kk z^k wb^k)^r  sum_{|beta| = r} r! g^beta / beta!  d_z^beta d_wb^beta F,
+
+N = calM_1, against the tensor symbol expanded into sympy; so the symbol
+gets a check that does not run through its restriction to the diagonal.
 """
 
 import itertools
@@ -23,9 +31,9 @@ from random import Random
 
 import pytest
 
-from wickred.poly import VarSpace
+from wickred.poly import LaurentElem, VarSpace
 from wickred.sampling import rand_homogeneous
-from wickred.wick import StarContext, m_op, wick_product_elems
+from wickred.wick import StarContext, m_op, op_calm, tensor, wick_product_elems
 
 sympy = pytest.importorskip("sympy")
 
@@ -41,6 +49,8 @@ class Oracle:
         self.zs = sympy.symbols(f"z0:{space.nv}")
         self.zbs = sympy.symbols(f"zb0:{space.nv}")
         self.gens = self.zs + self.zbs
+        self.ws = sympy.symbols(f"w0:{space.nv}")
+        self.wbs = sympy.symbols(f"wb0:{space.nv}")
         self.x = sum(g * z * zb for g, z, zb in zip(self.metric, self.zs, self.zbs))
 
     def expr(self, elem):
@@ -50,6 +60,33 @@ class Oracle:
                    * sympy.Mul(*(v ** e for v, e in zip(self.gens, t["e"])))
                    for t in obj["terms"]), sympy.Integer(0))
         return num / self.x ** obj["xpow"]
+
+    def at_w(self, expr):
+        """expr with z -> w and zb -> wb, a function of the second point."""
+        return expr.subs(dict(zip(self.gens, self.ws + self.wbs)), simultaneous=True)
+
+    def two_point(self, T, fs, gs):
+        """A tensor symbol as a sympy function of z, zb, w, wb: sum of
+        P(z, wb) d_z^alpha f(z, zb) d_wb^beta g(w, wb), P's zb slots
+        becoming wb.  P enters through ``LaurentElem.to_obj`` too."""
+        total = sympy.Integer(0)
+        for (alpha, beta), p in T.terms.items():
+            ps = self.expr(LaurentElem(p, canonical=True)).subs(
+                dict(zip(self.zbs, self.wbs)), simultaneous=True)
+            total += ps * self.partial(fs, self.zs, alpha) * self.partial(gs, self.wbs, beta)
+        return total
+
+    def calm(self, F, r):
+        """calM_r F from its definition, F a function of z, zb, w, wb."""
+        total = sympy.Integer(0)
+        for beta in itertools.product(range(r + 1), repeat=len(self.zs)):
+            if sum(beta) != r:
+                continue
+            weight = sympy.Rational(math.factorial(r) * math.prod(s ** b for s, b in zip(self.metric, beta)),
+                                    math.prod(map(math.factorial, beta)))
+            total += weight * self.partial(self.partial(F, self.zs, beta), self.wbs, beta)
+        zwb = sum(g * z * wb for g, z, wb in zip(self.metric, self.zs, self.wbs))
+        return zwb ** r * total
 
     def pairing(self, f, g, r):
         """sum over |beta| = r of g^beta / beta! d_z^beta f d_zb^beta g."""
@@ -72,7 +109,7 @@ class Oracle:
 
     def vanishes(self, expr):
         num, _ = sympy.fraction(sympy.together(expr))
-        return sympy.Poly(sympy.expand(num), *self.gens).is_zero
+        return sympy.Poly(sympy.expand(num), *self.gens, *self.ws, *self.wbs).is_zero
 
 
 @pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1)],
@@ -117,4 +154,21 @@ def test_mu_star_matches_its_stirling_expansion(space):
                 (-1) ** (r - s) * stirling(r, s) / sympy.factorial(s) * ms[s] for s in range(1, r + 1))
             if not oracle.vanishes(oracle.expr(product.coeffs[r]) - want):
                 wrong.append(f"pair {pair}: order {r} of the reduced product")
+    assert wrong == []
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.dn(1)], ids=["CP1", "D1"])
+def test_two_point_operators_match_their_definitions(space):
+    oracle = Oracle(space)
+    rng = Random(20240813)
+    wrong = []
+    for pair in range(PAIRS):
+        f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
+        fs, gs = oracle.expr(f), oracle.expr(g)
+        F = fs * oracle.at_w(gs)
+        T = tensor(f, g)
+        for label, got, want in (("N", op_calm(T, 1), oracle.calm(F, 1)),
+                                 ("calM_2", op_calm(T, 2), oracle.calm(F, 2))):
+            if not oracle.vanishes(oracle.two_point(got, fs, oracle.at_w(gs)) - want):
+                wrong.append(f"pair {pair}: {label}")
     assert wrong == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly, is_radial
-from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly
+from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from wickred.scalar import gauss
 
 from euler_ops import euler
@@ -21,9 +21,9 @@ def zbvar(sp, k):
 def eq_cross_mult(a, b):
     """Equality via cross-multiplication (no canonical forms needed)."""
     a._check(b)
-    dz, dw = b.mz - a.mz, b.mw - a.mw
-    lhs = a.num * _x_pow_poly(a.space, max(dz, 0), max(dw, 0))
-    rhs = b.num * _x_pow_poly(a.space, max(-dz, 0), max(-dw, 0))
+    dz = b.mz - a.mz
+    lhs = a.num * _x_pow_poly(a.space, max(dz, 0))
+    rhs = b.num * _x_pow_poly(a.space, max(-dz, 0))
     return lhs == rhs
 
 
@@ -120,7 +120,7 @@ def test_eval_is_ring_morphism(sp1, rng):
 def test_canonicalization_idempotent(sp1, rng):
     for _ in range(50):
         e = rand_invariant(sp1, rng)
-        again = LaurentElem(e.num, e.mz, e.mw)
+        again = LaurentElem(e.num, e.mz)
         assert again == e
 
 
@@ -162,6 +162,24 @@ def test_is_radial(sp1, phi):
     assert is_radial(x + x.inverse().scale(3))
     assert not is_radial(phi)
     assert not is_radial(zvar(sp1, 0))
+
+
+def peeled_is_radial(elem):
+    """Reference: invariant, and every homogeneous slice of its peel a
+    scalar (each slice canonicalized, so dividing by x)."""
+    return elem.is_invariant() and all(h.num.is_scalar() for h in elem.peel().values())
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1), VarSpace.dn(2)],
+                         ids=repr)
+def test_is_radial_matches_the_peel(space, rng):
+    draws = [draw(space, rng) for _ in range(15)
+             for draw in (rand_radial, rand_invariant, rand_homogeneous)]
+    # a radial element plus a slice that is not a power of x
+    draws.append(rand_radial(space, rng) + rand_homogeneous(space, rng, deg=1).mul_xpow(1))
+    got = [is_radial(e) for e in draws]
+    assert got == [peeled_is_radial(e) for e in draws]
+    assert True in got and False in got
 
 
 def test_conj(sp1, phi):

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wickred.equiv import a_coeff, tilde_star_elems
-from wickred.poly import LaurentElem, VarSpace
+from wickred.poly import LaurentElem
 from wickred.reduction import (
-    DecompResult,
     ideal_decompose,
     k_coeff,
     momentum_map,

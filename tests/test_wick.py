@@ -1,8 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from wickred.poly import LaurentElem, VarSpace, is_radial
+from wickred.poly import LaurentElem, Poly, VarSpace, is_radial
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
 from wickred.scalar import GaussianRational, gauss
 from wickred.series import Series, UnivarPoly
@@ -21,6 +24,7 @@ from wickred.wick import (
 )
 
 from euler_ops import euler
+from two_point_ops import euler_zwb
 
 
 def zvar(sp, k):
@@ -29,15 +33,6 @@ def zvar(sp, k):
 
 def zbvar(sp, k):
     return LaurentElem.variable(sp, sp.izb(k))
-
-
-def is_doubly_homogeneous(T):
-    """Every monomial of T on a two-point space has z- and zb-degree equal
-    to its x power, and w- and wb-degree equal to its xw power."""
-    if not T.space.two_point:
-        raise ValueError("needs a two-point space")
-    return all(zd == zbd == T.mz and wd == wbd == T.mw
-               for zd, zbd, wd, wbd in map(T.num.degrees, T.num.terms))
 
 
 def test_context_validation(sp1):
@@ -301,56 +296,67 @@ def test_momentum_commutator_no_higher_orders(ctx1, sp1, rng):
 
 
 # ----------------------------------------------------------------------
-# two-point operators
+# two-point operators on tensor symbols
+
+
+def test_radial_expansion_rejects_a_non_radial_factor(sp1):
+    # two invariant draws that are not radial: the closed form does not
+    # hold for them, so it must not return a series
+    ctx = StarContext(space=sp1, K=3)
+    rng = Random(5)
+    R, F = rand_invariant(sp1, rng), rand_invariant(sp1, rng)
+    assert not is_radial(R)
+    with pytest.raises(ValueError, match="radial"):
+        radial_invariant_expansion(R, F, ctx)
 
 
 def test_two_point_restriction(sp1, phi):
     f, g = phi, phi
     T = tensor(f, g)
+    zero = (0, 0)
+    assert T.terms == {(zero, zero): Poly.one(sp1)}
     assert restrict_diagonal(T) == f * g
     assert (restrict_diagonal(op_calm(T, 1)) - m_op(f, g, 1)).is_zero()
-
-
-def test_two_point_errors(sp1, phi):
     with pytest.raises(ValueError):
-        op_calm(phi, 1)
-    with pytest.raises(ValueError):
-        euler(phi, "H")
+        tensor(phi, LaurentElem.one_of(VarSpace.dn(1)))
 
 
-def test_h_annihilates_doubly_homogeneous(ctx1, sp1, rng):
-    f, g = rand_homogeneous(sp1, rng), rand_homogeneous(sp1, rng)
-    T = tensor(f, g)
-    assert is_doubly_homogeneous(T)
-    assert euler(T, "H").is_zero()
-    assert T.weighted(lambda d: d[0] + d[3]).is_zero()
+def test_euler_zwb_annihilates_homogeneous_tensors_on_the_diagonal(rng):
+    # (E_z + Ebar_w)(f (x) g) restricts to (E f) g + f (Ebar g), zero for
+    # degree-(0,0) f and g, though as a symbol it is not zero
+    for space in (VarSpace.cpn(1), VarSpace.dn(2)):
+        f, g = rand_homogeneous(space, rng), rand_homogeneous(space, rng)
+        T = euler_zwb(tensor(f, g))
+        assert T.terms
+        assert restrict_diagonal(T).is_zero()
 
 
 def test_recursion_on_tensor_inputs(ctx1, sp1, rng):
-    # calM_2 = (N - 1(n-1) - 1 H) calM_1 on f (x) g with homogeneous f, g
+    # calM_2 = (N - 1(n-1) - 1 H) calM_1 on f (x) g with homogeneous f, g;
+    # H commutes with the restriction, which is where it is taken
     n = ctx1.n
     f, g = rand_homogeneous(sp1, rng), rand_homogeneous(sp1, rng)
     T = tensor(f, g)
     m1 = op_calm(T, 1)
-    rhs = op_calm(m1, 1) - m1.scale(1 * (n - 1)) - euler(m1, "H")
-    assert (op_calm(T, 2) - rhs).is_zero()
+    rhs = restrict_diagonal(op_calm(m1, 1) - m1.scale(1 * (n - 1))) - euler(restrict_diagonal(m1), "H")
+    assert (restrict_diagonal(op_calm(T, 2)) - rhs).is_zero()
 
 
 def test_recursion_general_inputs(rng):
-    # on arbitrary two-point elements the Euler weight E_z + Ebar_w of the
-    # contraction prefactor z.wb drives the recursion
-    # calM_{r+1} = (N - r(n-r) - r(E_z+Ebar_w)) calM_r.  On doubly
-    # homogeneous elements it acts as zero exactly like H, so the two are
-    # interchangeable inside the solved product formula; H agrees with it
-    # only on that class
+    # on arbitrary factors the Euler weight E_z + Ebar_w of the contraction
+    # prefactor z.wb drives the recursion
+    # calM_{r+1} = (N - r(n-r) - r(E_z+Ebar_w)) calM_r, an operator identity
+    # and so an identity of symbols.  On homogeneous factors it acts as
+    # zero on the diagonal exactly like H, so the two are interchangeable
+    # inside the solved product formula
     for n in (1, 2):
         ctx = StarContext(space=VarSpace.cpn(n), K=3)
         for _ in range(3):
             T = tensor(rand_poly(ctx.space, rng, max_deg=2), rand_invariant(ctx.space, rng))
             for r in (1, 2):
                 mr = op_calm(T, r)
-                rhs = op_calm(mr, 1) - mr.scale(r * (n - r)) - mr.weighted(lambda d: d[0] + d[3]).scale(r)
-                assert (op_calm(T, r + 1) - rhs).is_zero()
+                rhs = op_calm(mr, 1) - mr.scale(r * (n - r)) - euler_zwb(mr).scale(r)
+                assert op_calm(T, r + 1) == rhs
 
 
 def test_product_formula(rng):
@@ -365,11 +371,21 @@ def test_product_formula(rng):
 
 @pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1)], ids=str)
 def test_calm_on_the_diagonal_is_m_op(space, rng):
-    # calM_r(f (x) g) restricted to the diagonal is M_r(f, g) term for term:
-    # (g z.wb)^r becomes x^r and dbar_w^beta g(w) becomes dbar_z^beta g(z),
-    # homogeneous or not, with or without an x in the denominator
+    # calM_r(f (x) g) is the symbol of M_r, sum over |beta| = r of
+    # (g z.wb)^r r! g^beta / beta! d^beta f dbar^beta g, and so restricted
+    # to the diagonal it is M_r(f, g) term for term: (g z.wb)^r becomes
+    # x^r and dbar_w^beta g(w) becomes dbar_z^beta g(z), homogeneous or
+    # not, with or without an x in the denominator
     pairs = [(rand_homogeneous(space, rng), rand_homogeneous(space, rng)),
              (rand_poly(space, rng, max_deg=2), rand_invariant(space, rng))]
     for f, g in pairs:
         for r in (1, 2, 3):
-            assert restrict_diagonal(op_calm(tensor(f, g), r)) == m_op(f, g, r)
+            T = op_calm(tensor(f, g), r)
+            want = {}
+            for beta in itertools.product(range(r + 1), repeat=space.nv):
+                if sum(beta) == r:
+                    sign = math.prod(s ** b for s, b in zip(space.metric, beta))
+                    weight = Fraction(math.factorial(r) * sign, math.prod(map(math.factorial, beta)))
+                    want[(beta, beta)] = Poly.x(space).pow(r).scale(weight)
+            assert T.terms == want
+            assert restrict_diagonal(T) == m_op(f, g, r)
