@@ -282,6 +282,8 @@ def op_calm(T: TwoPoint, r: int) -> TwoPoint:
     d_z^gamma sends P d^alpha f to C(gamma, a) d_z^a P d^(alpha+gamma-a) f
     over a <= gamma, and d_wb^gamma likewise on the zb slots of P and beta.
     calM_1 is N."""
+    if r < 0:
+        raise ValueError(f"calM_r needs an order r >= 0, not {r}")
     if r == 0:
         return T
     space = T.f.space

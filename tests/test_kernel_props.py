@@ -28,7 +28,7 @@ from wickred.reduction import ideal_decompose, k_coeff, reduce_elem
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
 from wickred.suites import a_table_oracle
-from wickred.wick import DerivCache, StarContext, m_op, op_calm, poisson
+from wickred.wick import DerivCache, StarContext, m_op, op_calm, poisson, restrict_diagonal
 
 from lambda_series import dx_series, lam_over_dx
 from euler_ops import euler
@@ -742,7 +742,7 @@ def one_point_elems(draw, space):
 @given(st.sampled_from(REKEY_SPACES).flatmap(
     lambda sp: st.tuples(one_point_elems(sp), one_point_elems(sp))))
 def test_restrict_diagonal_of_tensor_is_product(pair):
-    from wickred.wick import restrict_diagonal, tensor
+    from wickred.wick import tensor
 
     f, g = pair
     assert_same(restrict_diagonal(tensor(f, g)), f * g)
@@ -1061,6 +1061,39 @@ def test_linear_combinations_match_folded_sums(case, r):
     assert tilde_star_closed(f, g, ctx) == folded_tilde_star_closed(f, g, ctx)
     assert poisson(a, b) == folded_poisson(a, b)
     assert op_calm(T, r) == folded_op_calm(T, r)
+
+
+def folded_restrict_diagonal(T):
+    """sum P * d^alpha f * dbar^beta g, each derivative taken variable by
+    variable and the terms folded with pairwise +."""
+    space = T.f.space
+    acc = LaurentElem.zero_of(space)
+    for (alpha, beta), p in T.terms.items():
+        a = reduce(LaurentElem.diff, [space.iz(k) for k, e in enumerate(alpha) for _ in range(e)], T.f)
+        b = reduce(LaurentElem.diff, [space.izb(k) for k, e in enumerate(beta) for _ in range(e)], T.g)
+        acc = acc + LaurentElem(p) * a * b
+    return acc
+
+
+@st.composite
+def restriction_symbols(draw, space):
+    """A symbol of two nonzero elements with x in their denominators, so
+    no derivative vanishes, and up to three nonzero terms."""
+    f, g = (draw(laurent_elems(space, draw(st.integers(1, 2))).filter(lambda e: not e.is_zero()))
+            for _ in range(2))
+    index = st.lists(st.integers(0, 2), min_size=space.nv, max_size=space.nv).map(tuple)
+    pairs = draw(st.lists(st.tuples(st.tuples(index, index),
+                                    term_dicts(space.nvars, max_deg=3, max_terms=3).filter(bool)),
+                          min_size=1, max_size=3))
+    return from_pairs(f, g, [(key, Poly(space, t)) for key, t in pairs])
+
+
+@sum_settings
+@given(st.sampled_from(SUM_SPACES).flatmap(restriction_symbols))
+def test_restrict_diagonal_matches_folded_reference(T):
+    # P is multiplied in uncanonicalized and x may divide it, so only the
+    # whole sum is canonical
+    assert_same(restrict_diagonal(T), folded_restrict_diagonal(T))
 
 
 # ----------------------------------------------------------------------

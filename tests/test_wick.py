@@ -317,8 +317,16 @@ def test_two_point_restriction(sp1, phi):
     assert T.terms == {(zero, zero): Poly.one(sp1)}
     assert restrict_diagonal(T) == f * g
     assert (restrict_diagonal(op_calm(T, 1)) - m_op(f, g, 1)).is_zero()
+
+
+def test_two_point_errors(sp1, phi):
     with pytest.raises(ValueError):
         tensor(phi, LaurentElem.one_of(VarSpace.dn(1)))
+    # symbols add key by key only over the same factors
+    with pytest.raises(ValueError):
+        tensor(phi, phi) + tensor(phi, LaurentElem.one_of(sp1))
+    with pytest.raises(ValueError):
+        op_calm(tensor(phi, phi), -1)
 
 
 def test_euler_zwb_annihilates_homogeneous_tensors_on_the_diagonal(rng):
