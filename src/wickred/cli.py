@@ -89,9 +89,12 @@ def _context(args) -> StarContext:
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A rational flag value; a zero denominator names the flag."""
+    """A rational flag value; malformed text or a zero denominator names
+    the flag."""
     try:
         return Fraction(text)
+    except ValueError:
+        raise ValueError(f"--{flag} must be a rational number, got {text!r}") from None
     except ZeroDivisionError:
         raise ValueError(f"--{flag} must have a nonzero denominator, got {text}") from None
 
@@ -126,6 +129,12 @@ def cmd_mul(args) -> int:
 
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)
     rhs = parse_expr(args.rhs, ctx.space, ctx.K)
+    if args.product != "wick":
+        # mu and tilde act on the invariant class only
+        for flag, s in (("lhs", lhs), ("rhs", rhs)):
+            if not all(c.is_invariant() for c in s.coeffs):
+                raise ValueError(f"--{flag} must have equal z- and zb-degree in every term "
+                                 f"for --product {args.product}")
     t = [sum(len(c.num.terms) for c in s.coeffs) for s in (lhs, rhs)]
     work = math.comb(ctx.K + ctx.n, ctx.n) * t[0] * t[1]
     if work > MAX_MUL_WORK:

@@ -245,7 +245,9 @@ class LaurentElem:
     Canonical form: P not divisible by x, or P = 0 with mz = 0.  mz may be
     negative; x itself is (1, mz=-1).  Uniqueness follows from x being
     irreducible (a quadratic form of rank 2(n+1) >= 4), which also means
-    products of canonical elements need no re-canonicalization.  An element
+    products of canonical elements need no re-canonicalization.  Every sum,
+    ``+`` and ``-`` included, is one ``sum_of_products`` call, the one rule
+    that lifts summands to a common x power and tests the result.  An element
     is never mutated once its constructor (or the ``_canonicalize`` that
     follows it) returns, so the lazy ``partials`` slot (block ->
     ``wick.DerivCache``) holds for life.
@@ -305,32 +307,20 @@ class LaurentElem:
 
     def __add__(self, other):
         self._check(other)
-        if other.num.is_zero():
-            return self
-        if self.num.is_zero():
-            return other
-        mz = max(self.mz, other.mz)
-        a = self.num
-        b = other.num
-        if mz > self.mz:
-            a = a * _x_pow_poly(self.space, mz - self.mz)
-        if mz > other.mz:
-            b = b * _x_pow_poly(self.space, mz - other.mz)
-        # unequal powers: the sum is one numerator mod x, and x is prime and
-        # divides no canonical numerator, so the sum is already canonical
-        out = LaurentElem(a + b, mz, canonical=True)
-        if self.mz == other.mz:
-            out._canonicalize()
-        return out
+        one = LaurentElem.one_of(self.space)
+        return LaurentElem.sum_of_products(self.space, [(1, self, one), (1, other, one)])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        one = LaurentElem.one_of(self.space)
+        return LaurentElem.sum_of_products(self.space, [(1, self, one), (-1, other, one)])
 
     @classmethod
     def sum_of_products(cls, space, items):
         """sum c*A*B over (c, A, B) items, c an int or a real Fraction:
         every product is summed on integer triples and the sum is
-        canonicalized once.
+        canonicalized once.  A + B and A - B call it too, with the
+        items (1, A, 1) and (1 or -1, B, 1).
 
         Each summand is lifted to the top x power.  Summands that share a
         lift x^d are accumulated together, and that partial sum is

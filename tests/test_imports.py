@@ -283,6 +283,30 @@ def test_radial_functions_are_laurent_elements():
     assert naming == {"series", "moreno", "suites"}
 
 
+def _scopes_naming(tree, ident: str, scope: str = "") -> set:
+    """Qualified names (``Class.method``, ``function``) of the innermost
+    definitions whose code names `ident` as a name, an attribute or an
+    import; "" stands for module level."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _scopes_naming(node, ident, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if ident in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+            found.add(scope)
+        found |= _scopes_naming(node, ident, scope)
+    return found
+
+
+def test_only_sum_of_products_lifts_to_a_common_x_power():
+    """Lifting summands to a common power of x lives in one rule:
+    `LaurentElem.sum_of_products`, which `+` and `-` call too.  Besides it,
+    only `is_radial` names `_x_pow_poly`, to compare a slice with x^d."""
+    naming = {f"{name[:-3]}.{scope}" for name, tree in _trees(LIBRARY).items()
+              for scope in _scopes_naming(tree, "_x_pow_poly")}
+    assert naming == {"poly.LaurentElem.sum_of_products", "poly.is_radial"}
+
+
 def _unused_imports(tree) -> list:
     """Names that an import binds and the module never reads: no Name
     node loads it and no attribute chain starts at it.  `__future__`

@@ -524,8 +524,10 @@ def product_items(draw):
 
 
 def folded_sum(space, items):
-    """Reference: a left fold of (A*B).scale(c) with __add__."""
-    return reduce(lambda acc, t: acc + (t[1] * t[2]).scale(t[0]), items,
+    """Reference: a left fold of (A*B).scale(c) with ``full_sum``, which
+    adds on Poly numerators and canonicalizes in full, so the reference of
+    ``sum_of_products`` never calls it."""
+    return reduce(lambda acc, t: full_sum(acc, (t[1] * t[2]).scale(t[0])), items,
                   LaurentElem.zero_of(space))
 
 

@@ -383,7 +383,7 @@ def test_cli_huge_exponent_is_rejected(capsys):
     (["--order", "0"], "need n >= 1 and order >= 1"),
     (["--n", "0", "--order", "2"], "need n >= 1 and order >= 1"),
     (["--mu", "1"], "mu must be negative"),
-    (["--mu", "abc"], "Invalid literal for Fraction: 'abc'"),
+    (["--mu", "abc"], "--mu must be a rational number, got 'abc'"),
     (["--mu", "1/0"], "--mu must have a nonzero denominator, got 1/0"),
     (["--mu", "-1/0"], "--mu must have a nonzero denominator, got -1/0"),
 ])
@@ -406,14 +406,37 @@ def test_cli_verify_rejects_bad_input(args, message, capsys):
      "--d-series must have a nonzero denominator, got 1/0"),
     (["--product", "tilde", "--d-series", "1, 2/0"],
      "--d-series must have a nonzero denominator, got 2/0"),
+    (["--product", "tilde", "--d-series", "1,"], "--d-series must be a rational number, got ''"),
 ])
 def test_cli_mul_rejects_bad_input(args, message, capsys):
-    # input that ends early or names a zero denominator exits 2 with a
-    # message that says so, not "unexpected token None" or "Fraction(1, 0)"
+    # input that ends early or names a malformed number exits 2 with a
+    # message that names the flag, not "unexpected token None",
+    # "Fraction(1, 0)" or "Invalid literal for Fraction"
     assert main(["mul", "--order", "2", "--lhs", "x", "--rhs", "x", *args]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("product", ["mu", "tilde"])
+@pytest.mark.parametrize("lhs, rhs, flag", [
+    ("z0", "1", "lhs"),
+    ("x", "z0*zb0 + l*zb1", "rhs"),
+])
+def test_cli_mul_non_invariant_operand_names_its_flag(product, lhs, rhs, flag, capsys):
+    # mu and tilde act on invariant elements only; the error names the
+    # operand, not the layer that would have refused it
+    assert main(["mul", "--product", product, "--order", "2", "--lhs", lhs, "--rhs", rhs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --{flag} must have equal z- and zb-degree in every term "
+                   f"for --product {product}\n")
+
+
+def test_cli_wick_product_takes_non_invariant_operands(capsys):
+    code, out = run_cli(capsys, "mul", "--product", "wick", "--order", "1", "--lhs", "z0", "--rhs", "1",
+                        "--format", "text")
+    assert (code, out) == (0, "(1*z0)\n")
 
 
 @pytest.mark.parametrize("text, what", [
