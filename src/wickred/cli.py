@@ -64,7 +64,10 @@ MAX_MUL_WORK = 20000
 def _context(args) -> StarContext:
     """The StarContext of a `mul` or `verify` namespace, after the input checks."""
     mu = _fraction("mu", args.mu)
-    D = tuple(_fraction("d-series", p.strip()) for p in getattr(args, "d_series", "1").split(","))
+    d_series = getattr(args, "d_series", "1")
+    D = tuple(_fraction("d-series", p.strip()) for p in d_series.split(","))
+    if D[0] != 1:
+        raise ValueError(f"--d-series must start with d_0 = 1, got {d_series!r}")
     if mu >= 0:
         raise ValueError("mu must be negative")
     if args.n < 1 or args.order < 1:
@@ -122,9 +125,10 @@ def _require_in_range(flag: str, value: int, least: int) -> None:
 
 def cmd_mul(args) -> int:
     ctx = _context(args)
-    if args.product == "wick" and not ctx.is_trivial_D():
-        raise ValueError("--d-series applies to --product tilde; "
-                         "the Wick product does not depend on D")
+    if args.product != "tilde" and not ctx.is_trivial_D():
+        raise ValueError("--d-series applies to --product tilde; " + (
+            "the Wick product does not depend on D" if args.product == "wick"
+            else "the canonical reduced product is defined for D == 1"))
     from .parser import format_series, parse_expr
 
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)

@@ -188,8 +188,8 @@ def functional_equation_residual(ctx: StarContext) -> Series:
 # action of S on the Laurent class
 
 
-# S(x^j), D x and lambda/(D x) are each x^j times a scalar series in
-# u = lambda/x: with Dh(u) = sum_r d_r u^r, D x = x Dh(u) and
+# S(x^j), S^-1(x^j), D x and lambda/(D x) are each x^j times a scalar
+# series in u = lambda/x: with Dh(u) = sum_r d_r u^r, D x = x Dh(u) and
 # lambda/(D x) = u / Dh(u).  They are computed as scalar series and lifted
 # once, order t to the single term sigma[t] x^(j-t).
 
@@ -199,73 +199,68 @@ def _lift(sigma: Series, j: int, ctx: StarContext) -> Series:
     return Series([LaurentElem.x_power(ctx.space, j - t).scale(c) for t, c in enumerate(sigma.coeffs)])
 
 
-def _d_hat(ctx: StarContext) -> Series:
-    """Dh(u) = sum_r d_r u^r."""
-    return scalar_series(ctx.D, ctx.K)
-
-
 @lru_cache(maxsize=None)
 def _u_over_d(ctx: StarContext) -> Series:
     """u / Dh(u)."""
-    return _d_hat(ctx).invert().times_lambda(1)
+    return scalar_series(ctx.D, ctx.K).invert().times_lambda(1)
 
 
 @lru_cache(maxsize=None)
-def s_apply_xpow(j: int, ctx: StarContext) -> Series:
-    """S applied to x^j, which is x^j sigma_j(u) with v = u / Dh(u):
+def _sigma(j: int, ctx: StarContext) -> Series:
+    """sigma_j with S(x^j) = x^j sigma_j(u), in v = u / Dh(u):
 
     j >= 1: sigma_j = Dh^j prod_{k=1..j-1} (1 - k v);
     j <= -1: sigma_j = Dh^(-|j|) sum_s A^(|j|)_s v^s (A^(|j|)_0 = 1);
     j == 0: sigma_0 = 1.
+    Cached, as S^-1(x^j) reads K + 1 of them: shared, so never mutate it.
     """
-    d, v = _d_hat(ctx), _u_over_d(ctx)
+    d, v = scalar_series(ctx.D, ctx.K), _u_over_d(ctx)
     one = d.one()
     if j >= 0:
         sigma = d.pow(j)
         for k in range(1, j):
             sigma = sigma * (one - v.scale(k))
-    else:
-        r = -j
-        vpow, acc = one, one
-        for s in range(1, ctx.K + 1):
-            vpow = vpow * v
-            acc = acc + vpow.scale(a_coeff(r, s))
-        sigma = acc * d.invert().pow(r)
-    return _lift(sigma, j, ctx)
+        return sigma
+    vpow, acc = one, one
+    for s in range(1, ctx.K + 1):
+        vpow = vpow * v
+        acc = acc + vpow.scale(a_coeff(-j, s))
+    return acc * d.invert().pow(-j)
 
 
-def _s_pairs(elem: LaurentElem, ctx: StarContext) -> list:
-    """(h_j, S(x^j)) over the homogeneous peel of one invariant element:
-    S(sum_j h_j x^j) = sum_j h_j S(x^j) since d/dx annihilates each h_j."""
-    if not elem.is_invariant():
-        raise ValueError("S acts on invariant elements only")
-    return [(h, s_apply_xpow(j, ctx)) for j, h in elem.peel().items()]
+@lru_cache(maxsize=None)
+def s_apply_xpow(j: int, ctx: StarContext) -> Series:
+    """S(x^j)."""
+    return _lift(_sigma(j, ctx), j, ctx)
+
+
+@lru_cache(maxsize=None)
+def s_inverse_xpow(j: int, ctx: StarContext) -> Series:
+    """S^-1(x^j) = x^j tau_j(u).  S(x^j u^t) = x^j u^t sigma_(j-t)(u), so
+    tau_j[0] = sigma_j[0] = 1 and tau_j[m] = -sum_(t<m) tau_j[t] sigma_(j-t)[m-t]."""
+    sig = [_sigma(j - t, ctx).coeffs for t in range(ctx.K + 1)]
+    tau = [sig[0][0]]
+    for m in range(1, ctx.K + 1):
+        tau.append(-sum((tau[t] * sig[t][m - t] for t in range(1, m)), sig[0][m]))
+    return _lift(Series(tau), j, ctx)
 
 
 def s_apply(F: Series, ctx: StarContext, inverse: bool = False) -> Series:
-    """S (or S^-1) on a series of invariant Laurent elements.
-
-    Each output order is one sum over the peeled input orders.  The
-    inverse is the triangular order-by-order solve of S G = F, using that
-    the order-0 part of S is the identity.
-    """
+    """S (or S^-1) on a series of invariant Laurent elements: sum_j h_j x^j
+    goes to sum_j h_j S(x^j) over the homogeneous peel, since d/dx
+    annihilates each h_j, and S^-1 reads its own table of x powers the same
+    way.  Each output order is one sum over the peeled input orders."""
+    xpow = s_inverse_xpow if inverse else s_apply_xpow
     K = min(F.order, ctx.K)
-    space = ctx.space
-    if not inverse:
-        pairs = [_s_pairs(Fm, ctx) for Fm in F.coeffs[: K + 1]]
-        return Series([
-            LaurentElem.sum_of_products(space, [
-                (1, h, sx.coeffs[t - m]) for m in range(t + 1) for h, sx in pairs[m]])
-            for t in range(K + 1)])
-    one = LaurentElem.one_of(space)
-    G = []
-    pairs = []  # _s_pairs(G[k]) for each solved order k
-    for m in range(K + 1):
-        items = [(1, F.coeffs[m], one)]
-        items += [(-1, h, sx.coeffs[m - k]) for k in range(m) for h, sx in pairs[k]]
-        G.append(LaurentElem.sum_of_products(space, items))
-        pairs.append(_s_pairs(G[m], ctx))
-    return Series(G)
+    pairs = []
+    for Fm in F.coeffs[: K + 1]:
+        if not Fm.is_invariant():
+            raise ValueError("S acts on invariant elements only")
+        pairs.append([(h, xpow(j, ctx)) for j, h in Fm.peel().items()])
+    return Series([
+        LaurentElem.sum_of_products(ctx.space, [
+            (1, h, sx.coeffs[t - m]) for m in range(t + 1) for h, sx in pairs[m]])
+        for t in range(K + 1)])
 
 
 def equivalence_check(R1: LaurentElem, R2: LaurentElem, ctx: StarContext) -> Series:

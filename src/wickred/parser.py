@@ -233,7 +233,7 @@ class _Parser:
             # definite metric it coincides with x, so both names resolve
             # to the same element
             return Series.const(LaurentElem.x_power(space, 1), self.order)
-        m = re.fullmatch(r"(zb?)(\d+)", name)
+        m = re.fullmatch(r"(zb?)(0|[1-9]\d*)", name)
         if m:
             k = int(m.group(2))
             if k > space.n:

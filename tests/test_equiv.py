@@ -10,6 +10,7 @@ from wickred.equiv import (
     functional_equation_residual,
     s_apply,
     s_apply_xpow,
+    s_inverse_xpow,
     standard_order_apply,
     symbol,
     symbol_at_alpha_zero,
@@ -17,7 +18,7 @@ from wickred.equiv import (
     tilde_star_closed,
     tilde_star_elems,
 )
-from wickred.poly import LaurentElem
+from wickred.poly import LaurentElem, VarSpace
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_radial
 from wickred.series import Series
 from wickred.suites import a_table_oracle
@@ -137,6 +138,39 @@ def test_s_roundtrip(sp1, rng):
         F = Series([rand_invariant(sp1, rng) for _ in range(ctx.K + 1)])
         assert (s_apply(s_apply(F, ctx), ctx, inverse=True) - F).is_zero()
         assert (s_apply(s_apply(F, ctx, inverse=True), ctx) - F).is_zero()
+
+
+
+def stirling2_triangle(N):
+    """S(n, k) for 0 <= k <= n <= N from S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    S = [[0] * (N + 1) for _ in range(N + 1)]
+    S[0][0] = 1
+    for n in range(1, N + 1):
+        for k in range(1, n + 1):
+            S[n][k] = k * S[n - 1][k] + S[n - 1][k - 1]
+    return S
+
+
+def test_s_inverse_xpow_is_stirling_for_trivial_d(sp1):
+    # D = 1: S(x^j) is the falling factorial x(x - l)...(x - (j-1) l), so
+    # S^-1(x^j) = sum_k S(j, k) l^(j-k) x^k, order t carrying S(j, j-t) x^(j-t)
+    ctx = StarContext(space=sp1, K=8)
+    S = stirling2_triangle(8)
+    for j in range(1, 9):
+        table = s_inverse_xpow(j, ctx)
+        assert table.order == 8
+        for t, c in enumerate(table.coeffs):
+            want = S[j][j - t] if t <= j else 0
+            assert c == LaurentElem.x_power(sp1, j - t).scale(want), (j, t)
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.dn(1)])
+@pytest.mark.parametrize("D", [(1,), (1, 1), (1, Fraction(-1, 3), 2)])
+def test_s_undoes_s_inverse_xpow(space, D):
+    ctx = StarContext(space=space, K=4, D=D)
+    for j in range(-4, 5):
+        x_j = Series.const(LaurentElem.x_power(space, j), ctx.K)
+        assert s_apply(s_inverse_xpow(j, ctx), ctx) == x_j, j
 
 
 # ----------------------------------------------------------------------

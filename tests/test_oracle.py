@@ -32,8 +32,9 @@ from random import Random
 import pytest
 
 from wickred.poly import LaurentElem, VarSpace
-from wickred.sampling import rand_homogeneous
-from wickred.wick import StarContext, m_op, op_calm, tensor, wick_product_elems
+from wickred.sampling import rand_homogeneous, rand_invariant, rand_poly
+from wickred.series import Series
+from wickred.wick import StarContext, m_op, op_calm, tensor, wick_product, wick_product_elems
 
 sympy = pytest.importorskip("sympy")
 
@@ -130,6 +131,32 @@ def test_wick_product_and_m_op_match_their_definitions(space):
             got = oracle.expr(m_op(f, g, r))
             if not oracle.vanishes(got - oracle.x ** r * math.factorial(r) * want):
                 wrong.append(f"pair {pair}: M_{r}")
+    assert wrong == []
+
+
+
+def test_wick_product_and_m_op_match_their_definitions_off_degree_zero():
+    # the Wick product of f + l*g with g: order r sums the pairings of f
+    # with g at r and of g with g at r - 1, which sit over different powers
+    # of x; a polynomial pair has a top derivative order, past which every
+    # pairing is zero.  The seed keeps the invariant pair small (each of f
+    # and g over x^1 or x^0), which keeps sympy's cancellation quick
+    space = VarSpace.cpn(1)
+    ctx = StarContext(space=space, K=K)
+    oracle = Oracle(space)
+    rng = Random(20240822)
+    wrong = []
+    for label, draw in (("invariant", rand_invariant), ("polynomial", rand_poly)):
+        f, g = draw(space, rng), draw(space, rng)
+        fs, gs = oracle.expr(f), oracle.expr(g)
+        product = wick_product(Series([f, g] + [f.zero()] * (K - 1)), Series.const(g, K), ctx)
+        for r in range(K + 1):
+            want = oracle.pairing(fs, gs, r)
+            lam_g = oracle.pairing(gs, gs, r - 1) if r else 0
+            if not oracle.vanishes(oracle.expr(product.coeffs[r]) - want - lam_g):
+                wrong.append(f"{label} pair: order {r} of the Wick product")
+            if not oracle.vanishes(oracle.expr(m_op(f, g, r)) - oracle.x ** r * math.factorial(r) * want):
+                wrong.append(f"{label} pair: M_{r}")
     assert wrong == []
 
 

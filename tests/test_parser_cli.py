@@ -65,6 +65,13 @@ def test_parse_errors(sp1):
         assert e.pos == 4
 
 
+@pytest.mark.parametrize("name", ["z01", "zb00", "z00", "zb07"])
+def test_parse_rejects_leading_zeros(sp1, name):
+    # the grammar names z0..z9 and zb0..zb9; z01 is not another spelling of z1
+    with pytest.raises(ParseError, match=f"unknown identifier '{name}'"):
+        parse_expr(f"{name}*zb0", sp1, 2)
+
+
 def test_y_alias(sp1d):
     assert parse_expr("y", sp1d, 2).coeffs[0] == LaurentElem.x_power(sp1d, 1)
 
@@ -413,6 +420,23 @@ def test_cli_mul_rejects_bad_input(args, message, capsys):
     # message that names the flag, not "unexpected token None",
     # "Fraction(1, 0)" or "Invalid literal for Fraction"
     assert main(["mul", "--order", "2", "--lhs", "x", "--rhs", "x", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--product", "tilde", "--d-series", "2"], "--d-series must start with d_0 = 1, got '2'"),
+    (["--product", "tilde", "--d-series", "0,1"], "--d-series must start with d_0 = 1, got '0,1'"),
+    (["--product", "mu", "--d-series", "1,1"],
+     "--d-series applies to --product tilde; the canonical reduced product is defined for D == 1"),
+    (["--d-series", "1,0,1/2"],
+     "--d-series applies to --product tilde; the canonical reduced product is defined for D == 1"),
+])
+def test_cli_mul_d_series_errors_name_the_flag(args, message, capsys):
+    # each is refused before either operand is read: the operand here would
+    # fail to parse, and the error still names --d-series
+    assert main(["mul", "--order", "2", "--lhs", "(", "--rhs", "x", *args]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
