@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -44,6 +45,19 @@ MAX_ORDER = 16
 # bounds --rmax and --smax of `table`, `moreno` and `verify`, whose work
 # grows without limit in them
 MAX_RMAX = 60
+# bounds the decimal digits of the numerator and of the denominator of --mu
+# and of each --d-series entry: the products raise them to powers up to the
+# order, and x -> -2 mu raises -2 mu to an operand's powers of x, so an
+# unbounded value such as 1e-100000 asks for unbounded work and prints past
+# Python's 4300-digit limit on integer strings
+MAX_FLAG_DIGITS = 20
+# bounds the bits of an operand's coefficients over their least common
+# denominator, as a product takes it (after x -> -2 mu for --product mu):
+# a product sums terms of both operands, so a bound on each coefficient
+# alone lets the denominators multiply.  Two operands at the bound, at
+# MAX_ORDER and with the largest --mu or --d-series, still print within
+# the 4300-digit limit
+MAX_OPERAND_BITS = 4000
 # the expression grammar names the coordinates z0..z9, so CP^9 and D^9 are
 # the largest spaces an expression can fill
 MAX_N = 9
@@ -92,14 +106,26 @@ def _context(args) -> StarContext:
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A rational flag value; malformed text or a zero denominator names
-    the flag."""
+    """A rational flag value; malformed text, a zero denominator or a
+    numerator or denominator past MAX_FLAG_DIGITS names the flag.  The
+    digits and the exponent of the text are bounded before `Fraction`
+    expands them."""
+    too_large = ValueError(f"--{flag} must have a numerator and a denominator of at most "
+                           f"{MAX_FLAG_DIGITS} digits")
+    # digits enough for a numerator, a denominator and an exponent at the bound
+    digits = sum(ch.isdigit() for ch in text)
+    exponent = re.search(r"[eE][-+]?(\d+)", text)
+    if digits > 3 * MAX_FLAG_DIGITS or exponent and int(exponent[1]) > MAX_FLAG_DIGITS:
+        raise too_large
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ValueError:
         raise ValueError(f"--{flag} must be a rational number, got {text!r}") from None
     except ZeroDivisionError:
         raise ValueError(f"--{flag} must have a nonzero denominator, got {text}") from None
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_FLAG_DIGITS:
+        raise too_large
+    return value
 
 
 def _json(obj) -> list:
@@ -129,22 +155,39 @@ def cmd_mul(args) -> int:
         raise ValueError("--d-series applies to --product tilde; " + (
             "the Wick product does not depend on D" if args.product == "wick"
             else "the canonical reduced product is defined for D == 1"))
-    from .parser import format_series, parse_expr
+    from .parser import MAX_EXPONENT, format_series, parse_expr
+    from .scalar import GaussianRational
 
     lhs = parse_expr(args.lhs, ctx.space, ctx.K)
     rhs = parse_expr(args.rhs, ctx.space, ctx.K)
     if args.product != "wick":
-        # mu and tilde act on the invariant class only
+        # mu and tilde act on the invariant class only, and the S tables and
+        # x -> -2 mu run over each power of x an operand has
         for flag, s in (("lhs", lhs), ("rhs", rhs)):
             if not all(c.is_invariant() for c in s.coeffs):
                 raise ValueError(f"--{flag} must have equal z- and zb-degree in every term "
                                  f"for --product {args.product}")
+            top = max((j for c in s.coeffs for j in c.peel()), key=abs, default=0)
+            if abs(top) > MAX_EXPONENT:
+                raise ValueError(f"--{flag} must have powers of x within +-{MAX_EXPONENT} "
+                                 f"for --product {args.product}, got x^{top}")
     t = [sum(len(c.num.terms) for c in s.coeffs) for s in (lhs, rhs)]
     work = math.comb(ctx.K + ctx.n, ctx.n) * t[0] * t[1]
     if work > MAX_MUL_WORK:
         raise ValueError(f"--n, --order and the operands must give C(order + n, n) * terms(lhs) * "
                          f"terms(rhs) <= {MAX_MUL_WORK}, got C({ctx.K + ctx.n}, {ctx.n}) * "
                          f"{t[0]} * {t[1]} = {work}")
+    if args.product == "mu":
+        from . import reduction
+
+        lhs, rhs = reduction.reduce_function(lhs, ctx), reduction.reduce_function(rhs, ctx)
+    for flag, s in (("lhs", lhs), ("rhs", rhs)):
+        bits = GaussianRational.common_bits([c for e in s.coeffs for c in e.num.terms.values()],
+                                            MAX_OPERAND_BITS)
+        if bits > MAX_OPERAND_BITS:
+            raise ValueError(f"--{flag} must have coefficients of at most {MAX_OPERAND_BITS} bits "
+                             f"over their common denominator"
+                             f"{' after x -> -2 mu' if args.product == 'mu' else ''}, got {bits}")
     if args.product == "wick":
         from .wick import wick_product
 
@@ -154,11 +197,7 @@ def cmd_mul(args) -> int:
 
         result = equiv.tilde_star(lhs, rhs, ctx)
     else:
-        from . import reduction
-
-        result = reduction.mu_star(
-            reduction.reduce_function(lhs, ctx), reduction.reduce_function(rhs, ctx), ctx
-        )
+        result = reduction.mu_star(lhs, rhs, ctx)
     text = format_series(result)
     obj = {
         "space": args.space,

@@ -1,7 +1,8 @@
 """The equivalence transformation S between the radial product and the
 pointwise product: its symbol in (x, alpha), the functional equation, the
-action on powers of x (through the table A^(r)_s of `coeffs`) and on the
-whole invariant Laurent class, and the transformed star-product.
+action on powers of x (each table one step from its neighbour) and on the
+whole invariant Laurent class, and the transformed star-product, whose
+closed weights read the table A^(r)_s of `coeffs`.
 """
 
 from __future__ import annotations
@@ -200,32 +201,28 @@ def _lift(sigma: Series, j: int, ctx: StarContext) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _u_over_d(ctx: StarContext) -> Series:
-    """u / Dh(u)."""
-    return scalar_series(ctx.D, ctx.K).invert().times_lambda(1)
+def _sigma_tables(ctx: StarContext) -> dict:
+    """The sigma_j filled so far, by j: a run of neighbours around sigma_0 = 1."""
+    return {0: scalar_series((1,), ctx.K)}
 
 
-@lru_cache(maxsize=None)
 def _sigma(j: int, ctx: StarContext) -> Series:
-    """sigma_j with S(x^j) = x^j sigma_j(u), in v = u / Dh(u):
-
-    j >= 1: sigma_j = Dh^j prod_{k=1..j-1} (1 - k v);
-    j <= -1: sigma_j = Dh^(-|j|) sum_s A^(|j|)_s v^s (A^(|j|)_0 = 1);
-    j == 0: sigma_0 = 1.
-    Cached, as S^-1(x^j) reads K + 1 of them: shared, so never mutate it.
-    """
-    d, v = scalar_series(ctx.D, ctx.K), _u_over_d(ctx)
-    one = d.one()
-    if j >= 0:
-        sigma = d.pow(j)
-        for k in range(1, j):
-            sigma = sigma * (one - v.scale(k))
-        return sigma
-    vpow, acc = one, one
-    for s in range(1, ctx.K + 1):
-        vpow = vpow * v
-        acc = acc + vpow.scale(a_coeff(-j, s))
-    return acc * d.invert().pow(-j)
+    """sigma_j with S(x^j) = x^j sigma_j(u).  The step
+    S(x^(k+1)) = (D x - k lambda) S(x^k), for every integer k, reads
+    sigma_(k+1) = sigma_k (Dh - k u); the tables are filled in a loop from
+    sigma_0 = 1 toward j, one product per step up and one inversion and
+    product per step down.  Kept per ctx, as S^-1(x^j) reads K + 1 of them:
+    shared, so never mutate one."""
+    tables, step = _sigma_tables(ctx), 1 if j > 0 else -1
+    k = j
+    while k not in tables:
+        k -= step
+    d = scalar_series(ctx.D, ctx.K)
+    u = d.one().times_lambda(1)
+    for k in range(k, j, step):
+        f = d - u.scale(min(k, k + step))
+        tables[k + step] = tables[k] * (f if step > 0 else f.invert())
+    return tables[j]
 
 
 @lru_cache(maxsize=None)
@@ -288,18 +285,14 @@ def tilde_star_elems(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Series
 
 def closed_weights(u: Series, K: int) -> list:
     """The radial weights of the closed formula, [w_0, ..., w_K] with
-    w_r = (1/r!) u^r prod_{k=1..r} (1 + k u)^(-1), so w_0 = 1."""
-    one = u.one()
-    weights = [one]
-    upow = one
-    prodinv = one
-    fact = 1
-    for r in range(1, K + 1):
-        upow = upow * u
-        prodinv = prodinv * (one + u.scale(r)).invert()
-        fact *= r
-        weights.append((upow * prodinv).scale(Fraction(1, fact)))
-    return weights
+    w_r = (1/r!) u^r prod_{k=1..r} (1 + k u)^(-1) = (1/r!) sum_s A^(r)_s u^(r+s),
+    so w_0 = 1.  u has no constant term, so u^(r+s) vanishes past order K."""
+    upows = [u.one()]
+    for _ in range(K):
+        upows.append(upows[-1] * u)
+    # A^(r)_0 = 1
+    return [sum((upows[r + s].scale(a_coeff(r, s)) for s in range(1, K + 1 - r)), upows[r])
+            .scale(Fraction(1, factorial(r))) for r in range(K + 1)]
 
 
 def closed_sum(f: LaurentElem, g: LaurentElem, pairs: list, K: int) -> Series:
@@ -316,7 +309,7 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
     if not (f.is_homogeneous() and g.is_homogeneous()):
         raise ValueError("the closed formula wants homogeneous arguments")
     K = ctx.K
-    weights = closed_weights(_u_over_d(ctx), K)
+    weights = closed_weights(scalar_series(ctx.D, K).invert().times_lambda(1), K)
     return closed_sum(f, g, [(m_op(f, g, r), _lift(weights[r], 0, ctx))
                              for r in range(1, K + 1)], K)
 

@@ -5,7 +5,7 @@ formatter.
     term   := unary (('*' | '/') unary)*
     unary  := '-' unary | power
     power  := atom ('^' ['-'] INT)?        (|INT| <= MAX_EXPONENT)
-    atom   := INT | IDENT | '(' expr ')'
+    atom   := INT | IDENT | '(' expr ')'   (INT of <= MAX_LITERAL_DIGITS digits)
 
 A power, a product (``*``, and the multiply inside ``/``) or a sum whose
 predicted result (``predicted_power_size``, ``predicted_product_size``) has
@@ -47,6 +47,10 @@ MAX_EXPONENT = 1000
 # its bound can still ask for a huge result, as in (z0+zb0+z1+zb1)^60
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 100_000
+# longest integer literal: int() refuses a string of more than 4300 digits
+# by default, with a message that names no position; a larger value is
+# written as a power, under MAX_POWER_BITS
+MAX_LITERAL_DIGITS = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
 
@@ -61,6 +65,9 @@ def _tokenize(text: str):
         number, ident, op = m.groups()
         start = m.end() - len((number or ident or op))
         if number is not None:
+            if len(number) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal of {len(number)} digits is over the cap "
+                                 f"of {MAX_LITERAL_DIGITS}", start)
             tokens.append(("num", int(number), start))
         elif ident is not None:
             tokens.append(("ident", ident, start))

@@ -211,6 +211,20 @@ class GaussianRational:
         """Bit length of the largest of p, q and d in (p + q*i)/d."""
         return max(abs(self.p), abs(self.q), self.d).bit_length()
 
+    @staticmethod
+    def common_bits(coeffs: list, cap: int) -> int:
+        """`bits` of a list of coefficients written over their least common
+        denominator: the bit length of that denominator or of the largest p
+        or q it scales, whichever is longer.  A partial denominator past
+        `cap` bits ends the scan, and its bit length is returned."""
+        den = 1
+        for c in coeffs:
+            den = math.lcm(den, c.d)
+            if den.bit_length() > cap:
+                return den.bit_length()
+        return max([den.bit_length()] + [(max(abs(c.p), abs(c.q)) * (den // c.d)).bit_length()
+                                         for c in coeffs])
+
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
 

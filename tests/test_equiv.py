@@ -20,7 +20,7 @@ from wickred.equiv import (
 )
 from wickred.poly import LaurentElem, VarSpace
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_radial
-from wickred.series import Series
+from wickred.series import Series, scalar_series
 from wickred.suites import a_table_oracle
 from wickred.wick import StarContext, m_op
 
@@ -171,6 +171,31 @@ def test_s_undoes_s_inverse_xpow(space, D):
     for j in range(-4, 5):
         x_j = Series.const(LaurentElem.x_power(space, j), ctx.K)
         assert s_apply(s_inverse_xpow(j, ctx), ctx) == x_j, j
+
+
+def sigma_closed_form(j, ctx):
+    """sigma_j with S(x^j) = x^j sigma_j(u), u = lambda/x, by its closed
+    forms in v = u / Dh(u): Dh^j prod_{k=1..j-1} (1 - k v) for j >= 0 and
+    Dh^(-|j|) sum_s A^(|j|)_s v^s for j < 0."""
+    d = scalar_series(ctx.D, ctx.K)
+    v, one = d.invert().times_lambda(1), d.one()
+    if j >= 0:
+        sigma = d.pow(j)
+        for k in range(1, j):
+            sigma = sigma * (one - v.scale(k))
+        return sigma
+    acc = sum((v.pow(s).scale(a_coeff(-j, s)) for s in range(1, ctx.K + 1)), one)
+    return acc * d.invert().pow(-j)
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.dn(1)])
+@pytest.mark.parametrize("D", [(1,), (1, 1), (1, Fraction(-1, 3), 2)])
+def test_s_apply_xpow_matches_closed_forms(space, D):
+    ctx = StarContext(space=space, K=8, D=D)
+    for j in range(-12, 13):
+        sigma = sigma_closed_form(j, ctx)
+        want = Series([LaurentElem.x_power(space, j - t).scale(c) for t, c in enumerate(sigma.coeffs)])
+        assert s_apply_xpow(j, ctx) == want, j
 
 
 # ----------------------------------------------------------------------

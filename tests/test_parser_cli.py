@@ -745,3 +745,102 @@ def test_cli_mul_at_operand_bound_is_accepted(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["order"] == int(argv[argv.index("--order") + 1])
+
+
+# ----------------------------------------------------------------------
+# the size of --mu, --d-series, literals and operands, bounded before any work
+
+# numerator and denominator at cli.MAX_FLAG_DIGITS = 20 digits
+LARGEST_MU = "-99999999999999999999/99999999999999999997"
+LARGEST_D = ",".join(["1"] + [f"-{10**20 - r}/{10**20 - 2 * r - 1}" for r in range(1, 17)])
+# coefficients of cli.MAX_OPERAND_BITS = 4000 bits
+AT_BITS = "((2^1000)^4-1)/((2^1000)^4-3)"
+
+
+def test_largest_flag_values_and_operands_are_at_their_bounds():
+    from wickred.cli import MAX_FLAG_DIGITS, MAX_OPERAND_BITS
+    from wickred.scalar import GaussianRational
+
+    for text in [LARGEST_MU] + LARGEST_D.split(",")[1:]:
+        v = Fraction(text)
+        assert len(str(v.denominator)) == MAX_FLAG_DIGITS
+        assert len(str(abs(v.numerator))) == MAX_FLAG_DIGITS
+    assert GaussianRational.coerce(Fraction(2**4000 - 1, 2**4000 - 3)).bits() == MAX_OPERAND_BITS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mul", "--mu=-1e-100000", "--lhs", "x", "--rhs", "x"],
+     "--mu must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--mu=-1/" + "7" * 5000, "--lhs", "x", "--rhs", "x"],
+     "--mu must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--mu=-100000000000000000000", "--lhs", "x", "--rhs", "x"],
+     "--mu must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--mu=-1e21", "--lhs", "x", "--rhs", "x"],
+     "--mu must have a numerator and a denominator of at most 20 digits"),
+    (["verify", "reduce", "--mu=-1e-100000", "--order", "2"],
+     "--mu must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--product", "tilde", "--d-series", "1,1e-100000", "--lhs", "z0*zb1/x",
+      "--rhs", "z1*zb0/x", "--order", "3"],
+     "--d-series must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--product", "tilde", "--d-series", "1,1/200000000000000000000", "--lhs", "x", "--rhs", "x"],
+     "--d-series must have a numerator and a denominator of at most 20 digits"),
+    (["mul", "--product", "wick", "--lhs", "(2^1000)^15", "--rhs", "1", "--order", "1"],
+     "--lhs must have coefficients of at most 4000 bits over their common denominator, got 15001"),
+    (["mul", "--product", "tilde", "--lhs", "x", "--rhs", "(2^1000)^4*x"],
+     "--rhs must have coefficients of at most 4000 bits over their common denominator, got 4001"),
+    (["mul", "--product", "wick", "--order", "1",
+      "--lhs", "1/((2^1000)^4-3)*z0*zb0 + 1/((2^1000)^4-5)*z1*zb1",
+      "--rhs", "1/((2^1000)^4-7)*z0*zb0 + 1/((2^1000)^4-9)*z1*zb1"],
+     "--lhs must have coefficients of at most 4000 bits over their common denominator, got 8000"),
+    (["mul", "--mu=-1/300000", "--lhs", "x^1000", "--rhs", "x", "--order", "1"],
+     "--lhs must have coefficients of at most 4000 bits over their common denominator "
+     "after x -> -2 mu, got 17195"),
+    (["mul", "--product", "tilde", "--lhs", "x", "--rhs", "(x^1000)^1000"],
+     "--rhs must have powers of x within +-1000 for --product tilde, got x^1000000"),
+    (["mul", "--lhs", "(x^-1000)^2", "--rhs", "x"],
+     "--lhs must have powers of x within +-1000 for --product mu, got x^-2000"),
+    (["mul", "--lhs", "x + " + "7" * 5000, "--rhs", "1"],
+     "integer literal of 5000 digits is over the cap of 1000 (at position 4)"),
+])
+def test_cli_values_past_their_size_bounds_are_rejected(capsys, argv, message):
+    # each names its flag or its position and exits 2 before any product:
+    # unbounded, -1e-100000 is a level of 100,000 digits, and the large wick
+    # products failed only when printed, past Python's 4300-digit limit on
+    # integer strings
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("product, extra", [
+    ("mu", []),
+    ("wick", []),
+    ("tilde", ["--d-series", LARGEST_D]),
+])
+def test_cli_operands_at_bound_print_at_largest_mu_and_order(capsys, product, extra):
+    from wickred.cli import MAX_ORDER
+
+    code, out = run_cli(capsys, "mul", "--product", product, "--order", str(MAX_ORDER),
+                        f"--mu={LARGEST_MU}", *extra,
+                        "--lhs", f"{AT_BITS}*z0*zb1/x", "--rhs", f"{AT_BITS}*z1*zb0/x")
+    assert code == 0
+    assert json.loads(out)["order"] == MAX_ORDER
+
+
+def test_parse_literal_bound(sp1):
+    assert parse_expr("9" * 1000, sp1, 1).coeffs[0] == LaurentElem.scalar(sp1, 10**1000 - 1)
+    with pytest.raises(ParseError, match="integer literal of 1001 digits") as e:
+        parse_expr("x*" + "9" * 1001, sp1, 1)
+    assert e.value.pos == 2
+
+
+@pytest.mark.parametrize("lhs", ["x^1000", "x^-1000"])
+def test_cli_tilde_takes_x_powers_at_bound(capsys, lhs):
+    # each S table is filled from its neighbour in a loop, with no recursion
+    code, out = run_cli(capsys, "mul", "--product", "tilde", "--order", "16", "--lhs", lhs, "--rhs", "1",
+                        "--format", "text")
+    assert code == 0
+    assert out.startswith(f"((1)*{lhs})")

@@ -96,3 +96,15 @@ def test_mixed_arithmetic(n, f):
     assert a * n == a * gauss(n)
     assert a + f == a + gauss(f)
     assert n * a == a * n
+
+
+def test_common_bits_reads_one_common_denominator():
+    third, fifth = GaussianRational.coerce(Fraction(1, 3)), GaussianRational.coerce(Fraction(2, 5))
+    # 5/15 and 6/15
+    assert GaussianRational.common_bits([third, fifth], 100) == 4
+    assert GaussianRational.common_bits([gauss(0, 1024)], 100) == GaussianRational.coerce(1024).bits() == 11
+    # no coefficients: the common denominator 1
+    assert GaussianRational.common_bits([], 100) == 1
+    # the scan stops at the first denominator past the cap
+    big = GaussianRational.coerce(Fraction(1, 2**200 + 1))
+    assert GaussianRational.common_bits([third, big, fifth], 100) == (3 * (2**200 + 1)).bit_length()
