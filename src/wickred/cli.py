@@ -24,16 +24,16 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Each command imports the modules it runs, so that a process compiles and
-# loads only those.  Importing this module loads `scalar` and `series`
-# alone; `table` adds `coeffs`, `moreno` adds `coeffs`, `sparse` and
-# `moreno`, and `mul` and `verify` load the Laurent kernel through `wick`.
-# `verify` adds `sampling` and `suites`, and each suite the layers it checks:
-# `lemma21` none, `equiv` `coeffs` and `equiv`, `reduce` those and
-# `reduction`, `moreno` `coeffs` and `moreno`, `su1n` `coeffs` and
+# loads only those.  Importing this module loads no layer of the package,
+# so a malformed flag exits before any is compiled; `table` adds `coeffs`
+# and `scalar`, `moreno` adds those, `series` and `moreno`, and `mul` and
+# `verify` load the Laurent kernel through `wick`.  `verify` adds
+# `sampling` and `suites`, and each suite the layers it checks: `lemma21`
+# none, `equiv` `coeffs` and `equiv`, `reduce` those and `reduction`,
+# `moreno` `coeffs`, `moreno` and `chart`, `su1n` `coeffs` and
 # `reduction`.  A process enters through `run`, which skips the collector's
 # last full pass at exit.
 from . import SUITE_NAMES
-from .series import latex_fraction
 
 if TYPE_CHECKING:
     from .wick import StarContext
@@ -83,7 +83,7 @@ def _context(args) -> StarContext:
     if D[0] != 1:
         raise ValueError(f"--d-series must start with d_0 = 1, got {d_series!r}")
     if mu >= 0:
-        raise ValueError("mu must be negative")
+        raise ValueError(f"--mu must be negative, got {mu}")
     if args.n < 1 or args.order < 1:
         raise ValueError("need n >= 1 and order >= 1")
     if args.n > MAX_N:
@@ -215,6 +215,7 @@ def cmd_mul(args) -> int:
 def a_table_latex(rmax: int, smax: int) -> list:
     """The A^(r)_s matrix (rows r = 0..rmax, columns s = 0..smax) as LaTeX lines."""
     from .coeffs import a_coeff
+    from .scalar import latex_fraction
 
     latex = [r"\begin{pmatrix}"]
     for r in range(rmax + 1):
@@ -227,6 +228,7 @@ def a_table_latex(rmax: int, smax: int) -> list:
 def k_table_latex(rmax: int) -> list:
     """K~_r = sum_s c_{r,s} M~_s for r = 1..rmax as LaTeX align lines."""
     from .coeffs import k_coeff
+    from .scalar import latex_fraction
 
     latex = [r"\begin{align*}"]
     for r in range(1, rmax + 1):

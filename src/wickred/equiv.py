@@ -210,8 +210,8 @@ def _sigma(j: int, ctx: StarContext) -> Series:
     """sigma_j with S(x^j) = x^j sigma_j(u).  The step
     S(x^(k+1)) = (D x - k lambda) S(x^k), for every integer k, reads
     sigma_(k+1) = sigma_k (Dh - k u); the tables are filled in a loop from
-    sigma_0 = 1 toward j, one product per step up and one inversion and
-    product per step down.  Kept per ctx, as S^-1(x^j) reads K + 1 of them:
+    sigma_0 = 1 toward j, one product per step up and one division per
+    step down.  Kept per ctx, as S^-1(x^j) reads K + 1 of them:
     shared, so never mutate one."""
     tables, step = _sigma_tables(ctx), 1 if j > 0 else -1
     k = j
@@ -221,7 +221,7 @@ def _sigma(j: int, ctx: StarContext) -> Series:
     u = d.one().times_lambda(1)
     for k in range(k, j, step):
         f = d - u.scale(min(k, k + step))
-        tables[k + step] = tables[k] * (f if step > 0 else f.invert())
+        tables[k + step] = tables[k] * f if step > 0 else tables[k] / f
     return tables[j]
 
 

@@ -265,6 +265,13 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def latex_fraction(f: Fraction) -> str:
+    if f.denominator == 1:
+        return str(f.numerator)
+    sign = "-" if f < 0 else ""
+    return sign + r"\frac{%d}{%d}" % (abs(f.numerator), f.denominator)
+
+
 ZERO = GaussianRational._raw(0, 0, 1)
 ONE = GaussianRational._raw(1, 0, 1)
 I = GaussianRational._raw(0, 1, 1)

@@ -3,7 +3,7 @@ carrier algebra, plus exact univariate polynomials (the sphere's
 Laplacian polynomials in Delta).
 
 A carrier only needs +, -, unary -, * (same type), .scale(scalar),
-.one(), .zero(), .is_zero() and, where inversion is wanted, .inverse().
+.one(), .zero(), .is_zero() and, where division is wanted, .inverse().
 GaussianRational, LaurentElem and the symbol polynomials (``equiv.SparsePoly``)
 satisfy this.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import GaussianRational, power
+from .scalar import GaussianRational, latex_fraction, power
 
 
 class Series:
@@ -69,6 +69,22 @@ class Series:
             out.append(acc)
         return Series(out)
 
+    def __truediv__(self, other):
+        """self / other by forward substitution,
+        q_m = b_0^-1 (a_m - sum_(i>=1) b_i q_(m-i)), skipping each zero b_i;
+        needs an invertible constant coefficient of other."""
+        K = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        b0inv = b[0].inverse()
+        out = []
+        for m in range(K + 1):
+            acc = a[m]
+            for i in range(1, m + 1):
+                if not b[i].is_zero():
+                    acc = acc - b[i] * out[m - i]
+            out.append(b0inv * acc)
+        return Series(out)
+
     def scale(self, c):
         return Series([v.scale(c) for v in self.coeffs])
 
@@ -99,17 +115,8 @@ class Series:
 
     # ------------------------------------------------------------------
     def invert(self) -> "Series":
-        """Multiplicative inverse, order by order; needs an invertible
-        constant coefficient."""
-        c0inv = self.coeffs[0].inverse()
-        out = [c0inv]
-        for m in range(1, len(self.coeffs)):
-            acc = None
-            for i in range(1, m + 1):
-                t = self.coeffs[i] * out[m - i]
-                acc = t if acc is None else acc + t
-            out.append(-(c0inv * acc))
-        return Series(out)
+        """Multiplicative inverse; needs an invertible constant coefficient."""
+        return self.one() / self
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term, truncated."""
@@ -257,13 +264,6 @@ class UnivarPoly:
 
     def __repr__(self):
         return f"UnivarPoly({self.var}, deg={len(self.coeffs) - 1})"
-
-
-def latex_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return sign + r"\frac{%d}{%d}" % (abs(f.numerator), f.denominator)
 
 
 def _latex_scalar(c: GaussianRational) -> str:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-# equiv, moreno and reduction are imported by the builders that run them,
-# so that a suite loads only the layers it checks
+# equiv, moreno, chart and reduction are imported by the builders that run
+# them, so that a suite loads only the layers it checks
 from . import SUITE_NAMES, sparse
 from .poly import LaurentElem, VarSpace, is_radial
 from .sampling import rand_homogeneous, rand_invariant, rand_poly, rand_radial
@@ -79,7 +79,7 @@ def _first_term(res) -> tuple:
     if isinstance(res, LaurentElem):
         terms, nvars, names = res.num.terms, res.space.nvars, res.space.var_names
         den = {"x": res.mz}
-    else:  # moreno.ChartElem: num / (D1^a D2^b D3^c D4^d) in u, ub, v, vb
+    else:  # chart.ChartElem: num / (D1^a D2^b D3^c D4^d) in u, ub, v, vb
         terms, nvars = res.num, res.nvars
         names = [f"{b}{k}" for b in ("u", "ub", "v", "vb") for k in range(1, res.n + 1)]
         den = {f"D{i}": d for i, d in enumerate(res.den, start=1)}
@@ -399,12 +399,12 @@ def check_k_polys(checks, tag, rmax):
 
 
 def check_charts(checks, space, rng, count, tag, rs=(1, 2)):
-    from . import moreno
+    from .chart import chart_cross_check
 
     for t in range(count):
         phi, psi = (rand_homogeneous(space, rng, deg=1) for _ in range(2))
         for r in rs:
-            _zero(checks, f"{tag}/chart-r{r}-{t}", moreno.chart_cross_check(phi, psi, r))
+            _zero(checks, f"{tag}/chart-r{r}-{t}", chart_cross_check(phi, psi, r))
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ import wickred
 import wickred.cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-CORE = {"wickred", "wickred.cli", "wickred.scalar", "wickred.series"}
+CORE = {"wickred", "wickred.cli"}
 # what `mul` and `verify` load through `wick`: the Laurent kernel
-KERNEL = {"poly", "sparse", "wick"}
+KERNEL = {"scalar", "series", "poly", "sparse", "wick"}
 # what every `verify` suite loads: the kernel, the random inputs, the suites
 VERIFY = KERNEL | {"sampling", "suites"}
 
@@ -66,20 +66,20 @@ def _loaded(argv: list) -> tuple:
     (["mul", "--lhs", "z0*zb0/x", "--rhs", "x", "--order", "2", "--product", "mu"],
      KERNEL | {"parser", "coeffs", "reduction"}),
     # the tables are plain rationals: no Laurent kernel
-    (["table", "a-coeff", "--rmax", "3", "--format", "latex"], {"coeffs"}),
-    (["table", "k-coeff", "--rmax", "3", "--format", "latex"], {"coeffs"}),
-    # the sphere recursion runs on univariate polynomials; the chart check
-    # needs the sparse kernel when it runs, which `moreno` never does
-    (["moreno", "--rmax", "3", "--format", "latex"], {"coeffs", "sparse", "moreno"}),
+    (["table", "a-coeff", "--rmax", "3", "--format", "latex"], {"coeffs", "scalar"}),
+    (["table", "k-coeff", "--rmax", "3", "--format", "latex"], {"coeffs", "scalar"}),
+    # the sphere recursion runs on univariate polynomials; the chart check,
+    # on the sparse kernel, is `chart`, which only `verify moreno` runs
+    (["moreno", "--rmax", "3", "--format", "latex"], {"coeffs", "scalar", "series", "moreno"}),
     # each suite loads the layers it checks, and a passing report formats
     # no term, so the parser stays unloaded
     (["verify", "lemma21", "--order", "1"], VERIFY),
     (["verify", "equiv", "--order", "1"], VERIFY | {"coeffs", "equiv"}),
     (["verify", "reduce", "--order", "1"], VERIFY | {"coeffs", "equiv", "reduction"}),
-    (["verify", "moreno", "--order", "1", "--rmax", "3"], VERIFY | {"coeffs", "moreno"}),
+    (["verify", "moreno", "--order", "1", "--rmax", "3"], VERIFY | {"coeffs", "moreno", "chart"}),
     (["verify", "su1n", "--order", "1"], VERIFY | {"coeffs", "reduction"}),
     (["verify", "all", "--order", "1", "--rmax", "3"],
-     VERIFY | {"coeffs", "equiv", "moreno", "reduction"}),
+     VERIFY | {"coeffs", "equiv", "moreno", "chart", "reduction"}),
 ], ids=lambda a: (" ".join(a)[:60] or "import") if isinstance(a, list) else "+".join(sorted(a)) or "core")
 def test_command_loads_only_its_modules(argv, extra):
     rc, modules = _loaded(argv)
@@ -87,6 +87,20 @@ def test_command_loads_only_its_modules(argv, extra):
     assert {m for m in modules if m.split(".")[0] == "wickred"} == CORE | {
         f"wickred.{m}" for m in extra}
     assert "dataclasses" not in modules
+    # the division by x, and so `heapq`, is in the sparse kernel
+    assert ("heapq" in modules) == ("wickred.sparse" in modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--mu", "abc", "--lhs", "x", "--rhs", "x"],
+    ["verify", "all", "--n", "9"],
+], ids=" ".join)
+def test_malformed_flag_exits_before_any_layer_loads(argv):
+    """A flag value that `cli` rejects exits 2 having loaded no layer of
+    the package."""
+    rc, modules = _loaded(argv)
+    assert rc == 2
+    assert {m for m in modules if m.split(".")[0] == "wickred"} == CORE
 
 
 BARE = """
@@ -139,7 +153,7 @@ def test_failing_check_formats_its_residual_in_a_fresh_process():
 
     got = _last_json(_fresh(["-c", FAILING]))
     # `suites` alone: no `cli`, no layer past the kernel, no parser
-    assert got["before"] == sorted(f"wickred.{m}" for m in VERIFY | {"scalar", "series"})
+    assert got["before"] == sorted(f"wickred.{m}" for m in VERIFY)
     assert {"wickred.equiv", "wickred.parser"} <= set(got["after"])
     checks = []
     suites._zero(checks, "t", Series.const(momentum_map(VarSpace.cpn(2)), 3).times_lambda(1), K=3)

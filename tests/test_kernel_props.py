@@ -772,7 +772,7 @@ def test_conj_matches_reference_and_is_an_involution(p):
 def reference_hom_to_chart(f, mode):
     """Reference: unpack, send z^k, zb^k (k >= 1) to the chart slots of
     the mode, drop z^0 and zb^0, pack, merge with tcollect."""
-    from wickred.moreno import ChartElem
+    from wickred.chart import ChartElem
 
     space, n = f.space, f.space.n
     ce = ChartElem.constant(n, 0)
@@ -810,7 +810,7 @@ def homogeneous_elems(draw, space):
 @given(st.sampled_from([VarSpace.cpn(n) for n in (1, 2, 3)]).flatmap(homogeneous_elems),
        st.sampled_from(["vv", "uv", "vu"]))
 def test_hom_to_chart_matches_reference(f, mode):
-    from wickred.moreno import hom_to_chart
+    from wickred.chart import hom_to_chart
 
     got = hom_to_chart(f, mode)
     assert (got.num, got.den) == reference_hom_to_chart(f, mode)
@@ -818,7 +818,7 @@ def test_hom_to_chart_matches_reference(f, mode):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hom_to_chart_rejects_the_indefinite_metric(n):
-    from wickred.moreno import hom_to_chart
+    from wickred.chart import hom_to_chart
 
     with pytest.raises(ValueError, match="definite metric"):
         hom_to_chart(LaurentElem.one_of(VarSpace.dn(n)), "vv")

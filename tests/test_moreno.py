@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wickred.chart import ChartElem, chart_cross_check, hom_to_chart, laplacian
 from wickred.moreno import (
-    ChartElem,
     a_identity_check,
-    chart_cross_check,
     coeff_vanishing,
-    hom_to_chart,
     k_poly,
-    laplacian,
     moreno_recursion_residual,
     p_poly,
 )

@@ -389,7 +389,7 @@ def test_cli_huge_exponent_is_rejected(capsys):
 @pytest.mark.parametrize("args, message", [
     (["--order", "0"], "need n >= 1 and order >= 1"),
     (["--n", "0", "--order", "2"], "need n >= 1 and order >= 1"),
-    (["--mu", "1"], "mu must be negative"),
+    (["--mu", "1"], "--mu must be negative, got 1"),
     (["--mu", "abc"], "--mu must be a rational number, got 'abc'"),
     (["--mu", "1/0"], "--mu must have a nonzero denominator, got 1/0"),
     (["--mu", "-1/0"], "--mu must have a nonzero denominator, got -1/0"),

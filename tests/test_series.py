@@ -1,9 +1,12 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wickred.poly import LaurentElem
+from wickred.sampling import rand_invariant
+from wickred.scalar import GaussianRational
 from wickred.series import Series, UnivarPoly, scalar_series
 
 
@@ -100,6 +103,36 @@ def test_invert_involution(a):
     A = s_of(a, 3)
     assert A.invert().invert() == A
     assert (A * A.invert()) == s_of([1], 3)
+
+
+@settings(max_examples=40)
+@given(st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=4, max_size=4),
+       st.lists(small, min_size=4, max_size=4))
+def test_division_scalar(a, b, im):
+    """(a / b) * b == a and b.invert() * b == 1 for a constant coefficient
+    of b that is a nonzero Gaussian rational."""
+    if b[0] == 0 and im[0] == 0:
+        b[0] = 1
+    A = s_of(a, 3)
+    B = Series([GaussianRational(Fraction(x, 3), y) for x, y in zip(b, im)])
+    assert (A / B) * B == A
+    assert B.invert() * B == B.one()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_division_laurent(sp1, seed):
+    """The same on Laurent series whose constant coefficient is a unit
+    c x^j of the localization."""
+    rng = Random(seed)
+    unit = LaurentElem.x_power(sp1, rng.randint(-2, 2)).scale(GaussianRational(rng.randint(1, 5), -1))
+    B = Series([unit] + [rand_invariant(sp1, rng) for _ in range(2)])
+    A = Series([rand_invariant(sp1, rng) for _ in range(3)])
+    assert (A / B) * B == A
+    assert B.invert() * B == B.one()
+
+
+def test_division_truncates_to_the_smaller_order():
+    assert (s_of([1, 2, 3], 2) / s_of([1, 1], 1)) == s_of([1, 1], 1)
 
 
 @settings(max_examples=40)

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from wickred import equiv, moreno, sparse, suites
+from wickred import chart, equiv, moreno, sparse, suites
 from wickred.cli import main
 from wickred.parser import parse_expr
 from wickred.poly import VarSpace
@@ -81,8 +81,8 @@ def _laurent():
     (_laurent, "2 terms, first (-3*i)*z1*zb1*x^-2"),
     (lambda: UnivarPoly([0, 0, 3, 1], "Delta"), "2 terms, first (3)*Delta^2"),
     (lambda: equiv.SparsePoly(3, {(1, 2, 0): 2, (0, 1, 1): -1}), "2 terms, first (-1)*a^1*b^1"),
-    (lambda: moreno.ChartElem(1, {sparse.pack([1, 0, 0, 2]): GaussianRational(1, 0) / 2,
-                                  sparse.pack([0, 1, 0, 0]): GaussianRational(1, 0)}, (1, 0, 0, 2)),
+    (lambda: chart.ChartElem(1, {sparse.pack([1, 0, 0, 2]): GaussianRational(1, 0) / 2,
+                                 sparse.pack([0, 1, 0, 0]): GaussianRational(1, 0)}, (1, 0, 0, 2)),
      "2 terms, first 1/2*u1*vb1^2*D1^-1*D4^-2"),
 ])
 def test_failing_check_detail_is_a_summary(make, detail):
