@@ -217,7 +217,8 @@ class Poly:
 
         A nonzero value at x's null point proves that x does not divide
         (``sparse.teval``, on integer triples with power tables built once
-        per process); otherwise ``sparse.tdiv`` decides.
+        per process); otherwise ``sparse.tdiv`` decides.  Its one caller,
+        ``LaurentElem._canonicalize``, is where the certificate pays.
         """
         if not self.terms:
             return Poly.zero(self.space)
@@ -263,16 +264,20 @@ class LaurentElem:
             self._canonicalize()
 
     def _canonicalize(self):
-        """Divide x out of the numerator while it divides it."""
+        """Divide x out while it divides the numerator: ``Poly.divided_by_x``,
+        whose certificate pays as few numerators built here divide, then
+        ``sparse.tstrip``."""
         if self.num.is_zero():
             self.mz = 0
             return
-        while True:
-            q = self.num.divided_by_x()
-            if q is None:
-                break
-            self.num = q
-            self.mz -= 1
+        q = self.num.divided_by_x()
+        if q is not None:
+            # q times 1 is q as a tmac accumulator
+            space, quad = self.space, self.space.quad
+            acc = sparse.tmac({}, q.terms, {0: ONE}, space.nvars)
+            k, rest = sparse.tstrip({0: acc}, quad.terms, quad.lead, space.nvars)
+            self.num = Poly(space, sparse.tnorm(rest[0]))
+            self.mz -= k + 1
 
     # ------------------------------------------------------------------
     @classmethod
@@ -322,12 +327,13 @@ class LaurentElem:
         canonicalized once.  A + B and A - B call it too, with the
         items (1, A, 1) and (1 or -1, B, 1).
 
-        Each summand is lifted to the top x power.  Summands that share a
-        lift x^d are accumulated together, and that partial sum is
-        multiplied by x^d once.  The sum is tested for division by x only
-        when two or more summands reach the top power: modulo x only those
-        summands survive, each a c*P_A*P_B, and the prime x divides no
-        canonical numerator, so a single one leaves the sum prime to x.
+        Summands that share a lift x^d to the top x power are accumulated
+        together.  A single summand at the top power leaves the sum prime
+        to x: modulo x only the top summands survive, each a c*P_A*P_B,
+        and the prime x divides no canonical numerator.  A tie is where
+        cancellation lets x divide, so the groups go to ``sparse.tstrip``,
+        with no null-point certificate in front, before each group left
+        is multiplied by its x^d once.
         """
         live = [(c, a, b, a.mz + b.mz) for c, a, b in items if c and a.num.terms and b.num.terms]
         if not live:
@@ -337,13 +343,14 @@ class LaurentElem:
         groups = {}
         for c, a, b, pz in live:
             sparse.tmac(groups.setdefault(mz - pz, {}), a.num.terms, b.num.terms, nvars, c)
+        k = 0
+        if sum(t[3] == mz for t in live) > 1:
+            k, groups = sparse.tstrip(groups, space.quad.terms, space.quad.lead, nvars)
         total = groups.pop(0, {})
         for d, acc in groups.items():
             sparse.tmac(total, sparse.tnorm(acc), _x_pow_poly(space, d).terms, nvars)
-        out = cls(Poly(space, sparse.tnorm(total)), mz, canonical=True)
-        if sum(t[3] == mz for t in live) > 1:
-            out._canonicalize()
-        return out
+        terms = sparse.tnorm(total)
+        return cls(Poly(space, terms), mz - k if terms else 0, canonical=True)
 
     def __neg__(self):
         return LaurentElem(-self.num, self.mz, canonical=True)

@@ -24,9 +24,11 @@ Products work on the same triples: ``tmac`` adds c*a*b into an
 accumulator of unnormalized triples, so a whole linear combination of
 products is summed in plain ints, and ``tnorm`` normalizes each surviving
 term once.  ``tmul`` is the two of them on an empty accumulator.  Exact
-division by the quadratic x, behind ``Poly.divided_by_x``, is ``tdiv``:
-Gaussian-integer pairs over one common denominator, the remainder's keys
-ordered on a heap.
+division by the quadratic x is one heap loop on Gaussian-integer pairs
+over a common denominator: ``tdiv`` divides once, behind the null-point
+certificate of ``Poly.divided_by_x`` (constructor numerators, few of which
+divide); ``tstrip`` divides tied sums, most of which do, while x divides,
+with no certificate.
 
 This is the only module that reads or builds keys, and with ``scalar``
 the only one that reads the triples.  Every change of variables elsewhere
@@ -110,7 +112,8 @@ def divides(m: int, k: int, nvars: int) -> bool:
 
 def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
     """Exact quotient terms of ``a`` by ``divisor``, or None when it does
-    not divide.
+    not divide.  No certificate runs here: ``Poly.divided_by_x`` puts one
+    in front, where most numerators are prime to x.
 
     The divisor has plain integer coefficients, and its leading key
     ``lead`` has coefficient 1 (the quadratic x).  This is
@@ -120,17 +123,46 @@ def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
     remainder.  The remainder's keys wait on a heap (Monagan & Pearce,
     CASC 2007).
     """
-    # over the common denominator every coefficient is a Gaussian
-    # integer (p, q); the divisor's are integers, so each step is integer
-    # addition and only the quotient terms are normalized
     den = math.lcm(*(c.d for c in a.values()))
-    r = {k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in a.items()}
-    rest = [(k, c.p) for k, c in divisor.items() if k != lead]
+    q = _hdiv({k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in a.items()},
+              divisor, lead, nvars)
     norm = GaussianRational._norm
-    # the keys of r are also on a heap, negated, so the largest comes
-    # off first; a step adds only keys t + km below the key t + lead it
-    # removes, so each key enters the heap once, and one that cancels
-    # stays in r as (0, 0) until it comes off
+    return None if q is None else {k: norm(p, pi, den) for k, (p, pi) in q.items()}
+
+
+def tstrip(groups: dict, divisor: dict, lead: int, nvars: int):
+    """(k, rest) with sum_e x^e * groups[e] = x^k * sum_e x^e * rest[e],
+    x the divisor, groups[e] ``tmac`` accumulators and rest[0] prime to x;
+    a sum of zero is (0, {}).  Only the lowest group is divided, by the
+    heap loop of ``tdiv`` on pairs over one lcm, and group e joins it when
+    k reaches e, so none is lifted only to be divided back.  rest[0] is
+    triples over that lcm; ``groups`` is consumed, the groups above k come
+    back untouched, and nothing is normalized.  No certificate: tied sums
+    mostly divide."""
+    den = math.lcm(*(d for acc in groups.values() for p, q, d in acc.values() if p or q))
+    k, r = 0, {}
+    while True:
+        for t, (p, q, d) in groups.pop(k, {}).items():
+            p0, q0 = r.get(t, (0, 0))
+            r[t] = (p0 + p * (den // d), q0 + q * (den // d))
+        if not (r or groups):
+            return 0, {}
+        if (quo := _hdiv(dict(r), divisor, lead, nvars)) is None:
+            break
+        r, k = quo, k + 1
+    rest = {e - k: acc for e, acc in groups.items()}
+    return k, rest | {0: {t: (p, q, den) for t, (p, q) in r.items()}}
+
+
+def _hdiv(r: dict, divisor: dict, lead: int, nvars: int):
+    """The heap loop of ``tdiv`` and ``tstrip``: r, Gaussian-integer pairs
+    over one denominator, is consumed into quotient pairs, or None.  The
+    divisor's coefficients are integers, so each step is integer addition.
+    r's keys are also on a heap, negated, so the largest comes off first;
+    a step adds only keys t + km below the key t + lead it removes, so
+    each key enters the heap once, and one that cancels stays in r as
+    (0, 0) until it comes off."""
+    rest = [(k, c.p) for k, c in divisor.items() if k != lead]
     heap = [-k for k in r]
     heapq.heapify(heap)
     q = {}
@@ -142,7 +174,7 @@ def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
         if not divides(lead, kl, nvars):
             return None
         t = kl - lead
-        q[t] = norm(p, pi, den)
+        q[t] = (p, pi)
         for km, s in rest:
             k = t + km
             prev = r.get(k)

@@ -1,5 +1,6 @@
 """Property tests for the sparse kernel: exact evaluation, exponent packing,
-the null-point certificate in front of division by x, the re-keying merge,
+the null-point certificate in front of division by x, the strip of every
+factor of x from a sum of multiply-accumulate groups, the re-keying merge,
 the one power routine and the product; and for the Laurent class: sums and
 derivatives that skip divisibility tests by proof agree with the full
 canonicalization, the Leibniz rule, uniqueness of the canonical form, the
@@ -501,10 +502,12 @@ def product_items(draw):
     """(space, items) for sum_of_products.  'tied' items share their powers,
     'unique' lifts one product above the rest, 'cancel' adds the negation
     of every item (a sum of zero), 'divides' adds c*(q*D - A)*B to each
-    c*A*B (a sum whose numerator x divides), and 'free' draws the powers
-    freely; elements and scales are sometimes zero."""
+    c*A*B (a sum whose numerator x divides), 'divides_j' adds
+    c*(x^j*E - A)*B with E at A's power and j = 2 or 3 (a sum whose
+    numerator x^j divides), and 'free' draws the powers freely; elements
+    and scales are sometimes zero."""
     space = draw(st.sampled_from(LAURENT_SPACES))
-    kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "free"]))
+    kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "divides_j", "free"]))
     n = draw(st.integers(1, 4))
     items = []
     for i in range(n):
@@ -520,6 +523,9 @@ def product_items(draw):
     elif kind == "divides":
         x = LaurentElem.x_power(space, 1)
         items += [(c, x * draw(laurent_elems(space, 2)) - a, b) for c, a, b in items]
+    elif kind == "divides_j":
+        xj = LaurentElem.x_power(space, draw(st.integers(2, 3)))
+        items += [(c, xj * draw(laurent_elems(space, a.mz)) - a, b) for c, a, b in items]
     return space, items
 
 
@@ -531,8 +537,18 @@ def folded_sum(space, items):
                   LaurentElem.zero_of(space))
 
 
+def three_step_sum(space):
+    """(2/3)(z0*zb1 - x^-3) + (2/3) x^-3: tied at x^-3, a sum whose
+    numerator x^3 divides."""
+    inv_x3 = LaurentElem.x_power(space, -3)
+    z0zb1 = LaurentElem.variable(space, space.iz(0)) * LaurentElem.variable(space, space.izb(1))
+    one = LaurentElem.one_of(space)
+    return space, [(Fraction(2, 3), z0zb1 - inv_x3, one), (Fraction(2, 3), inv_x3, one)]
+
+
 @laurent_settings
 @given(product_items())
+@example(three_step_sum(LAURENT_SPACES[0]))
 def test_sum_of_products_matches_folded_sum(case):
     space, items = case
     got = LaurentElem.sum_of_products(space, items)
@@ -585,6 +601,65 @@ def reference_divided_by_x(p):
             if km != lead:
                 r = sparse.tsub(r, {t + km: c * cm})
     return Poly(space, q)
+
+
+def lifted(space, rest):
+    """sum_e x^e * rest[e] for the ``rest`` groups of ``sparse.tstrip``."""
+    return reduce(operator.add, (divisor(space).pow(e) * Poly(space, sparse.tnorm(acc))
+                                 for e, acc in rest.items()), Poly.zero(space))
+
+
+@props
+@given(quotient_cases(), st.integers(0, 4), st.integers(0, 4),
+       st.builds(Fraction, SMALL.filter(bool), st.integers(2, 7)))
+# q = x*(z0*zb0 - z1*zb1) on CP^1, k = 2 and the second group at x^1:
+# three steps, one of them after the second group joins
+@example((SPACES[0], Poly.from_exponent_map(SPACES[0], {(1, 0, 1, 0): 1, (0, 1, 0, 1): -1})
+          * divisor(SPACES[0])), 2, 1, Fraction(3, 7))
+def test_tstrip_matches_repeated_reference_division(case, k, e, c):
+    """tstrip on x^k*q as two tmac groups, c*x^k*q at x^0 with a key m
+    entered once with each sign and (1 - c)*x^(k-e)*q at x^e (c of unlike
+    denominators, e <= k), against reference division repeated until it
+    returns None."""
+    space, q = case
+    nvars, e = space.nvars, e % (k + 1)
+    x = divisor(space)
+    m = {sparse.pack([1] * nvars): GaussianRational(Fraction(1, 5), 1)}
+    groups = {0: {}}
+    for scale, a in ((c, (x.pow(k) * q).terms), (1, m), (-1, m)):
+        sparse.tmac(groups[0], a, {0: ONE}, nvars, scale)
+    sparse.tmac(groups.setdefault(e, {}), (x.pow(k - e) * q).terms, {0: ONE}, nvars, 1 - c)
+    got, rest = sparse.tstrip(groups, space.quad.terms, space.quad.lead, nvars)
+    p = x.pow(k) * q
+    if p.is_zero():
+        assert (got, rest) == (0, {})
+        return
+    steps = 0
+    while (r := reference_divided_by_x(p)) is not None:
+        p, steps = r, steps + 1
+    assert steps >= k and got == steps
+    assert lifted(space, rest) == p
+    assert reference_divided_by_x(Poly(space, sparse.tnorm(rest[0]))) is None
+
+
+def test_tstrip_of_a_cancelled_sum_is_zero():
+    # x^2 * q - x^2 * q on unlike denominators, in one group and in two
+    space = SPACES[4]
+    nvars, quad = space.nvars, space.quad
+    q = Poly(space, {0: GaussianRational(Fraction(1, 3), 2)})
+    p = divisor(space).pow(2) * q
+    acc = sparse.tmac({}, p.terms, {0: ONE}, nvars, Fraction(2, 5))
+    sparse.tmac(acc, p.terms, {0: ONE}, nvars, Fraction(-2, 5))
+    assert acc and not any(t[0] or t[1] for t in acc.values())
+    assert sparse.tstrip({0: acc}, quad.terms, quad.lead, nvars) == (0, {})
+    groups = {0: sparse.tmac({}, p.terms, {0: ONE}, nvars), 2: sparse.tmac({}, q.terms, {0: ONE}, nvars, -1)}
+    assert sparse.tstrip(groups, quad.terms, quad.lead, nvars) == (0, {})
+    # x*q - x*q + x^3*z0: the lower groups cancel, so k skips to the top one
+    z0 = Poly.variable(space, 0)
+    groups = {0: sparse.tmac({}, (divisor(space) * q).terms, {0: ONE}, nvars),
+              1: sparse.tmac({}, q.terms, {0: ONE}, nvars, -1), 3: sparse.tmac({}, z0.terms, {0: ONE}, nvars)}
+    k, rest = sparse.tstrip(groups, quad.terms, quad.lead, nvars)
+    assert (k, list(rest), sparse.tnorm(rest[0])) == (3, [0], z0.terms)
 
 
 @st.composite
