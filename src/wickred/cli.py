@@ -167,7 +167,8 @@ def cmd_mul(args) -> int:
             if not all(c.is_invariant() for c in s.coeffs):
                 raise ValueError(f"--{flag} must have equal z- and zb-degree in every term "
                                  f"for --product {args.product}")
-            top = max((j for c in s.coeffs for j in c.peel()), key=abs, default=0)
+            top = max((c.num.degrees(k)[0] - c.mz for c in s.coeffs for k in c.num.terms),
+                      key=abs, default=0)
             if abs(top) > MAX_EXPONENT:
                 raise ValueError(f"--{flag} must have powers of x within +-{MAX_EXPONENT} "
                                  f"for --product {args.product}, got x^{top}")

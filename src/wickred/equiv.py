@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from . import sparse
 from .coeffs import a_coeff
-from .poly import LaurentElem
+from .poly import LaurentElem, Poly, z_slices
 from .scalar import GaussianRational, factorial
 from .series import Series, scalar_series
 from .wick import StarContext, m_op, radial_invariant_expansion, wick_product
@@ -191,7 +191,8 @@ def functional_equation_residual(ctx: StarContext) -> Series:
 
 # S(x^j), S^-1(x^j), D x and lambda/(D x) are each x^j times a scalar
 # series in u = lambda/x: with Dh(u) = sum_r d_r u^r, D x = x Dh(u) and
-# lambda/(D x) = u / Dh(u).  They are computed as scalar series and lifted
+# lambda/(D x) = u / Dh(u).  They are computed as scalar series; S and S^-1
+# weigh numerator slices by them, and a table that stands alone is lifted
 # once, order t to the single term sigma[t] x^(j-t).
 
 
@@ -232,31 +233,42 @@ def s_apply_xpow(j: int, ctx: StarContext) -> Series:
 
 
 @lru_cache(maxsize=None)
-def s_inverse_xpow(j: int, ctx: StarContext) -> Series:
-    """S^-1(x^j) = x^j tau_j(u).  S(x^j u^t) = x^j u^t sigma_(j-t)(u), so
+def _weights(j: int, ctx: StarContext, inverse: bool) -> tuple:
+    """sigma_j, or tau_j with S^-1(x^j) = x^j tau_j(u), as Fractions: D is
+    real, and so is every weight.  S(x^j u^t) = x^j u^t sigma_(j-t)(u), so
     tau_j[0] = sigma_j[0] = 1 and tau_j[m] = -sum_(t<m) tau_j[t] sigma_(j-t)[m-t]."""
-    sig = [_sigma(j - t, ctx).coeffs for t in range(ctx.K + 1)]
+    if not inverse:
+        return tuple(c.re for c in _sigma(j, ctx).coeffs)
+    sig = [_weights(j - t, ctx, False) for t in range(ctx.K + 1)]
     tau = [sig[0][0]]
     for m in range(1, ctx.K + 1):
         tau.append(-sum((tau[t] * sig[t][m - t] for t in range(1, m)), sig[0][m]))
-    return _lift(Series(tau), j, ctx)
+    return tuple(tau)
 
 
 def s_apply(F: Series, ctx: StarContext, inverse: bool = False) -> Series:
-    """S (or S^-1) on a series of invariant Laurent elements: sum_j h_j x^j
-    goes to sum_j h_j S(x^j) over the homogeneous peel, since d/dx
-    annihilates each h_j, and S^-1 reads its own table of x powers the same
-    way.  Each output order is one sum over the peeled input orders."""
-    xpow = s_inverse_xpow if inverse else s_apply_xpow
+    """S (or S^-1) on a series of invariant Laurent elements.  S touches
+    only the radial factor: sum_j h_j x^j, each h_j of degree (0, 0), goes
+    to sum_j h_j S(x^j), since d/dx annihilates each h_j.  So S is diagonal
+    on the z-degree slices of a numerator: for F_m = P / x^M the slice P_d
+    is h_j x^j with j = d - M, and order s of S(x^j) = x^j sigma_j(u) puts
+    it over x^(M+s), weighed by sigma_j[s] (tau_j[s] for S^-1).  Each
+    output order is one ``sum_of_products`` over the weighted slices,
+    which canonicalizes the sum; no slice is canonicalized on its own.  A
+    non-invariant order raises ValueError (``z_slices``)."""
     K = min(F.order, ctx.K)
-    pairs = []
+    space = ctx.space
+    xs = [LaurentElem.x_power(space, -s) for s in range(K + 1)]
+    slices = []
     for Fm in F.coeffs[: K + 1]:
-        if not Fm.is_invariant():
-            raise ValueError("S acts on invariant elements only")
-        pairs.append([(h, xpow(j, ctx)) for j, h in Fm.peel().items()])
+        # a slice need not be canonical: sum_of_products ties it with the
+        # other slices of its numerator, which sit at the same power
+        slices.append([(_weights(d - Fm.mz, ctx, inverse),
+                        LaurentElem(Poly(space, t), Fm.mz, canonical=True))
+                       for d, t in z_slices(Fm).items()])
     return Series([
-        LaurentElem.sum_of_products(ctx.space, [
-            (1, h, sx.coeffs[t - m]) for m in range(t + 1) for h, sx in pairs[m]])
+        LaurentElem.sum_of_products(space, [
+            (w[t - m], a, xs[t - m]) for m in range(t + 1) for w, a in slices[m]])
         for t in range(K + 1)])
 
 

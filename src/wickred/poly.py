@@ -90,7 +90,7 @@ class VarSpace:
 
     @cached_property
     def x_pow_memo(self) -> dict:
-        # e -> the Poly x^e, filled by _x_pow_poly
+        # e -> the Poly x^e, filled by _x_pow_poly and, for 1, Poly.one
         return {}
 
     @cached_property
@@ -111,11 +111,18 @@ class VarSpace:
 class Poly:
     """Sparse polynomial over GaussianRational with packed exponents."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "view")
 
     def __init__(self, space: VarSpace, terms: dict):
         self.space = space
         self.terms = terms
+
+    def __getattr__(self, name):
+        # the lazy slot ``view``: sparse.tview of the terms, which never change
+        if name != "view":
+            raise AttributeError(f"'Poly' object has no attribute {name!r}")
+        self.view = sparse.tview(self.terms, self.space.nvars)
+        return self.view
 
     # ------------------------------------------------------------------
     @classmethod
@@ -129,7 +136,7 @@ class Poly:
 
     @classmethod
     def one(cls, space):
-        return cls(space, {0: ONE})
+        return space.x_pow_memo.setdefault(0, cls(space, {0: ONE}))
 
     @classmethod
     def variable(cls, space, idx):
@@ -225,7 +232,7 @@ class Poly:
         quad = self.space.quad
         if self.eval(quad.null_point):
             return None
-        q = sparse.tdiv(self.terms, quad.terms, quad.lead, self.space.nvars)
+        q = sparse.tdiv(self.view, quad.terms, quad.lead, self.space.nvars)
         return None if q is None else Poly(self.space, q)
 
     # ------------------------------------------------------------------
@@ -272,11 +279,10 @@ class LaurentElem:
             return
         q = self.num.divided_by_x()
         if q is not None:
-            # q times 1 is q as a tmac accumulator
             space, quad = self.space, self.space.quad
-            acc = sparse.tmac({}, q.terms, {0: ONE}, space.nvars)
-            k, rest = sparse.tstrip({0: acc}, quad.terms, quad.lead, space.nvars)
-            self.num = Poly(space, sparse.tnorm(rest[0]))
+            den, _, pairs = q.view
+            k, rest = sparse.tstrip({0: pairs}, quad.terms, quad.lead, space.nvars)
+            self.num = Poly(space, sparse.tnorm(rest[0], den))
             self.mz -= k + 1
 
     # ------------------------------------------------------------------
@@ -323,33 +329,29 @@ class LaurentElem:
     @classmethod
     def sum_of_products(cls, space, items):
         """sum c*A*B over (c, A, B) items, c an int or a real Fraction:
-        every product is summed on integer triples and the sum is
-        canonicalized once.  A + B and A - B call it too, with the
-        items (1, A, 1) and (1 or -1, B, 1).
-
-        Summands that share a lift x^d to the top x power are accumulated
-        together.  A single summand at the top power leaves the sum prime
-        to x: modulo x only the top summands survive, each a c*P_A*P_B,
-        and the prime x divides no canonical numerator.  A tie is where
-        cancellation lets x divide, so the groups go to ``sparse.tstrip``,
-        with no null-point certificate in front, before each group left
-        is multiplied by its x^d once.
-        """
-        live = [(c, a, b, a.mz + b.mz) for c, a, b in items if c and a.num.terms and b.num.terms]
-        if not live:
+        ``sparse.tmacs`` sums the products that share a lift x^d to the top
+        x power in one group, all over one denominator, and the sum is
+        canonicalized once.  A + B and A - B are the items (1, A, 1) and
+        (1 or -1, B, 1).  A single summand at the top power leaves the sum
+        prime to x: modulo x only the top summands survive, and the prime x
+        divides no canonical numerator.  A tie is where cancellation lets x
+        divide, so the groups go to ``sparse.tstrip``, with no certificate,
+        before each group left is multiplied by its x^d, unnormalized.  A
+        zero weight still ties: ``equiv.s_apply`` passes the z-degree slices
+        of a numerator, which share its power and need not be canonical."""
+        live = [(c, a.num, b.num, a.mz + b.mz) for c, a, b in items if a.num.terms and b.num.terms]
+        mz = max((t[3] for t in live if t[0]), default=None)
+        if mz is None:
             return cls.zero_of(space)
         nvars = space.nvars
-        mz = max(t[3] for t in live)
-        groups = {}
-        for c, a, b, pz in live:
-            sparse.tmac(groups.setdefault(mz - pz, {}), a.num.terms, b.num.terms, nvars, c)
+        den, groups = sparse.tmacs([(mz - pz, c, pa.view, pb.view) for c, pa, pb, pz in live if c])
         k = 0
         if sum(t[3] == mz for t in live) > 1:
             k, groups = sparse.tstrip(groups, space.quad.terms, space.quad.lead, nvars)
         total = groups.pop(0, {})
         for d, acc in groups.items():
-            sparse.tmac(total, sparse.tnorm(acc), _x_pow_poly(space, d).terms, nvars)
-        terms = sparse.tnorm(total)
+            sparse.tmac(total, (den, sparse.total_degree(max(acc), nvars), acc), _x_pow_poly(space, d).view)
+        terms = sparse.tnorm(total, den)
         return cls(Poly(space, terms), mz - k if terms else 0, canonical=True)
 
     def __neg__(self):
@@ -414,22 +416,19 @@ class LaurentElem:
 
     # ------------------------------------------------------------------
     def diff(self, var: int):
-        """Exact partial derivative (quotient rule on the x power)."""
+        """Exact partial derivative by the quotient rule on x^-m, built in
+        one pass over the numerator's pairs by ``sparse.tquot``."""
         space = self.space
-        dnum = self.num.diff(var)
         m = self.mz
         if m == 0:
-            return LaurentElem(dnum)
-        # d(P / x^m) = (x dP - m P dx) / x^(m+1), with dx = g_kk times the
-        # partner variable (z^k <-> zb^k)
+            return LaurentElem(self.num.diff(var))
         nv = space.nv
         partner = var - nv if var >= nv else var + nv
-        acc = sparse.tmac({}, dnum.terms, space.quad.terms, space.nvars)
-        sparse.tmac(acc, self.num.terms, {space.var_keys[partner]: ONE}, space.nvars,
-                    -m * space.metric[var % nv])
+        acc = sparse.tquot(self.num.view, var, partner, -m * space.metric[var % nv],
+                           space.quad.terms, space.nvars)
         # the numerator is -m * P * dx mod x with m != 0, and the prime x
         # divides neither P nor the variable dx: it is canonical
-        return LaurentElem(Poly(space, sparse.tnorm(acc)), m + 1, canonical=True)
+        return LaurentElem(Poly(space, sparse.tnorm(acc, self.num.view[0])), m + 1, canonical=True)
 
     # ------------------------------------------------------------------
     # homogeneity structure
@@ -475,7 +474,7 @@ class LaurentElem:
         """Decompose an invariant element as sum_j h_j * x^j with each h_j
         homogeneous of degree (0, 0); returns {j: h_j}."""
         return {d - self.mz: LaurentElem(Poly(self.space, terms), d)
-                for d, terms in _z_slices(self).items()}
+                for d, terms in z_slices(self).items()}
 
     # ------------------------------------------------------------------
     def to_obj(self):
@@ -501,14 +500,14 @@ def _x_pow_poly(space: VarSpace, e: int) -> Poly:
     return p
 
 
-def _z_slices(elem: LaurentElem) -> dict:
+def z_slices(elem: LaurentElem) -> dict:
     """The numerator of an invariant element split by z-degree: {d: terms
     of bidegree (d, d)}."""
     groups = {}
     for key, c in elem.num.terms.items():
         zd, zbd = elem.num.degrees(key)
         if zd != zbd:
-            raise ValueError("cannot peel a non-invariant element")
+            raise ValueError("not invariant: a term has unequal z- and zb-degree")
         groups.setdefault(zd, {})[key] = c
     return groups
 
@@ -519,7 +518,7 @@ def is_radial(elem: LaurentElem) -> bool:
     c being P_d's coefficient at the leading key of x^d.  No division."""
     if not elem.is_invariant():
         return False
-    for d, terms in _z_slices(elem).items():
+    for d, terms in z_slices(elem).items():
         xd = _x_pow_poly(elem.space, d).terms
         c = terms.get(max(xd))
         if c is None or terms != sparse.tscale(xd, c):

@@ -20,15 +20,15 @@ keeps one numerator sum per denominator and normalizes once at the end.
 This is what makes the null-point certificate of ``Poly.divided_by_x``
 cheap.
 
-Products work on the same triples: ``tmac`` adds c*a*b into an
-accumulator of unnormalized triples, so a whole linear combination of
-products is summed in plain ints, and ``tnorm`` normalizes each surviving
-term once.  ``tmul`` is the two of them on an empty accumulator.  Exact
-division by the quadratic x is one heap loop on Gaussian-integer pairs
-over a common denominator: ``tdiv`` divides once, behind the null-point
-certificate of ``Poly.divided_by_x`` (constructor numerators, few of which
-divide); ``tstrip`` divides tied sums, most of which do, while x divides,
-with no certificate.
+Products work on a view of the terms (``tview``): their lcm denominator
+den, top degree and Gaussian-integer pairs {key: (p, q)}, (p + q*i)/den.
+An accumulator is such pairs over one denominator fixed before any
+product: ``tmacs`` sums c*a*b into one accumulator per group over the lcm
+of every item's denominator, so the pair loop (``tmac``) takes no
+denominator product, equality test or gcd, and ``tnorm`` normalizes each
+surviving term once; ``tmul`` is the one-group case.  Division by x is one
+heap loop on the same pairs: ``tdiv`` divides once, behind the certificate
+of ``Poly.divided_by_x``; ``tstrip`` divides accumulators while x divides.
 
 This is the only module that reads or builds keys, and with ``scalar``
 the only one that reads the triples.  Every change of variables elsewhere
@@ -110,55 +110,43 @@ def divides(m: int, k: int, nvars: int) -> bool:
     return not (k - m) & _guard(nvars)
 
 
-def tdiv(a: dict, divisor: dict, lead: int, nvars: int):
-    """Exact quotient terms of ``a`` by ``divisor``, or None when it does
-    not divide.  No certificate runs here: ``Poly.divided_by_x`` puts one
-    in front, where most numerators are prime to x.
-
-    The divisor has plain integer coefficients, and its leading key
-    ``lead`` has coefficient 1 (the quadratic x).  This is
-    reduction by a single divisor under the graded key order: remainder
-    zero is an exact divisibility test for a principal ideal, and the first
-    remainder term whose key ``lead`` does not divide proves a nonzero
-    remainder.  The remainder's keys wait on a heap (Monagan & Pearce,
-    CASC 2007).
-    """
-    den = math.lcm(*(c.d for c in a.values()))
-    q = _hdiv({k: (c.p * (den // c.d), c.q * (den // c.d)) for k, c in a.items()},
-              divisor, lead, nvars)
-    norm = GaussianRational._norm
-    return None if q is None else {k: norm(p, pi, den) for k, (p, pi) in q.items()}
+def tdiv(a: tuple, divisor: dict, lead: int, nvars: int):
+    """Exact quotient terms of the view ``a`` by ``divisor``, or None when
+    it does not divide.  No certificate runs here: ``Poly.divided_by_x``
+    puts one in front, where most numerators are prime to x."""
+    q = _hdiv(dict(a[2]), divisor, lead, nvars)
+    return None if q is None else tnorm(q, a[0])
 
 
 def tstrip(groups: dict, divisor: dict, lead: int, nvars: int):
     """(k, rest) with sum_e x^e * groups[e] = x^k * sum_e x^e * rest[e],
-    x the divisor, groups[e] ``tmac`` accumulators and rest[0] prime to x;
-    a sum of zero is (0, {}).  Only the lowest group is divided, by the
-    heap loop of ``tdiv`` on pairs over one lcm, and group e joins it when
-    k reaches e, so none is lifted only to be divided back.  rest[0] is
-    triples over that lcm; ``groups`` is consumed, the groups above k come
-    back untouched, and nothing is normalized.  No certificate: tied sums
-    mostly divide."""
-    den = math.lcm(*(d for acc in groups.values() for p, q, d in acc.values() if p or q))
+    x the divisor, groups[e] accumulators over one denominator and rest[0]
+    prime to x; a sum of zero is (0, {}).  Only the lowest group is
+    divided, and group e joins it when k reaches e, so none is lifted only
+    to be divided back.  ``groups`` is consumed, the groups above k come
+    back untouched, nothing is normalized, and no certificate runs."""
     k, r = 0, {}
     while True:
-        for t, (p, q, d) in groups.pop(k, {}).items():
+        for t, (p, q) in groups.pop(k, {}).items():
             p0, q0 = r.get(t, (0, 0))
-            r[t] = (p0 + p * (den // d), q0 + q * (den // d))
+            r[t] = (p0 + p, q0 + q)
         if not (r or groups):
             return 0, {}
         if (quo := _hdiv(dict(r), divisor, lead, nvars)) is None:
             break
         r, k = quo, k + 1
-    rest = {e - k: acc for e, acc in groups.items()}
-    return k, rest | {0: {t: (p, q, den) for t, (p, q) in r.items()}}
+    return k, {e - k: acc for e, acc in groups.items()} | {0: r}
 
 
 def _hdiv(r: dict, divisor: dict, lead: int, nvars: int):
     """The heap loop of ``tdiv`` and ``tstrip``: r, Gaussian-integer pairs
-    over one denominator, is consumed into quotient pairs, or None.  The
-    divisor's coefficients are integers, so each step is integer addition.
-    r's keys are also on a heap, negated, so the largest comes off first;
+    over one denominator, is consumed into quotient pairs, or None.  This
+    is reduction by one divisor with integer coefficients and lead
+    coefficient 1 (the quadratic x) under the graded key order: remainder
+    zero is an exact test for a principal ideal, and the first remainder
+    key that ``lead`` does not divide proves a nonzero remainder.  r's
+    keys are on a heap (Monagan & Pearce, CASC 2007), negated, so the
+    largest comes off first;
     a step adds only keys t + km below the key t + lead it removes, so
     each key enters the heap once, and one that cancels stays in r as
     (0, 0) until it comes off."""
@@ -242,61 +230,74 @@ def tscale(a: dict, c) -> dict:
     return {k: v * c for k, v in a.items()}
 
 
-def tmac(acc: dict, a: dict, b: dict, nvars: int, c=1) -> dict:
-    """Add c*a*b into ``acc``, a dict {key: (p, q, d)} of unnormalized
-    integer triples (p + q*i)/d, and return ``acc``.
+def tview(terms: dict, nvars: int) -> tuple:
+    """(den, top, pairs): the terms as Gaussian-integer pairs {key: (p, q)}
+    over den, the lcm of their denominators, and their top degree (0 if none)."""
+    den = math.lcm(*[c.d for c in terms.values()])
+    return den, max(terms, default=0) >> (SLOT * nvars), {
+        k: (c.p * (f := den // c.d), c.q * f) for k, c in terms.items()}
 
-    ``c`` is an int or a real Fraction; it is folded into b's triples.  A
-    product of two coefficients is plain int arithmetic, terms over equal
-    denominators add directly and unequal ones meet at their lcm.  Sums of
-    zero stay in ``acc``; ``tnorm`` drops them.
-    """
-    if not a or not b:
-        return acc
-    # graded keys: the largest key carries the top degree
-    da = max(a) >> (SLOT * nvars)
-    db = max(b) >> (SLOT * nvars)
-    if da + db >= DEG_CAP:
-        raise ValueError(f"product degree {da + db} exceeds packing capacity")
-    if c == 1:
-        bt = [(kb, cb.p, cb.q, cb.d) for kb, cb in b.items()]
-    else:
-        cn, cd = c.numerator, c.denominator
-        bt = [(kb, cb.p * cn, cb.q * cn, cb.d * cd) for kb, cb in b.items()]
+
+def tmac(acc: dict, a: tuple, b: tuple, c: int = 1) -> dict:
+    """Add c*a*b into the accumulator ``acc`` and return it: a and b are
+    views, and c, an int, carries the ratio of acc's denominator to
+    den_a * den_b.  Sums of zero stay in acc; ``tnorm`` drops them."""
+    if a[1] + b[1] >= DEG_CAP:
+        raise ValueError(f"product degree {a[1] + b[1]} exceeds packing capacity")
+    a, b = (a[2], b[2]) if len(a[2]) <= len(b[2]) else (b[2], a[2])
     get = acc.get
-    gcd = math.gcd
-    for ka, ca in a.items():
-        pa, qa, den_a = ca.p, ca.q, ca.d
-        for kb, pb, qb, den_b in bt:
+    for ka, (pa, qa) in a.items():
+        pa, qa = pa * c, qa * c
+        for kb, (pb, qb) in b.items():
             k = ka + kb
-            p = pa * pb - qa * qb
-            q = pa * qb + qa * pb
-            d = den_a * den_b
-            prev = get(k)
-            if prev is None:
-                acc[k] = (p, q, d)
-            else:
-                p0, q0, d0 = prev
-                if d0 == d:
-                    acc[k] = (p0 + p, q0 + q, d)
-                else:
-                    g = gcd(d0, d)
-                    f0, f = d // g, d0 // g
-                    acc[k] = (p0 * f0 + p * f, q0 * f0 + q * f, d0 * f0)
+            p0, q0 = get(k, (0, 0))
+            acc[k] = (p0 + pa * pb - qa * qb, q0 + pa * qb + qa * pb)
     return acc
 
 
-def tnorm(acc: dict) -> dict:
-    """Terms from a ``tmac`` accumulator: one normalization per surviving
-    term, sums of zero dropped."""
+def tmacs(items) -> tuple:
+    """(den, groups): sum c*a*b over (group, c, a, b) items (a, b views, c
+    an int or a real Fraction) into one accumulator per group, all over den,
+    the lcm of every item's c.denominator * den_a * den_b, fixed up front."""
+    items = [(g, c, a, b, c.denominator * a[0] * b[0]) for g, c, a, b in items]
+    den = math.lcm(*(t[4] for t in items))
+    groups = {}
+    for g, c, a, b, d in items:
+        tmac(groups.setdefault(g, {}), a, b, c.numerator * (den // d))
+    return den, groups
+
+
+def tnorm(acc: dict, den: int) -> dict:
+    """Terms from an accumulator over ``den``: one normalization per
+    surviving term, sums of zero dropped."""
     norm = GaussianRational._norm
-    return {k: norm(p, q, d) for k, (p, q, d) in acc.items() if p or q}
+    return {k: norm(p, q, den) for k, (p, q) in acc.items() if p or q}
 
 
 def tmul(a: dict, b: dict, nvars: int) -> dict:
-    """Product of two term dicts: ``tmac`` into an empty accumulator, then
-    ``tnorm``."""
-    return tnorm(tmac({}, a, b, nvars))
+    """Product of two term dicts: ``tmacs`` on one group."""
+    den, groups = tmacs([(0, 1, tview(a, nvars), tview(b, nvars))])
+    return tnorm(groups[0], den)
+
+
+def tquot(a: tuple, var: int, partner: int, c: int, x: dict, nvars: int) -> dict:
+    """x * d_var P + c * v * P in one pass over P, the view ``a``, as pairs
+    over P's denominator (x with integer terms, v the variable in slot
+    ``partner``): with c = -m * g_kk, the numerator of d(P / x^m)."""
+    if a[1] + 1 >= DEG_CAP:
+        raise ValueError(f"product degree {a[1] + 1} exceeds packing capacity")
+    shift, v = SLOT * var, var_keys(nvars)[partner]
+    xs = [(kx - var_keys(nvars)[var], cx.p) for kx, cx in x.items()]
+    out = {}
+    get = out.get
+    for k, (p, q) in a[2].items():
+        if e := (k >> shift) & MASK:
+            for kx, s in xs:
+                p0, q0 = get(k + kx, (0, 0))
+                out[k + kx] = (p0 + e * s * p, q0 + e * s * q)
+        p0, q0 = get(k + v, (0, 0))
+        out[k + v] = (p0 + c * p, q0 + c * q)
+    return out
 
 
 def tdiff(a: dict, var: int, nvars: int) -> dict:

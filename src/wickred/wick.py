@@ -287,9 +287,8 @@ def op_calm(T: TwoPoint, r: int) -> TwoPoint:
     if r == 0:
         return T
     space = T.f.space
-    nvars = space.nvars
-    xr = Poly.x(space).pow(r).terms
-    acc = {}
+    xr = Poly.x(space).pow(r).view
+    items = []
     for gamma in _compositions(r, space.nv):
         w = math.factorial(r) * _metric_sign(space, gamma) // _multi_factorial(gamma)
         subs = [(a, math.prod(map(math.comb, gamma, a)))
@@ -305,8 +304,9 @@ def op_calm(T: TwoPoint, r: int) -> TwoPoint:
                     if pab.is_zero():
                         continue
                     key = (key_a, tuple(x + g - e for x, g, e in zip(beta, gamma, b)))
-                    sparse.tmac(acc.setdefault(key, {}), pab.terms, xr, nvars, w * ca * cb)
-    terms = ((key, sparse.tnorm(t)) for key, t in acc.items())
+                    items.append((key, w * ca * cb, pab.view, xr))
+    den, acc = sparse.tmacs(items)
+    terms = ((key, sparse.tnorm(t, den)) for key, t in acc.items())
     return TwoPoint(T.f, T.g, {key: Poly(space, t) for key, t in terms if t})
 
 

@@ -10,7 +10,6 @@ from wickred.equiv import (
     functional_equation_residual,
     s_apply,
     s_apply_xpow,
-    s_inverse_xpow,
     standard_order_apply,
     symbol,
     symbol_at_alpha_zero,
@@ -139,6 +138,11 @@ def test_s_roundtrip(sp1, rng):
         assert (s_apply(s_apply(F, ctx), ctx, inverse=True) - F).is_zero()
         assert (s_apply(s_apply(F, ctx, inverse=True), ctx) - F).is_zero()
 
+
+
+def s_inverse_xpow(j, ctx):
+    """S^-1(x^j): S^-1 on the constant series x^j."""
+    return s_apply(Series.const(LaurentElem.x_power(ctx.space, j), ctx.K), ctx, inverse=True)
 
 
 def stirling2_triangle(N):
@@ -272,3 +276,54 @@ def test_tilde_star_rejects_non_invariant(ctx1, sp1):
     z0 = Series.const(LaurentElem.variable(sp1, 0), ctx1.K)
     with pytest.raises(ValueError):
         tilde_star(z0, z0, ctx1)
+
+
+# ----------------------------------------------------------------------
+# S by slice weights against the route through the peel
+
+
+def solved_inverse_xpow(j, ctx):
+    """Reference S^-1(x^j) = x^j tau_j(u) by the triangular solve
+    tau_j[m] = -sum_(t<m) tau_j[t] sigma_(j-t)[m-t], each sigma read off
+    S(x^(j-t))."""
+    sig = [[c.num.scalar_value() for c in s_apply_xpow(j - t, ctx).coeffs] for t in range(ctx.K + 1)]
+    tau = [sig[0][0]]
+    for m in range(1, ctx.K + 1):
+        tau.append(-sum((tau[t] * sig[t][m - t] for t in range(1, m)), sig[0][m]))
+    return Series([LaurentElem.x_power(ctx.space, j - t).scale(c) for t, c in enumerate(tau)])
+
+
+def peel_route(F, ctx, inverse=False):
+    """Reference: S (or S^-1) through the homogeneous peel, each order split
+    into canonical h_j and sum_j h_j S(x^j) summed per output order."""
+    xpow = solved_inverse_xpow if inverse else s_apply_xpow
+    K = min(F.order, ctx.K)
+    pairs = []
+    for Fm in F.coeffs[: K + 1]:
+        if not Fm.is_invariant():
+            raise ValueError("S acts on invariant elements only")
+        pairs.append([(h, xpow(j, ctx)) for j, h in Fm.peel().items()])
+    return Series([
+        LaurentElem.sum_of_products(ctx.space, [
+            (1, h, sx.coeffs[t - m]) for m in range(t + 1) for h, sx in pairs[m]])
+        for t in range(K + 1)])
+
+
+@pytest.mark.parametrize("space", [VarSpace.cpn(1), VarSpace.cpn(2), VarSpace.dn(1)], ids=str)
+@pytest.mark.parametrize("D", [(1,), (1, 1), (1, Fraction(-1, 3), 2)])
+def test_s_apply_matches_peel_route(space, D):
+    """Series with several slices per order, zero orders and x powers of
+    both signs; x^2 + 1 has a slice that x divides and that stands alone
+    at its power wherever the weight of the other slice, sigma_0, vanishes."""
+    ctx = StarContext(space=space, K=6, D=D)
+    rng = Random(31)
+    x2 = LaurentElem.x_power(space, 2)
+    draws = [Series.const(x2 + x2.one(), ctx.K)]
+    for _ in range(3):
+        draws.append(Series([
+            x2.zero() if rng.random() < 0.25 else
+            rand_invariant(space, rng).mul_xpow(rng.choice((-3, -1, 2))) + rand_invariant(space, rng)
+            for _ in range(ctx.K + 1)]))
+    for F in draws:
+        for inverse in (False, True):
+            assert s_apply(F, ctx, inverse) == peel_route(F, ctx, inverse), inverse

@@ -478,13 +478,17 @@ scales = st.one_of(st.integers(-3, 3), st.builds(Fraction, SMALL, st.integers(1,
           (Fraction(3, 7), {0: ONE}, {0: GaussianRational(0, Fraction(1, 5))}),
           (1, {0: ONE}, {0: -ONE})])
 def test_tmac_matches_collected_products(triples):
+    views = [(c, sparse.tview(a, 2), sparse.tview(b, 2)) for c, a, b in triples]
+    den = math.lcm(*(c.denominator * va[0] * vb[0] for c, va, vb in views))
     acc = {}
-    for c, a, b in triples:
-        assert sparse.tmac(acc, a, b, 2, c) is acc
+    for c, va, vb in views:
+        assert sparse.tmac(acc, va, vb, c.numerator * den // (c.denominator * va[0] * vb[0])) is acc
     want = sparse.tcollect((ka + kb, ca * cb * c) for c, a, b in triples
                            for ka, ca in a.items() for kb, cb in b.items() if c)
-    got = sparse.tnorm(acc)
+    got = sparse.tnorm(acc, den)
     assert got == want
+    den, groups = sparse.tmacs([(0, c, va, vb) for c, va, vb in views])
+    assert sparse.tnorm(groups.get(0, {}), den) == want
     for v in got.values():
         assert v and v == GaussianRational._norm(v.p, v.q, v.d)
 
@@ -492,9 +496,11 @@ def test_tmac_matches_collected_products(triples):
 def test_tmul_is_tmac_on_an_empty_accumulator():
     a = {sparse.pack([1, 0]): GaussianRational(Fraction(1, 2), 1), 0: -ONE}
     b = {sparse.pack([0, 2]): GaussianRational(0, Fraction(1, 3)), 0: ONE}
-    assert sparse.tmul(a, b, 2) == sparse.tnorm(sparse.tmac({}, a, b, 2))
+    va, vb = sparse.tview(a, 2), sparse.tview(b, 2)
+    assert sparse.tmul(a, b, 2) == sparse.tnorm(sparse.tmac({}, va, vb), va[0] * vb[0])
     with pytest.raises(ValueError, match="packing capacity"):
-        sparse.tmac({}, {sparse.pack([64, 0]): ONE}, {sparse.pack([0, 64]): ONE}, 2)
+        sparse.tmac({}, sparse.tview({sparse.pack([64, 0]): ONE}, 2),
+                    sparse.tview({sparse.pack([0, 64]): ONE}, 2))
 
 
 @st.composite
@@ -504,13 +510,20 @@ def product_items(draw):
     of every item (a sum of zero), 'divides' adds c*(q*D - A)*B to each
     c*A*B (a sum whose numerator x divides), 'divides_j' adds
     c*(x^j*E - A)*B with E at A's power and j = 2 or 3 (a sum whose
-    numerator x^j divides), and 'free' draws the powers freely; elements
-    and scales are sometimes zero."""
+    numerator x^j divides), 'coprime' ties items whose coefficients sit
+    over 7, 11 and 13 in turn, with Fraction scales (a group's common
+    denominator is then none of its items'), and 'free' draws the powers
+    freely; elements and scales are sometimes zero."""
     space = draw(st.sampled_from(LAURENT_SPACES))
-    kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "divides_j", "free"]))
+    kind = draw(st.sampled_from(["tied", "unique", "cancel", "divides", "divides_j", "coprime", "free"]))
     n = draw(st.integers(1, 4))
     items = []
     for i in range(n):
+        if kind == "coprime":
+            a = draw(laurent_elems(space, 1)).scale(Fraction(1, (7, 11, 13)[i % 3]))
+            b = draw(laurent_elems(space, 0)).scale(Fraction(1, (11, 13, 7)[i % 3]))
+            items.append((draw(st.builds(Fraction, SMALL, st.integers(2, 5))), a, b))
+            continue
         if kind == "tied":
             a, b = draw(laurent_elems(space, 1)), draw(laurent_elems(space, 0))
         elif kind == "unique" and i == 0:
@@ -603,10 +616,18 @@ def reference_divided_by_x(p):
     return Poly(space, q)
 
 
-def lifted(space, rest):
-    """sum_e x^e * rest[e] for the ``rest`` groups of ``sparse.tstrip``."""
-    return reduce(operator.add, (divisor(space).pow(e) * Poly(space, sparse.tnorm(acc))
+def lifted(space, rest, den):
+    """sum_e x^e * rest[e] for the ``rest`` groups of ``sparse.tstrip``,
+    accumulators over ``den``."""
+    return reduce(operator.add, (divisor(space).pow(e) * Poly(space, sparse.tnorm(acc, den))
                                  for e, acc in rest.items()), Poly.zero(space))
+
+
+def strip_groups(space, items):
+    """(den, groups) of ``sparse.tmacs`` on (e, c, terms) items, each term
+    dict times 1 into group e."""
+    one = sparse.tview({0: ONE}, space.nvars)
+    return sparse.tmacs([(e, c, sparse.tview(t, space.nvars), one) for e, c, t in items])
 
 
 @props
@@ -625,10 +646,8 @@ def test_tstrip_matches_repeated_reference_division(case, k, e, c):
     nvars, e = space.nvars, e % (k + 1)
     x = divisor(space)
     m = {sparse.pack([1] * nvars): GaussianRational(Fraction(1, 5), 1)}
-    groups = {0: {}}
-    for scale, a in ((c, (x.pow(k) * q).terms), (1, m), (-1, m)):
-        sparse.tmac(groups[0], a, {0: ONE}, nvars, scale)
-    sparse.tmac(groups.setdefault(e, {}), (x.pow(k - e) * q).terms, {0: ONE}, nvars, 1 - c)
+    den, groups = strip_groups(space, [(0, c, (x.pow(k) * q).terms), (0, 1, m), (0, -1, m),
+                                       (e, 1 - c, (x.pow(k - e) * q).terms)])
     got, rest = sparse.tstrip(groups, space.quad.terms, space.quad.lead, nvars)
     p = x.pow(k) * q
     if p.is_zero():
@@ -638,8 +657,8 @@ def test_tstrip_matches_repeated_reference_division(case, k, e, c):
     while (r := reference_divided_by_x(p)) is not None:
         p, steps = r, steps + 1
     assert steps >= k and got == steps
-    assert lifted(space, rest) == p
-    assert reference_divided_by_x(Poly(space, sparse.tnorm(rest[0]))) is None
+    assert lifted(space, rest, den) == p
+    assert reference_divided_by_x(Poly(space, sparse.tnorm(rest[0], den))) is None
 
 
 def test_tstrip_of_a_cancelled_sum_is_zero():
@@ -648,18 +667,18 @@ def test_tstrip_of_a_cancelled_sum_is_zero():
     nvars, quad = space.nvars, space.quad
     q = Poly(space, {0: GaussianRational(Fraction(1, 3), 2)})
     p = divisor(space).pow(2) * q
-    acc = sparse.tmac({}, p.terms, {0: ONE}, nvars, Fraction(2, 5))
-    sparse.tmac(acc, p.terms, {0: ONE}, nvars, Fraction(-2, 5))
+    _, groups = strip_groups(space, [(0, Fraction(2, 5), p.terms), (0, Fraction(-2, 5), p.terms)])
+    acc = groups[0]
     assert acc and not any(t[0] or t[1] for t in acc.values())
     assert sparse.tstrip({0: acc}, quad.terms, quad.lead, nvars) == (0, {})
-    groups = {0: sparse.tmac({}, p.terms, {0: ONE}, nvars), 2: sparse.tmac({}, q.terms, {0: ONE}, nvars, -1)}
+    _, groups = strip_groups(space, [(0, 1, p.terms), (2, -1, q.terms)])
     assert sparse.tstrip(groups, quad.terms, quad.lead, nvars) == (0, {})
     # x*q - x*q + x^3*z0: the lower groups cancel, so k skips to the top one
     z0 = Poly.variable(space, 0)
-    groups = {0: sparse.tmac({}, (divisor(space) * q).terms, {0: ONE}, nvars),
-              1: sparse.tmac({}, q.terms, {0: ONE}, nvars, -1), 3: sparse.tmac({}, z0.terms, {0: ONE}, nvars)}
+    den, groups = strip_groups(space, [(0, 1, (divisor(space) * q).terms), (1, -1, q.terms),
+                                       (3, 1, z0.terms)])
     k, rest = sparse.tstrip(groups, quad.terms, quad.lead, nvars)
-    assert (k, list(rest), sparse.tnorm(rest[0])) == (3, [0], z0.terms)
+    assert (k, list(rest), sparse.tnorm(rest[0], den)) == (3, [0], z0.terms)
 
 
 @st.composite
