@@ -1,5 +1,6 @@
 """The equivalence transformation S between the radial product and the
-pointwise product: its symbol in (x, alpha), the functional equation, the
+pointwise product: its symbol in u = lambda/x and beta = x alpha, on the
+packed keys of `sparse`, the functional equation, the standard ordering, the
 action on powers of x (each table one step from its neighbour) and on the
 whole invariant Laurent class, and the transformed star-product, whose
 closed weights read the table A^(r)_s of `coeffs`.
@@ -13,64 +14,45 @@ from functools import lru_cache
 from . import sparse
 from .coeffs import a_coeff
 from .poly import LaurentElem, Poly, z_slices
-from .scalar import GaussianRational, factorial
+from .scalar import ONE, ZERO, GaussianRational, factorial
 from .series import Series, scalar_series
 from .wick import StarContext, m_op, radial_invariant_expansion, wick_product
 
 
 # ----------------------------------------------------------------------
-# sparse polynomials in (x, alpha) and (x, alpha, beta); the x exponent
-# may be negative, so the keys are plain tuples rather than packed ints
-# (the dict-level sums and products are the kernel's)
+# the symbol of S in u = lambda/x and beta = x alpha: each order is u^t
+# times a polynomial in beta, so no exponent is negative and the
+# polynomials are the kernel's packed terms
 
 
 class SparsePoly:
-    """Tiny sparse multinomial with tuple exponents (ints, possibly
-    negative in the first slot) over GaussianRational."""
+    """A polynomial over GaussianRational in ``arity`` variables, on
+    ``sparse.pack`` keys: beta for the symbol, (beta_a, beta_b) for its
+    functional equation."""
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: dict = None):
+    def __init__(self, arity: int, terms: dict):
         self.arity = arity
-        self.terms = terms or {}
-
-    @classmethod
-    def constant(cls, arity: int, c) -> "SparsePoly":
-        c = GaussianRational.coerce(c)
-        return cls(arity, {(0,) * arity: c} if c else {})
-
-    @classmethod
-    def term(cls, exps: tuple, c) -> "SparsePoly":
-        c = GaussianRational.coerce(c)
-        return cls(len(exps), {tuple(exps): c} if c else {})
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError("mixed arities")
+        self.terms = terms
 
     def __add__(self, other):
-        self._check(other)
         return SparsePoly(self.arity, sparse.tadd(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return SparsePoly(self.arity, sparse.tsub(self.terms, other.terms))
 
     def __neg__(self):
         return SparsePoly(self.arity, sparse.tneg(self.terms))
 
     def __mul__(self, other):
-        self._check(other)
-        return SparsePoly(self.arity, sparse.tcollect(
-            (tuple(a + b for a, b in zip(ka, kb)), ca * cb)
-            for ka, ca in self.terms.items()
-            for kb, cb in other.terms.items()
-        ))
+        return SparsePoly(self.arity, sparse.tmul(self.terms, other.terms, self.arity))
 
     def scale(self, c):
         return SparsePoly(self.arity, sparse.tscale(self.terms, GaussianRational.coerce(c)))
 
     def one(self):
-        return SparsePoly.constant(self.arity, 1)
+        return SparsePoly(self.arity, {0: ONE})
 
     def zero(self):
         return SparsePoly(self.arity, {})
@@ -85,104 +67,60 @@ class SparsePoly:
             and self.terms == other.terms
         )
 
-    def subst_alpha_zero(self) -> "SparsePoly":
-        out = {}
-        for k, c in self.terms.items():
-            if all(e == 0 for e in k[1:]):
-                out[k] = c
-        return SparsePoly(self.arity, out)
-
-    def __str__(self):
-        names = ("x", "a", "b")[: self.arity]
-        parts = []
-        for k in sorted(self.terms):
-            mono = "*".join(
-                f"{names[i]}^{e}" for i, e in enumerate(k) if e
-            )
-            parts.append(f"({self.terms[k]})" + ("*" + mono if mono else ""))
-        return " + ".join(parts) or "0"
-
-    __repr__ = __str__
-
-
-# ----------------------------------------------------------------------
-# the symbol of S
-
 
 @lru_cache(maxsize=None)
 def symbol(ctx: StarContext) -> Series:
-    """Symbol of S as a series in lambda with coefficients polynomial in
-    (x, alpha): exp((x/lambda)(D log(1 + lambda alpha) - lambda alpha)).
+    """Symbol of S, exp((x/lambda)(D log(1 + lambda alpha) - lambda alpha)),
+    as a series whose order t is the polynomial p_t(beta), standing for
+    u^t p_t(beta) = x^-t p_t(x alpha).
 
-    With D = sum_r d_r (lambda/x)^r the 1/lambda pole cancels against the
-    leading log term, so the exponent is a genuine power series:
-    its lambda^(r+m-1) coefficient is d_r (-1)^(m+1) x^(1-r) alpha^m / m
-    over r >= 0, m >= 1, (r, m) != (0, 1).
+    With D = sum_r d_r u^r the 1/lambda pole cancels against the leading
+    log term, so the exponent is a genuine power series: its order r+m-1
+    coefficient is d_r (-1)^(m+1) beta^m / m over r >= 0, m >= 1,
+    (r, m) != (0, 1).
 
     Cached per ctx: the returned series is shared and must never be
     mutated.
     """
-    K = ctx.K
-    exponent = Series.zeros(SparsePoly.constant(2, 0), K)
-    for r in range(len(ctx.D)):
-        d = ctx.D[r]
-        if d == 0:
-            continue
-        for m in range(1, K + 2 - r):
-            if r == 0 and m == 1:
-                continue
-            lam = r + m - 1
-            if lam > K:
-                break
-            c = Fraction((-1) ** (m + 1), m) * d
-            exponent.coeffs[lam] = exponent.coeffs[lam] + SparsePoly.term((1 - r, m), c)
-    sym = exponent.exp()
-    assert sym.coeffs[0] == SparsePoly.constant(2, 1)
-    return sym
+    exponent = [{} for _ in range(ctx.K + 1)]
+    for r, d in enumerate(ctx.D):
+        if d:
+            for m in range(1 if r else 2, ctx.K + 2 - r):
+                exponent[r + m - 1][sparse.pack((m,))] = GaussianRational.coerce(
+                    Fraction((-1) ** (m + 1), m) * d)
+    return Series([SparsePoly(1, e) for e in exponent]).exp()
 
 
 def symbol_at_alpha_zero(ctx: StarContext) -> Series:
-    """S applied to the constant function 1, i.e. the symbol at alpha = 0."""
-    return symbol(ctx).map(lambda p: p.subst_alpha_zero())
+    """S applied to the constant function 1: the symbol at alpha = 0, that
+    is at beta = 0, its constant terms."""
+    return symbol(ctx).map(lambda p: SparsePoly(1, {k: c for k, c in p.terms.items() if not k}))
 
 
 def functional_equation_residual(ctx: StarContext) -> Series:
-    """S-hat(x, la*a*b + a + b) e^(la*a*b*x) - S-hat(x, a) S-hat(x, b),
-    expanded in (x, a, b); must vanish identically order by order."""
+    """S-hat(u, b_a + b_b + u b_a b_b) e^(u b_a b_b) - S-hat(u, b_a) S-hat(u, b_b)
+    in (beta_a, beta_b), with S-hat(u, beta) = sum_t u^t p_t(beta): it is
+    S-hat(x, a + b + lambda a b) e^(lambda a b x) - S-hat(x, a) S-hat(x, b)
+    at beta_a = x a, beta_b = x b.  Must vanish identically order by order."""
     K = ctx.K
     sym = symbol(ctx)
+    a, b = sparse.var_keys(2)
+    rhs = (sym.map(lambda p: SparsePoly(2, sparse.rekey(p.terms, (a,))))
+           * sym.map(lambda p: SparsePoly(2, sparse.rekey(p.terms, (b,)))))
 
-    def emb(p: SparsePoly, swap: bool) -> SparsePoly:
-        out = {}
-        for (i, j), c in p.terms.items():
-            key = (i, 0, j) if swap else (i, j, 0)
-            out[key] = c
-        return SparsePoly(3, out)
-
-    rhs = Series([emb(c, False) for c in sym.coeffs]) * Series(
-        [emb(c, True) for c in sym.coeffs]
-    )
-
-    # substitute alpha -> alpha + beta + lambda alpha beta
-    lhs = Series.zeros(SparsePoly.constant(3, 0), K)
+    # (b_a + b_b + u b_a b_b)^j = sum_{i+k+w=j} j!/(i!k!w!) b_a^(i+w) b_b^(k+w) u^w
+    lhs = [[] for _ in range(K + 1)]
     for t, p in enumerate(sym.coeffs):
-        for (i, j), c in p.terms.items():
-            # (a + b + la a b)^j = sum_{u+v+w=j} j!/(u!v!w!) a^(u+w) b^(v+w) la^w
-            for w in range(0, j + 1):
-                if t + w > K:
-                    continue
-                for u in range(0, j - w + 1):
-                    v = j - w - u
-                    mult = Fraction(
-                        factorial(j), factorial(u) * factorial(v) * factorial(w)
-                    )
-                    term = SparsePoly.term((i, u + w, v + w), c * mult)
-                    lhs.coeffs[t + w] = lhs.coeffs[t + w] + term
-    # multiply by e^(lambda a b x)
-    efac = Series.zeros(SparsePoly.constant(3, 0), K)
-    for m in range(K + 1):
-        efac.coeffs[m] = SparsePoly.term((m, m, m), Fraction(1, factorial(m)))
-    return lhs * efac - rhs
+        for key, c in p.terms.items():
+            j = sparse.total_degree(key, 1)
+            for w in range(min(j, K - t) + 1):
+                for i in range(j - w + 1):
+                    mult = Fraction(factorial(j), factorial(i) * factorial(j - w - i) * factorial(w))
+                    lhs[t + w].append(((i + w) * a + (j - i) * b, c * mult))
+    # times e^(u b_a b_b)
+    efac = Series([SparsePoly(2, {m * (a + b): GaussianRational.coerce(Fraction(1, factorial(m)))})
+                   for m in range(K + 1)])
+    return Series([SparsePoly(2, sparse.tcollect(pairs)) for pairs in lhs]) * efac - rhs
 
 
 # ----------------------------------------------------------------------
@@ -332,15 +270,13 @@ def tilde_star_closed(f: LaurentElem, g: LaurentElem, ctx: StarContext) -> Serie
 
 def standard_order_apply(j: int, ctx: StarContext) -> Series:
     """Apply the standard-ordered operator read off from the symbol
-    (x powers to the left of d/dx powers) to x^j on the radial line."""
-    space = ctx.space
-    out = []
-    for p in symbol(ctx).coeffs:
-        items = []
-        for (i, a), c in p.terms.items():
-            ff = 1
-            for t in range(a):
-                ff *= j - t
-            items.append((ff, LaurentElem.x_power(space, i + j - a), LaurentElem.scalar(space, c)))
-        out.append(LaurentElem.sum_of_products(space, items))
-    return Series(out)
+    (x powers to the left of d/dx powers) to x^j on the radial line.  The
+    term u^t beta^m = x^(m-t) alpha^m sends x^j to j(j-1)...(j-m+1) x^(j-t),
+    so the result is x^j times the scalar series whose order t is
+    sum_m p_t[m] j(j-1)...(j-m+1)."""
+    falling = [1]
+    for m in range(2 * ctx.K):  # order t has beta-degree at most 2t
+        falling.append(falling[-1] * (j - m))
+    sigma = [sum((c * falling[sparse.total_degree(k, 1)] for k, c in p.terms.items()), ZERO)
+             for p in symbol(ctx).coeffs]
+    return _lift(Series(sigma), j, ctx)

@@ -29,10 +29,10 @@ def p_poly(r: int, n: int) -> UnivarPoly:
     """
     if r < 1:
         raise ValueError("p_poly wants r >= 1")
-    prev = UnivarPoly([1], "Delta")
+    prev = UnivarPoly([1])
     for t in range(1, r):
         prev = p_poly(t, n)
-    return prev * UnivarPoly([(r - 1) * (r - 1 - n), 1], "Delta")
+    return prev * UnivarPoly([(r - 1) * (r - 1 - n), 1])
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +43,7 @@ def k_poly(r: int, n: int) -> UnivarPoly:
     mutated."""
     if r < 1:
         raise ValueError("k_poly wants r >= 1")
-    acc = UnivarPoly.zero_poly("Delta")
+    acc = UnivarPoly.zero_poly()
     for t in range(1, r + 1):
         c = a_coeff(t, r - t) / factorial(t)
         if c:
@@ -55,7 +55,7 @@ def moreno_recursion_residual(r: int) -> UnivarPoly:
     """(r+1) k~_{r+1} - [Delta k~_r - sum_s r!(r+3+s)/((s+2)!(r-1-s)!) k~_{r-s}]
     for the sphere (n = 1); must be the zero polynomial."""
     n = 1
-    delta = UnivarPoly([0, 1], "Delta")
+    delta = UnivarPoly([0, 1])
     lhs = k_poly(r + 1, n).scale(r + 1)
     bracket = delta * k_poly(r, n)
     for s in range(r):

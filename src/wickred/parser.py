@@ -236,9 +236,8 @@ class _Parser:
                 out.coeffs[1] = LaurentElem.one_of(space)
             return out
         if name in ("x", "y"):
-            # y is the metric quadratic of the active space; with the
-            # definite metric it coincides with x, so both names resolve
-            # to the same element
+            # x and y both name the metric quadratic of the active space,
+            # on CP^n and on the ball alike
             return Series.const(LaurentElem.x_power(space, 1), self.order)
         m = re.fullmatch(r"(zb?)(0|[1-9]\d*)", name)
         if m:

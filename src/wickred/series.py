@@ -1,11 +1,12 @@
 """Truncated formal power series in the deformation parameter, over any
-carrier algebra, plus exact univariate polynomials (the sphere's
-Laplacian polynomials in Delta).
+carrier algebra, plus exact polynomials in Delta (the sphere's Laplacian
+polynomials).
 
 A carrier only needs +, -, unary -, * (same type), .scale(scalar),
 .one(), .zero(), .is_zero() and, where division is wanted, .inverse().
-GaussianRational, LaurentElem and the symbol polynomials (``equiv.SparsePoly``)
-satisfy this.
+GaussianRational (the scalar series), LaurentElem (every product and
+transformation) and ``equiv.SparsePoly`` (the symbol of S, a polynomial
+in beta = x alpha on packed keys at each order) satisfy this.
 
 The order K is explicit: coefficient lists always have length K+1 and
 trailing zeros are kept, so "vanishes identically up to order K" is a
@@ -37,11 +38,6 @@ class Series:
     def const(cls, c, order: int) -> "Series":
         z = c.zero()
         return cls([c] + [z] * order)
-
-    @classmethod
-    def zeros(cls, model, order: int) -> "Series":
-        z = model.zero()
-        return cls([z] * (order + 1))
 
     def one(self) -> "Series":
         return Series.const(self.coeffs[0].one(), self.order)
@@ -150,60 +146,50 @@ def scalar_series(values, order: int) -> Series:
 
 
 class UnivarPoly:
-    """Dense exact polynomial in one formal variable (Delta for the
-    sphere's Laplacian polynomials; the role is carried along so unrelated
-    carriers cannot be mixed)."""
+    """Dense exact polynomial in Delta: the sphere's Laplacian polynomials."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, var: str = "x"):
+    def __init__(self, coeffs):
         coeffs = [GaussianRational.coerce(c) if not isinstance(c, GaussianRational) else c for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = coeffs
-        self.var = var
 
     @classmethod
-    def zero_poly(cls, var: str = "x"):
-        return cls([], var)
+    def zero_poly(cls):
+        return cls([])
 
     @classmethod
-    def monomial(cls, c, k: int, var: str = "x"):
-        return cls([0] * k + [c], var)
+    def monomial(cls, c, k: int):
+        return cls([0] * k + [c])
 
     def coeff(self, k: int) -> GaussianRational:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return GaussianRational.coerce(0)
 
-    def _check(self, other):
-        if self.var != other.var:
-            raise ValueError(f"mixing polynomials in {self.var} and {other.var}")
-
     def __add__(self, other):
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly([self.coeff(k) + other.coeff(k) for k in range(n)], self.var)
+        return UnivarPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other):
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly([self.coeff(k) - other.coeff(k) for k in range(n)], self.var)
+        return UnivarPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __mul__(self, other):
-        self._check(other)
         if not self.coeffs or not other.coeffs:
-            return UnivarPoly([], self.var)
+            return UnivarPoly([])
         out = [GaussianRational.coerce(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UnivarPoly(out, self.var)
+        return UnivarPoly(out)
 
     def scale(self, c):
-        return UnivarPoly([v * c for v in self.coeffs], self.var)
+        return UnivarPoly([v * c for v in self.coeffs])
 
     def pow(self, e: int):
         if e == 0:
@@ -211,17 +197,13 @@ class UnivarPoly:
         return power(self, e)
 
     def one(self):
-        return UnivarPoly([1], self.var)
+        return UnivarPoly([1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other):
-        return (
-            isinstance(other, UnivarPoly)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, UnivarPoly) and self.coeffs == other.coeffs
 
     def __str__(self):
         if not self.coeffs:
@@ -233,15 +215,14 @@ class UnivarPoly:
             if k == 0:
                 parts.append(f"{c}")
             elif k == 1:
-                parts.append(f"({c})*{self.var}")
+                parts.append(f"({c})*Delta")
             else:
-                parts.append(f"({c})*{self.var}^{k}")
+                parts.append(f"({c})*Delta^{k}")
         return " + ".join(parts)
 
     def latex(self) -> str:
         if not self.coeffs:
             return "0"
-        var = {"Delta": r"\Delta", "alpha": r"\alpha"}.get(self.var, self.var)
         parts = []
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
@@ -250,7 +231,7 @@ class UnivarPoly:
             if k == 0:
                 parts.append(cs)
             else:
-                power = var if k == 1 else f"{var}^{{{k}}}"
+                power = r"\Delta" if k == 1 else rf"\Delta^{{{k}}}"
                 if cs == "1":
                     parts.append(power)
                 elif cs == "-1":
@@ -263,7 +244,7 @@ class UnivarPoly:
         return out
 
     def __repr__(self):
-        return f"UnivarPoly({self.var}, deg={len(self.coeffs) - 1})"
+        return f"UnivarPoly(Delta, deg={len(self.coeffs) - 1})"
 
 
 def _latex_scalar(c: GaussianRational) -> str:

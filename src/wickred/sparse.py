@@ -31,9 +31,12 @@ heap loop on the same pairs: ``tdiv`` divides once, behind the certificate
 of ``Poly.divided_by_x``; ``tstrip`` divides accumulators while x divides.
 
 This is the only module that reads or builds keys, and with ``scalar``
-the only one that reads the triples.  Every change of variables elsewhere
-(conjugation, the inhomogeneous chart) is one ``rekey`` onto the keys of
-``var_keys``.
+the only one that reads the triples: ``poly``, ``chart``, ``equiv`` (the
+symbol of S, a polynomial in beta = x alpha at each order) and the
+formatters go through ``pack``, ``unpack``, ``total_degree`` and
+``var_keys``.  Every change of variables elsewhere (conjugation, the
+inhomogeneous chart, the embeddings of the symbol's functional equation)
+is one ``rekey`` onto the keys of ``var_keys``.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from wickred.cli import MAX_FLAG_DIGITS, MAX_ORDER
 from wickred.equiv import (
     SparsePoly,
     a_coeff,
@@ -19,7 +20,9 @@ from wickred.equiv import (
 )
 from wickred.poly import LaurentElem, VarSpace
 from wickred.sampling import rand_homogeneous, rand_invariant, rand_radial
+from wickred.scalar import GaussianRational
 from wickred.series import Series, scalar_series
+from wickred.sparse import pack, total_degree
 from wickred.suites import a_table_oracle
 from wickred.wick import StarContext, m_op
 
@@ -55,18 +58,23 @@ def test_a_coeff_against_series_inversion_oracle():
 # the symbol
 
 
+def beta_poly(*terms) -> SparsePoly:
+    """sum c beta^m over (m, c) pairs, on packed keys."""
+    return SparsePoly(1, {pack((m,)): GaussianRational.coerce(Fraction(c)) for m, c in terms})
+
+
 def test_symbol_leading_terms(ctx1):
+    # order t stands for x^-t p_t(x alpha): -1/2 x alpha^2, 1/3 x alpha^3 + 1/8 x^2 alpha^4
     sym = symbol(ctx1)
-    assert sym.coeffs[0] == SparsePoly.constant(2, 1)
-    assert sym.coeffs[1] == SparsePoly.term((1, 2), Fraction(-1, 2))
-    expected2 = SparsePoly.term((1, 3), Fraction(1, 3)) + SparsePoly.term((2, 4), Fraction(1, 8))
-    assert sym.coeffs[2] == expected2
+    assert sym.coeffs[0] == beta_poly((0, 1))
+    assert sym.coeffs[1] == beta_poly((2, Fraction(-1, 2)))
+    assert sym.coeffs[2] == beta_poly((3, Fraction(1, 3)), (4, Fraction(1, 8)))
 
 
 def test_symbol_at_alpha_zero_is_one(ctx1, sp1):
     for ctx in (ctx1, ctx_with_d1(sp1)):
         sym0 = symbol_at_alpha_zero(ctx)
-        assert sym0 == Series.const(SparsePoly.constant(2, 1), ctx.K)
+        assert sym0 == Series.const(beta_poly((0, 1)), ctx.K)
 
 
 def test_functional_equation(sp1):
@@ -76,6 +84,26 @@ def test_functional_equation(sp1):
         assert res.coeffs[0].is_zero()
         assert res.coeffs[1].is_zero()
         assert all(p.is_zero() for p in res.coeffs)
+
+
+# the largest D that --d-series accepts: cli.MAX_ORDER entries past d_0,
+# numerators and denominators of cli.MAX_FLAG_DIGITS digits
+WIDE_D = (1,) + tuple(Fraction(-(10**MAX_FLAG_DIGITS - r), 10**MAX_FLAG_DIGITS - 2 * r - 1)
+                      for r in range(1, MAX_ORDER + 1))
+
+
+@pytest.mark.parametrize("D", [(1,), WIDE_D], ids=["D1", "wide"])
+def test_symbol_checks_at_the_largest_order(sp1, D):
+    """Every symbol check at K = cli.MAX_ORDER, where the symbol's top
+    order has beta-degree 2K = 32: every product of the checks stays below
+    sparse.DEG_CAP."""
+    ctx = StarContext(space=sp1, K=MAX_ORDER, D=D)
+    assert max(total_degree(k, 1) for k in symbol(ctx).coeffs[-1].terms) == 2 * MAX_ORDER
+    res = functional_equation_residual(ctx)
+    assert res.order == MAX_ORDER and res.is_zero()
+    for j in range(-3, 4):
+        assert (s_apply_xpow(j, ctx) - standard_order_apply(j, ctx)).is_zero()
+    assert symbol_at_alpha_zero(ctx) == Series.const(beta_poly((0, 1)), MAX_ORDER)
 
 
 def test_malformed_d(sp1):

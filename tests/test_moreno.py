@@ -20,7 +20,7 @@ from wickred.series import UnivarPoly
 
 
 def D(*coeffs):
-    return UnivarPoly(list(coeffs), "Delta")
+    return UnivarPoly(list(coeffs))
 
 
 def test_p_poly():
@@ -110,7 +110,7 @@ def test_a_identity():
 def test_k_poly_matches_k_coeff():
     for n in (1, 2, 3):
         for r in range(1, 11):
-            acc = UnivarPoly.zero_poly("Delta")
+            acc = UnivarPoly.zero_poly()
             for s in range(1, r + 1):
                 acc = acc + p_poly(s, n).scale(k_coeff(r, s))
             assert acc == k_poly(r, n)

@@ -79,8 +79,10 @@ def _laurent():
     (lambda: Series([_laurent().zero()] * 2 + [_laurent()] + [_laurent().zero()] * 2),
      "order 4, first nonzero at l^2: 2 terms, first (-3*i)*z1*zb1*x^-2"),
     (_laurent, "2 terms, first (-3*i)*z1*zb1*x^-2"),
-    (lambda: UnivarPoly([0, 0, 3, 1], "Delta"), "2 terms, first (3)*Delta^2"),
-    (lambda: equiv.SparsePoly(3, {(1, 2, 0): 2, (0, 1, 1): -1}), "2 terms, first (-1)*a^1*b^1"),
+    (lambda: UnivarPoly([0, 0, 3, 1]), "2 terms, first (3)*Delta^2"),
+    (lambda: equiv.SparsePoly(2, {sparse.pack([1, 2]): GaussianRational(2, 0),
+                                  sparse.pack([1, 1]): GaussianRational(-1, 0)}),
+     "2 terms, first 2*beta_a*beta_b^2"),
     (lambda: chart.ChartElem(1, {sparse.pack([1, 0, 0, 2]): GaussianRational(1, 0) / 2,
                                  sparse.pack([0, 1, 0, 0]): GaussianRational(1, 0)}, (1, 0, 0, 2)),
      "2 terms, first 1/2*u1*vb1^2*D1^-1*D4^-2"),
@@ -93,7 +95,7 @@ def test_failing_check_detail_is_a_summary(make, detail):
 
 def test_verify_prints_the_summary_of_a_failing_check(capsys, monkeypatch):
     def residual(r):
-        return UnivarPoly([0, 0, 3, 1], "Delta") if r == 2 else UnivarPoly.zero_poly("Delta")
+        return UnivarPoly([0, 0, 3, 1]) if r == 2 else UnivarPoly.zero_poly()
 
     monkeypatch.setattr(moreno, "moreno_recursion_residual", residual)
     assert main(["verify", "moreno", "--order", "2", "--rmax", "3", "--format", "text"]) == 1

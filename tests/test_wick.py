@@ -128,16 +128,17 @@ def test_radial_wick_products(ctx1, sp1):
 
 
 def _deriv(p: UnivarPoly) -> UnivarPoly:
-    return UnivarPoly([c.scale(k) for k, c in enumerate(p.coeffs)][1:], p.var)
+    return UnivarPoly([c.scale(k) for k, c in enumerate(p.coeffs)][1:])
 
 
 def _shift(p: UnivarPoly, k: int) -> UnivarPoly:
     """p times its variable to the k-th power."""
-    return UnivarPoly([0] * k + p.coeffs, p.var)
+    return UnivarPoly([0] * k + p.coeffs)
 
 
 class ExpPoly:
-    """P(x) * e^(g x) with polynomial prefactor; closed under d/dx."""
+    """P(x) * e^(g x) with polynomial prefactor, a UnivarPoly standing
+    for a polynomial in x; closed under d/dx."""
 
     __slots__ = ("prefactor", "g")
 
@@ -160,7 +161,7 @@ def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
     alpha = GaussianRational.coerce(Fraction(alpha)) if not isinstance(alpha, GaussianRational) else alpha
     beta = GaussianRational.coerce(Fraction(beta)) if not isinstance(beta, GaussianRational) else beta
     K = ctx.K
-    one = UnivarPoly([1], "x")
+    one = UnivarPoly([1])
     ea = ExpPoly(one, alpha)
     eb = ExpPoly(one, beta)
     lhs = []
@@ -174,7 +175,7 @@ def exp_symbol_product(alpha, beta, ctx: StarContext) -> Series:
     # right side: e^((a+b)x) * sum_m lambda^m (a b x)^m / m!
     rhs = []
     fact = 1
-    abx = UnivarPoly([0, alpha * beta], "x")
+    abx = UnivarPoly([0, alpha * beta])
     power = one
     for m in range(K + 1):
         if m:
