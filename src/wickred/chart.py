@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import sparse
-from .scalar import ONE, GaussianRational
+from .scalar import GaussianRational
 
 if TYPE_CHECKING:
     from .poly import LaurentElem
@@ -32,14 +32,26 @@ if TYPE_CHECKING:
 
 class ChartElem:
     """num / (D1^a D2^b D3^c D4^d) with num a polynomial in the 4n chart
-    variables (u, ub, v, vb), packed like the main kernel."""
+    variables (u, ub, v, vb), packed like the main kernel and stored as
+    its canonical view; ``ChartElem(n, num, den)`` and ``num`` are the
+    GaussianRational edge."""
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "view", "den")
 
     def __init__(self, n: int, num: dict, den: tuple = (0, 0, 0, 0)):
         self.n = n
-        self.num = num
+        self.view = sparse.tview(num, 4 * n)
         self.den = den
+
+    @classmethod
+    def _of(cls, n: int, view: tuple, den: tuple) -> "ChartElem":
+        self = object.__new__(cls)
+        self.n, self.view, self.den = n, view, den
+        return self
+
+    @property
+    def num(self) -> dict:
+        return sparse.tterms(self.view)
 
     # slots: u_1..u_n, ub_1..ub_n, v_1..v_n, vb_1..vb_n (0-based internally)
     def iu(self, k):
@@ -67,7 +79,7 @@ class ChartElem:
         c = GaussianRational.coerce(c)
         return cls(n, {0: c} if c else {})
 
-    def _den_poly(self, idx: int) -> dict:
+    def _den_poly(self, idx: int) -> tuple:
         a, b = {
             0: (self.iu, self.ivb),
             1: (self.iv, self.iub),
@@ -75,47 +87,48 @@ class ChartElem:
             3: (self.iv, self.ivb),
         }[idx]
         vk = self.var_keys
-        terms = {0: ONE}
+        pairs = {0: (1, 0)}
         for k in range(self.n):
-            terms[vk[a(k)] + vk[b(k)]] = ONE
-        return terms
+            pairs[vk[a(k)] + vk[b(k)]] = (1, 0)
+        return 1, 2, pairs
 
-    def _scale_up(self, target: tuple) -> dict:
-        num = self.num
+    def _scale_up(self, target: tuple) -> tuple:
+        num = self.view
         for i in range(4):
             for _ in range(target[i] - self.den[i]):
-                num = sparse.tmul(num, self._den_poly(i), self.nvars)
+                num = sparse.tprod(num, self._den_poly(i), self.nvars)
         return num
 
     def __add__(self, other):
         assert self.n == other.n
         target = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        return ChartElem(
-            self.n, sparse.tadd(self._scale_up(target), other._scale_up(target)), target
+        return ChartElem._of(
+            self.n, sparse.tadd(self._scale_up(target), other._scale_up(target), self.nvars), target
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChartElem(self.n, sparse.tneg(self.num), self.den)
+        return self.scale(-1)
 
     def __mul__(self, other):
         assert self.n == other.n
-        return ChartElem(
+        return ChartElem._of(
             self.n,
-            sparse.tmul(self.num, other.num, self.nvars),
+            sparse.tprod(self.view, other.view, self.nvars),
             tuple(a + b for a, b in zip(self.den, other.den)),
         )
 
     def scale(self, c):
-        return ChartElem(self.n, sparse.tscale(self.num, GaussianRational.coerce(c)), self.den)
+        return ChartElem._of(self.n, sparse.tscale(self.view, GaussianRational.coerce(c), self.nvars),
+                             self.den)
 
-    def mul_poly(self, terms: dict) -> "ChartElem":
-        return ChartElem(self.n, sparse.tmul(self.num, terms, self.nvars), self.den)
+    def mul_poly(self, view: tuple) -> "ChartElem":
+        return ChartElem._of(self.n, sparse.tprod(self.view, view, self.nvars), self.den)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.view[2]
 
     def diff(self, block: str, k: int) -> "ChartElem":
         """d/du^k or d/dub^k, with the quotient rule on the one factor that
@@ -124,25 +137,25 @@ class ChartElem:
         if self.den[2]:
             raise ValueError("D3 = 1 + u.ub does not occur in a denominator")
         var, i, partner = (self.iu(k), 0, self.ivb(k)) if block == "u" else (self.iub(k), 1, self.iv(k))
-        dnum = sparse.tdiff(self.num, var, self.nvars)
+        nvars = self.nvars
+        dnum = sparse.tdiff(self.view, var, nvars)
         m = self.den[i]
         if not m:
-            return ChartElem(self.n, dnum, self.den)
+            return ChartElem._of(self.n, dnum, self.den)
         # (num / D^m)' = (num' D - m num D') / D^(m+1)
-        t = sparse.tscale(sparse.tmul(self.num, {self.var_keys[partner]: ONE}, self.nvars),
-                          GaussianRational.coerce(-m))
-        num = sparse.tadd(sparse.tmul(dnum, self._den_poly(i), self.nvars), t)
+        t = sparse.tprod(self.view, (1, 1, {self.var_keys[partner]: (-m, 0)}), nvars)
+        num = sparse.tadd(sparse.tprod(dnum, self._den_poly(i), nvars), t, nvars)
         den = list(self.den)
         den[i] += 1
-        return ChartElem(self.n, num, tuple(den))
+        return ChartElem._of(self.n, num, tuple(den))
 
     def restrict_diagonal(self) -> "ChartElem":
         """u -> v, ub -> vb; all denominator factors collapse onto D4."""
-        out = sparse.rekey(self.num, self.var_keys[2 * self.n:] * 2)
-        return ChartElem(self.n, out, (0, 0, 0, sum(self.den)))
+        out = sparse.rekey(self.view, self.var_keys[2 * self.n:] * 2, self.nvars)
+        return ChartElem._of(self.n, out, (0, 0, 0, sum(self.den)))
 
     def __repr__(self):
-        return f"ChartElem(n={self.n}, {len(self.num)} terms, den={self.den})"
+        return f"ChartElem(n={self.n}, {len(self.view[2])} terms, den={self.den})"
 
 
 def laplacian(elem: ChartElem) -> ChartElem:
@@ -155,10 +168,10 @@ def laplacian(elem: ChartElem) -> ChartElem:
             second = dub[l].diff("u", k)
             if second.is_zero():
                 continue
-            factor = {elem.var_keys[elem.iu(k)] + elem.var_keys[elem.iub(l)]: ONE}
+            factor = {elem.var_keys[elem.iu(k)] + elem.var_keys[elem.iub(l)]: (1, 0)}
             if k == l:
-                factor = sparse.tadd(factor, {0: ONE})
-            t = second.mul_poly(factor)
+                factor[0] = (1, 0)
+            t = second.mul_poly((1, 2, factor))
             acc = t if acc is None else acc + t
     if acc is None:
         return ChartElem.constant(n, 0)
@@ -188,10 +201,10 @@ def hom_to_chart(f: LaurentElem, mode: str) -> ChartElem:
         raise ValueError(mode) from None
     vk = sparse.var_keys(4 * n)
     images = (0,) + vk[zblock * n:(zblock + 1) * n] + (0,) + vk[zbblock * n:(zbblock + 1) * n]
-    out = sparse.rekey(f.num.terms, images)
+    out = sparse.rekey(f.num.view, images, 4 * n)
     den = [0, 0, 0, 0]
     den[den_idx] = d
-    return ChartElem(n, out, tuple(den))
+    return ChartElem._of(n, out, tuple(den))
 
 
 def chart_cross_check(phi: LaurentElem, psi: LaurentElem, r: int) -> ChartElem:

@@ -8,13 +8,14 @@ closed weights read the table A^(r)_s of `coeffs`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import sparse
 from .coeffs import a_coeff
 from .poly import LaurentElem, Poly, z_slices
-from .scalar import ONE, ZERO, GaussianRational, factorial
+from .scalar import ONE, GaussianRational, factorial
 from .series import Series, scalar_series
 from .wick import StarContext, m_op, radial_invariant_expansion, wick_product
 
@@ -26,30 +27,43 @@ from .wick import StarContext, m_op, radial_invariant_expansion, wick_product
 
 
 class SparsePoly:
-    """A polynomial over GaussianRational in ``arity`` variables, on
-    ``sparse.pack`` keys: beta for the symbol, (beta_a, beta_b) for its
-    functional equation."""
+    """A polynomial over Q(i) in ``arity`` variables, on ``sparse.pack``
+    keys: beta for the symbol, (beta_a, beta_b) for its functional
+    equation.  Like ``Poly`` it stores its canonical view, and
+    ``SparsePoly(arity, terms)`` and ``terms`` are the GaussianRational
+    edge."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "view")
 
     def __init__(self, arity: int, terms: dict):
         self.arity = arity
-        self.terms = terms
+        self.view = sparse.tview(terms, arity)
+
+    @classmethod
+    def _of(cls, arity: int, view: tuple) -> "SparsePoly":
+        self = object.__new__(cls)
+        self.arity, self.view = arity, view
+        return self
+
+    @property
+    def terms(self) -> dict:
+        return sparse.tterms(self.view)
 
     def __add__(self, other):
-        return SparsePoly(self.arity, sparse.tadd(self.terms, other.terms))
+        return SparsePoly._of(self.arity, sparse.tadd(self.view, other.view, self.arity))
 
     def __sub__(self, other):
-        return SparsePoly(self.arity, sparse.tsub(self.terms, other.terms))
+        return self + (-other)
 
     def __neg__(self):
-        return SparsePoly(self.arity, sparse.tneg(self.terms))
+        return self.scale(-1)
 
     def __mul__(self, other):
-        return SparsePoly(self.arity, sparse.tmul(self.terms, other.terms, self.arity))
+        return SparsePoly._of(self.arity, sparse.tprod(self.view, other.view, self.arity))
 
     def scale(self, c):
-        return SparsePoly(self.arity, sparse.tscale(self.terms, GaussianRational.coerce(c)))
+        return SparsePoly._of(self.arity, sparse.tscale(self.view, GaussianRational.coerce(c),
+                                                        self.arity))
 
     def one(self):
         return SparsePoly(self.arity, {0: ONE})
@@ -58,13 +72,13 @@ class SparsePoly:
         return SparsePoly(self.arity, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.view[2]
 
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self.view == other.view
         )
 
 
@@ -105,22 +119,28 @@ def functional_equation_residual(ctx: StarContext) -> Series:
     K = ctx.K
     sym = symbol(ctx)
     a, b = sparse.var_keys(2)
-    rhs = (sym.map(lambda p: SparsePoly(2, sparse.rekey(p.terms, (a,))))
-           * sym.map(lambda p: SparsePoly(2, sparse.rekey(p.terms, (b,)))))
+    rhs = (sym.map(lambda p: SparsePoly._of(2, sparse.rekey(p.view, (a,), 2)))
+           * sym.map(lambda p: SparsePoly._of(2, sparse.rekey(p.view, (b,), 2))))
 
-    # (b_a + b_b + u b_a b_b)^j = sum_{i+k+w=j} j!/(i!k!w!) b_a^(i+w) b_b^(k+w) u^w
-    lhs = [[] for _ in range(K + 1)]
+    # (b_a + b_b + u b_a b_b)^j = sum_{i+k+w=j} j!/(i!k!w!) b_a^(i+w) b_b^(k+w) u^w,
+    # summed on the pairs of every p_t, over their common denominator
+    den = math.lcm(*(p.view[0] for p in sym.coeffs))
+    lhs = [{} for _ in range(K + 1)]
     for t, p in enumerate(sym.coeffs):
-        for key, c in p.terms.items():
+        f = den // p.view[0]
+        for key, (pp, qq) in p.view[2].items():
             j = sparse.total_degree(key, 1)
             for w in range(min(j, K - t) + 1):
+                acc = lhs[t + w]
                 for i in range(j - w + 1):
-                    mult = Fraction(factorial(j), factorial(i) * factorial(j - w - i) * factorial(w))
-                    lhs[t + w].append(((i + w) * a + (j - i) * b, c * mult))
+                    mult = f * factorial(j) // (factorial(i) * factorial(j - w - i) * factorial(w))
+                    k = (i + w) * a + (j - i) * b
+                    p0, q0 = acc.get(k, (0, 0))
+                    acc[k] = (p0 + mult * pp, q0 + mult * qq)
     # times e^(u b_a b_b)
     efac = Series([SparsePoly(2, {m * (a + b): GaussianRational.coerce(Fraction(1, factorial(m)))})
                    for m in range(K + 1)])
-    return Series([SparsePoly(2, sparse.tcollect(pairs)) for pairs in lhs]) * efac - rhs
+    return Series([SparsePoly._of(2, sparse.tcanon(acc, den, 2)) for acc in lhs]) * efac - rhs
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +222,8 @@ def s_apply(F: Series, ctx: StarContext, inverse: bool = False) -> Series:
         # a slice need not be canonical: sum_of_products ties it with the
         # other slices of its numerator, which sit at the same power
         slices.append([(_weights(d - Fm.mz, ctx, inverse),
-                        LaurentElem(Poly(space, t), Fm.mz, canonical=True))
-                       for d, t in z_slices(Fm).items()])
+                        LaurentElem(Poly._of(space, v), Fm.mz, canonical=True))
+                       for d, v in z_slices(Fm).items()])
     return Series([
         LaurentElem.sum_of_products(space, [
             (w[t - m], a, xs[t - m]) for m in range(t + 1) for w, a in slices[m]])
@@ -277,6 +297,12 @@ def standard_order_apply(j: int, ctx: StarContext) -> Series:
     falling = [1]
     for m in range(2 * ctx.K):  # order t has beta-degree at most 2t
         falling.append(falling[-1] * (j - m))
-    sigma = [sum((c * falling[sparse.total_degree(k, 1)] for k, c in p.terms.items()), ZERO)
-             for p in symbol(ctx).coeffs]
+    sigma = []
+    for p in symbol(ctx).coeffs:
+        den, _, pairs = p.view
+        sp = sq = 0
+        for k, (pp, qq) in pairs.items():
+            m = falling[sparse.total_degree(k, 1)]
+            sp, sq = sp + m * pp, sq + m * qq
+        sigma.append(GaussianRational(Fraction(sp, den), Fraction(sq, den)))
     return _lift(Series(sigma), j, ctx)

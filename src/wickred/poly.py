@@ -109,25 +109,40 @@ class VarSpace:
 
 
 class Poly:
-    """Sparse polynomial over GaussianRational with packed exponents."""
+    """Sparse polynomial over Q(i) with packed exponents, stored as its
+    canonical view (``sparse.tcanon``): Gaussian-integer pairs over one
+    content-free denominator, so equal polynomials have equal views.
 
-    __slots__ = ("space", "terms", "view")
+    ``Poly(space, terms)`` on a dict {key: nonzero GaussianRational} and
+    the read-only ``terms`` are the edge, for parsers, formatters and
+    tests; ``_of`` wraps a view that a kernel function returned.  Every
+    operation here runs on the view except ``*``, which goes through the
+    edge to ``sparse.tmul`` on dicts; Laurent products do not use it."""
+
+    __slots__ = ("space", "view", "_terms")
 
     def __init__(self, space: VarSpace, terms: dict):
         self.space = space
-        self.terms = terms
+        self.view = sparse.tview(terms, space.nvars)
+        self._terms = terms
 
-    def __getattr__(self, name):
-        # the lazy slot ``view``: sparse.tview of the terms, which never change
-        if name != "view":
-            raise AttributeError(f"'Poly' object has no attribute {name!r}")
-        self.view = sparse.tview(self.terms, self.space.nvars)
-        return self.view
+    @classmethod
+    def _of(cls, space: VarSpace, view: tuple) -> "Poly":
+        self = object.__new__(cls)
+        self.space, self.view, self._terms = space, view, None
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """{key: GaussianRational}, built on first read."""
+        if self._terms is None:
+            self._terms = sparse.tterms(self.view)
+        return self._terms
 
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._of(space, (1, 0, {}))
 
     @classmethod
     def scalar(cls, space, c):
@@ -136,7 +151,10 @@ class Poly:
 
     @classmethod
     def one(cls, space):
-        return space.x_pow_memo.setdefault(0, cls(space, {0: ONE}))
+        memo = space.x_pow_memo
+        if 0 not in memo:
+            memo[0] = cls(space, {0: ONE})
+        return memo[0]
 
     @classmethod
     def variable(cls, space, idx):
@@ -162,21 +180,21 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        return Poly(self.space, sparse.tadd(self.terms, other.terms))
+        return Poly._of(self.space, sparse.tadd(self.view, other.view, self.space.nvars))
 
     def __sub__(self, other):
-        self._check(other)
-        return Poly(self.space, sparse.tsub(self.terms, other.terms))
+        return self + (-other)
 
     def __neg__(self):
-        return Poly(self.space, sparse.tneg(self.terms))
+        return self.scale(-1)
 
     def __mul__(self, other):
         self._check(other)
         return Poly(self.space, sparse.tmul(self.terms, other.terms, self.space.nvars))
 
     def scale(self, c):
-        return Poly(self.space, sparse.tscale(self.terms, GaussianRational.coerce(c)))
+        return Poly._of(self.space, sparse.tscale(self.view, GaussianRational.coerce(c),
+                                                  self.space.nvars))
 
     def pow(self, e: int):
         if e == 0:
@@ -184,56 +202,53 @@ class Poly:
         return power(self, e)
 
     def diff(self, var: int):
-        return Poly(self.space, sparse.tdiff(self.terms, var, self.space.nvars))
+        return Poly._of(self.space, sparse.tdiff(self.view, var, self.space.nvars))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.view[2]
 
     def is_scalar(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+        pairs = self.view[2]
+        return not pairs or (len(pairs) == 1 and 0 in pairs)
 
     def scalar_value(self) -> GaussianRational:
-        if not self.terms:
-            return ZERO
-        return self.terms[0]
+        return self.terms.get(0, ZERO)
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.space == other.space
-            and self.terms == other.terms
+            and self.view == other.view
         )
 
     def __hash__(self):
         raise TypeError("Poly is unhashable")
 
     def eval(self, values) -> GaussianRational:
-        if not self.terms:
-            return ZERO
-        return sparse.teval(self.terms, values, self.space.nvars)
+        return sparse.teval(self.view, values, self.space.nvars)
 
     def conj(self) -> "Poly":
         nv, vk = self.space.nv, self.space.var_keys
-        # swap the blocks z <-> zb
-        terms = sparse.rekey(self.terms, vk[nv:] + vk[:nv])
-        return Poly(self.space, {k: c.conj() for k, c in terms.items()})
+        # swap the blocks z <-> zb, then conjugate: q -> -q keeps the view canonical
+        den, top, pairs = sparse.rekey(self.view, vk[nv:] + vk[:nv], self.space.nvars)
+        return Poly._of(self.space, (den, top, {k: (p, -q) for k, (p, q) in pairs.items()}))
 
     # ------------------------------------------------------------------
     def divided_by_x(self):
         """Return q with self = x * q, or None when x does not divide self.
 
         A nonzero value at x's null point proves that x does not divide
-        (``sparse.teval``, on integer triples with power tables built once
-        per process); otherwise ``sparse.tdiv`` decides.  Its one caller,
+        (``sparse.teval``, on the pairs with power tables built once per
+        process); otherwise ``sparse.tdiv`` decides.  Its one caller,
         ``LaurentElem._canonicalize``, is where the certificate pays.
         """
-        if not self.terms:
+        if self.is_zero():
             return Poly.zero(self.space)
         quad = self.space.quad
         if self.eval(quad.null_point):
             return None
         q = sparse.tdiv(self.view, quad.terms, quad.lead, self.space.nvars)
-        return None if q is None else Poly(self.space, q)
+        return None if q is None else Poly._of(self.space, q)
 
     # ------------------------------------------------------------------
     def degrees(self, key: int) -> tuple:
@@ -244,7 +259,7 @@ class Poly:
         return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self):
-        return f"Poly({len(self.terms)} terms)"
+        return f"Poly({len(self.view[2])} terms)"
 
 
 class LaurentElem:
@@ -253,12 +268,14 @@ class LaurentElem:
     Canonical form: P not divisible by x, or P = 0 with mz = 0.  mz may be
     negative; x itself is (1, mz=-1).  Uniqueness follows from x being
     irreducible (a quadratic form of rank 2(n+1) >= 4), which also means
-    products of canonical elements need no re-canonicalization.  Every sum,
-    ``+`` and ``-`` included, is one ``sum_of_products`` call, the one rule
-    that lifts summands to a common x power and tests the result.  An element
-    is never mutated once its constructor (or the ``_canonicalize`` that
-    follows it) returns, so the lazy ``partials`` slot (block ->
-    ``wick.DerivCache``) holds for life.
+    products of canonical elements need no re-canonicalization.  Every sum
+    and product, ``+``, ``-`` and ``*`` included, is one ``sum_of_products``
+    call, the one rule that lifts summands to a common x power and tests the
+    result.  Sums, derivatives and the diagonal maps build P's view straight
+    from a ``sparse`` accumulator, so no coefficient becomes a
+    GaussianRational on the way.  An element is never mutated once its
+    constructor (or the ``_canonicalize`` that follows it) returns, so the
+    lazy ``partials`` slot (block -> ``wick.DerivCache``) holds for life.
     """
 
     __slots__ = ("space", "num", "mz", "partials")
@@ -282,7 +299,7 @@ class LaurentElem:
             space, quad = self.space, self.space.quad
             den, _, pairs = q.view
             k, rest = sparse.tstrip({0: pairs}, quad.terms, quad.lead, space.nvars)
-            self.num = Poly(space, sparse.tnorm(rest[0], den))
+            self.num = Poly._of(space, sparse.tcanon(rest[0], den, space.nvars))
             self.mz -= k + 1
 
     # ------------------------------------------------------------------
@@ -339,31 +356,28 @@ class LaurentElem:
         before each group left is multiplied by its x^d, unnormalized.  A
         zero weight still ties: ``equiv.s_apply`` passes the z-degree slices
         of a numerator, which share its power and need not be canonical."""
-        live = [(c, a.num, b.num, a.mz + b.mz) for c, a, b in items if a.num.terms and b.num.terms]
+        live = [(c, a.num.view, b.num.view, a.mz + b.mz) for c, a, b in items
+                if a.num.view[2] and b.num.view[2]]
         mz = max((t[3] for t in live if t[0]), default=None)
         if mz is None:
             return cls.zero_of(space)
         nvars = space.nvars
-        den, groups = sparse.tmacs([(mz - pz, c, pa.view, pb.view) for c, pa, pb, pz in live if c])
+        den, groups = sparse.tmacs([(mz - pz, c, va, vb) for c, va, vb, pz in live if c])
         k = 0
         if sum(t[3] == mz for t in live) > 1:
             k, groups = sparse.tstrip(groups, space.quad.terms, space.quad.lead, nvars)
         total = groups.pop(0, {})
         for d, acc in groups.items():
             sparse.tmac(total, (den, sparse.total_degree(max(acc), nvars), acc), _x_pow_poly(space, d).view)
-        terms = sparse.tnorm(total, den)
-        return cls(Poly(space, terms), mz - k if terms else 0, canonical=True)
+        num = Poly._of(space, sparse.tcanon(total, den, nvars))
+        return cls(num, mz - k if num.view[2] else 0, canonical=True)
 
     def __neg__(self):
         return LaurentElem(-self.num, self.mz, canonical=True)
 
     def __mul__(self, other):
         self._check(other)
-        num = self.num * other.num
-        if num.is_zero():
-            return LaurentElem.zero_of(self.space)
-        # x irreducible: product of x-free numerators stays x-free
-        return LaurentElem(num, self.mz + other.mz, canonical=True)
+        return LaurentElem.sum_of_products(self.space, [(1, self, other)])
 
     def scale(self, c):
         num = self.num.scale(c)
@@ -428,7 +442,8 @@ class LaurentElem:
                            space.quad.terms, space.nvars)
         # the numerator is -m * P * dx mod x with m != 0, and the prime x
         # divides neither P nor the variable dx: it is canonical
-        return LaurentElem(Poly(space, sparse.tnorm(acc, self.num.view[0])), m + 1, canonical=True)
+        num = Poly._of(space, sparse.tcanon(acc, self.num.view[0], space.nvars))
+        return LaurentElem(num, m + 1, canonical=True)
 
     # ------------------------------------------------------------------
     # homogeneity structure
@@ -438,7 +453,7 @@ class LaurentElem:
         when all monomials agree; None otherwise."""
         if self.num.is_zero():
             return (0, 0)
-        seen = {(d[0] - self.mz, d[1] - self.mz) for d in map(self.num.degrees, self.num.terms)}
+        seen = {(d[0] - self.mz, d[1] - self.mz) for d in map(self.num.degrees, self.num.view[2])}
         return seen.pop() if len(seen) == 1 else None
 
     def is_homogeneous(self) -> bool:
@@ -447,7 +462,7 @@ class LaurentElem:
     def is_invariant(self) -> bool:
         """Invariance under the circle action: every monomial has equal
         z- and zb-degree (the kernel of the rotation operator Y)."""
-        return all(d[0] == d[1] for d in map(self.num.degrees, self.num.terms))
+        return all(d[0] == d[1] for d in map(self.num.degrees, self.num.view[2]))
 
     def weighted(self, weight, lift: int = 0):
         """The diagonal map behind every Euler-type operator: each monomial
@@ -456,13 +471,13 @@ class LaurentElem:
         d lists the monomial's degrees (z, zb) net of the x power, so E,
         Ebar, Y, H and d/dx differ only in their weight.
         """
-        out = {}
-        for key, c in self.num.terms.items():
+        weights = {}
+        for key in self.num.view[2]:
             zd, zbd = self.num.degrees(key)
-            f = weight((zd - self.mz, zbd - self.mz))
-            if f:
-                out[key] = c * f
-        return LaurentElem(Poly(self.space, out), self.mz + lift)
+            if f := weight((zd - self.mz, zbd - self.mz)):
+                weights[key] = f
+        num = sparse.tweigh(self.num.view, weights, self.space.nvars)
+        return LaurentElem(Poly._of(self.space, num), self.mz + lift)
 
     def dx(self):
         """d/dx on invariant elements, realized as (E + Ebar) / (2x)."""
@@ -473,8 +488,8 @@ class LaurentElem:
     def peel(self) -> dict:
         """Decompose an invariant element as sum_j h_j * x^j with each h_j
         homogeneous of degree (0, 0); returns {j: h_j}."""
-        return {d - self.mz: LaurentElem(Poly(self.space, terms), d)
-                for d, terms in z_slices(self).items()}
+        return {d - self.mz: LaurentElem(Poly._of(self.space, view), d)
+                for d, view in z_slices(self).items()}
 
     # ------------------------------------------------------------------
     def to_obj(self):
@@ -487,7 +502,7 @@ class LaurentElem:
         }
 
     def __repr__(self):
-        return f"LaurentElem({len(self.num.terms)} terms, mz={self.mz})"
+        return f"LaurentElem({len(self.num.view[2])} terms, mz={self.mz})"
 
 
 def _x_pow_poly(space: VarSpace, e: int) -> Poly:
@@ -501,26 +516,35 @@ def _x_pow_poly(space: VarSpace, e: int) -> Poly:
 
 
 def z_slices(elem: LaurentElem) -> dict:
-    """The numerator of an invariant element split by z-degree: {d: terms
-    of bidegree (d, d)}."""
+    """The numerator of an invariant element split by z-degree: {d: the
+    canonical view of its terms of bidegree (d, d)}."""
+    den, _, pairs = elem.num.view
     groups = {}
-    for key, c in elem.num.terms.items():
+    for key, pq in pairs.items():
         zd, zbd = elem.num.degrees(key)
         if zd != zbd:
             raise ValueError("not invariant: a term has unequal z- and zb-degree")
-        groups.setdefault(zd, {})[key] = c
-    return groups
+        groups.setdefault(zd, {})[key] = pq
+    nvars = elem.space.nvars
+    return {d: sparse.tcanon(g, den, nvars) for d, g in groups.items()}
 
 
 def is_radial(elem: LaurentElem) -> bool:
     """A Laurent element is radial iff it is a polynomial in x and 1/x: it
     is invariant and each z-degree slice P_d of its numerator is c * x^d,
-    c being P_d's coefficient at the leading key of x^d.  No division."""
+    c being P_d's coefficient at the leading key of x^d.  No division: x^d
+    has integer coefficients, so P_d = c * x^d is P_d[k] * x^d[lead] =
+    P_d[lead] * x^d[k] on the pairs, key by key."""
     if not elem.is_invariant():
         return False
-    for d, terms in z_slices(elem).items():
-        xd = _x_pow_poly(elem.space, d).terms
-        c = terms.get(max(xd))
-        if c is None or terms != sparse.tscale(xd, c):
+    for d, (_, _, pairs) in z_slices(elem).items():
+        xd = _x_pow_poly(elem.space, d).view[2]
+        lead = max(xd)
+        c = pairs.get(lead)
+        if c is None:
+            return False
+        s = xd[lead][0]
+        if ({k: (p * s, q * s) for k, (p, q) in pairs.items()}
+                != {k: (c[0] * t, c[1] * t) for k, (t, _) in xd.items()}):
             return False
     return True

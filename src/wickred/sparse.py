@@ -7,28 +7,32 @@ A monomial over ``nvars`` variables is one Python int:
 Each exponent gets 8 bits and the total degree sits on top, so monomial
 multiplication is a single integer addition and plain int comparison is a
 graded order (ties broken lexicographically, the highest slot being most
-significant).  Terms of a polynomial are a dict {key: GaussianRational};
-zero coefficients are never stored.
+significant).
 
 Exponents must stay below 128 so that one addition can never carry across
 slots; the degree field is checked once per product, which bounds every
 slot.  Degrees that large never occur in this package.
 
-Evaluation (``teval``) never builds a scalar per term: it works on the
-integer triples (p + q*i)/d underneath the coefficients and the point,
-keeps one numerator sum per denominator and normalizes once at the end.
-This is what makes the null-point certificate of ``Poly.divided_by_x``
-cheap.
+A polynomial is a view (den, top, pairs): Gaussian-integer pairs
+{key: (p, q)} standing for (p + q*i)/den, and the top degree (0 if none).
+Every view a function here returns is canonical (``tcanon``): den >= 1, no
+zero pair, and gcd(den, every p, every q) = 1.  That form is unique, so
+two polynomials are equal exactly when their views are.  ``tview`` reads a
+dict {key: GaussianRational} into a view and ``tterms`` writes one back;
+those are the edge, for parsers, formatters, the chart's operands and the
+tests, and ``tmul`` is the product of two such dicts.
 
-Products work on a view of the terms (``tview``): their lcm denominator
-den, top degree and Gaussian-integer pairs {key: (p, q)}, (p + q*i)/den.
-An accumulator is such pairs over one denominator fixed before any
-product: ``tmacs`` sums c*a*b into one accumulator per group over the lcm
-of every item's denominator, so the pair loop (``tmac``) takes no
-denominator product, equality test or gcd, and ``tnorm`` normalizes each
-surviving term once; ``tmul`` is the one-group case.  Division by x is one
-heap loop on the same pairs: ``tdiv`` divides once, behind the certificate
-of ``Poly.divided_by_x``; ``tstrip`` divides accumulators while x divides.
+An accumulator is pairs over one denominator fixed before any product:
+``tmacs`` sums c*a*b into one accumulator per group over the lcm of every
+item's denominator, so the pair loop (``tmac``) takes no denominator
+product, equality test or gcd, and ``tcanon`` closes each sum with one gcd
+over the whole sum instead of one normalization per term.  Division by x
+is one heap loop on the same pairs: ``tdiv`` divides once, behind the
+certificate of ``Poly.divided_by_x``; ``tstrip`` divides accumulators
+while x divides.  Evaluation (``teval``) works on the pairs and the
+integer triples (p + q*i)/d of the point, keeps one numerator sum per
+denominator and normalizes once at the end, which is what makes the
+null-point certificate of ``Poly.divided_by_x`` cheap.
 
 This is the only module that reads or builds keys, and with ``scalar``
 the only one that reads the triples: ``poly``, ``chart``, ``equiv`` (the
@@ -44,6 +48,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
+from itertools import chain
 
 from .scalar import ZERO, GaussianRational
 
@@ -81,24 +86,63 @@ def var_keys(nvars: int) -> tuple:
     return tuple((1 << (SLOT * nvars)) | (1 << (SLOT * i)) for i in range(nvars))
 
 
-def rekey(terms: dict, images) -> dict:
+def tcanon(acc: dict, den: int, nvars: int) -> tuple:
+    """The canonical view of an accumulator over ``den`` >= 1: zero pairs
+    dropped, then den and every numerator divided by g, their one gcd,
+    when g > 1.
+
+    The form is unique.  Read each term reduced, (p + q*i)/den =
+    (p' + q'*i)/d with gcd(p', q', d) = 1; then den is L, the lcm of the
+    d.  L divides den, and den = m*L with m > 1 would make m divide den
+    and every numerator.  And for a prime l dividing L, the term whose d
+    carries L's full power of l has numerators (p', q') * (L/d), with L/d
+    prime to l, and l divides not both of p', q'; so gcd(L, every
+    numerator) = 1.  Two canonical views of one polynomial therefore have
+    one denominator, and so the same pairs.  This is also why ``tview``
+    needs no gcd."""
+    pairs = {k: pq for k, pq in acc.items() if pq != (0, 0)}
+    if den > 1 and (g := math.gcd(den, *chain.from_iterable(pairs.values()))) > 1:
+        den //= g
+        pairs = {k: (p // g, q // g) for k, (p, q) in pairs.items()}
+    return den, max(pairs, default=0) >> (SLOT * nvars), pairs
+
+
+def tview(terms: dict, nvars: int) -> tuple:
+    """The view of a dict {key: nonzero GaussianRational}: pairs over den,
+    the lcm of the denominators.  Each coefficient is reduced, so the view
+    is canonical (``tcanon``) as it stands."""
+    den = math.lcm(*[c.d for c in terms.values()])
+    return den, max(terms, default=0) >> (SLOT * nvars), {
+        k: (c.p * (f := den // c.d), c.q * f) for k, c in terms.items()}
+
+
+def tterms(a: tuple) -> dict:
+    """The dict {key: GaussianRational} of the view ``a``: the edge, one
+    normalization per term."""
+    den, norm = a[0], GaussianRational._norm
+    return {k: norm(p, q, den) for k, (p, q) in a[2].items()}
+
+
+def rekey(a: tuple, images, nvars: int) -> tuple:
     """Substitute variable i by the monomial whose key is ``images[i]``,
     where 0 means "set to 1": a key's image is sum_i e_i * images[i], over
-    the ``len(images)`` slots of the source keys.
+    the ``len(images)`` slots of the source keys, and the result is a view
+    over ``nvars`` slots.
 
     Images of degree <= 1 (0 or an entry of ``var_keys``) never raise the
     total degree, so the result stays packable.  Terms that land on the
-    same key are merged with ``tcollect``.
+    same key are summed.
     """
     slots = [(SLOT * i, img) for i, img in enumerate(images) if img]
-
-    def image(k):
-        out = 0
+    acc = {}
+    get = acc.get
+    for k, (p, q) in a[2].items():
+        t = 0
         for s, img in slots:
-            out += ((k >> s) & MASK) * img
-        return out
-
-    return tcollect((image(k), c) for k, c in terms.items())
+            t += ((k >> s) & MASK) * img
+        prev = get(t)
+        acc[t] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+    return tcanon(acc, a[0], nvars)
 
 
 @lru_cache(maxsize=None)
@@ -114,13 +158,12 @@ def divides(m: int, k: int, nvars: int) -> bool:
 
 
 def tdiv(a: tuple, divisor: dict, lead: int, nvars: int):
-    """Exact quotient terms of the view ``a`` by ``divisor``, or None when
-    it does not divide.  No certificate runs here: ``Poly.divided_by_x``
-    puts one in front, where most numerators are prime to x."""
+    """The view of the exact quotient of the view ``a`` by ``divisor``, or
+    None when it does not divide.  No certificate runs here:
+    ``Poly.divided_by_x`` puts one in front, where most numerators are
+    prime to x."""
     q = _hdiv(dict(a[2]), divisor, lead, nvars)
-    return None if q is None else tnorm(q, a[0])
-
-
+    return None if q is None else tcanon(q, a[0], nvars)
 def tstrip(groups: dict, divisor: dict, lead: int, nvars: int):
     """(k, rest) with sum_e x^e * groups[e] = x^k * sum_e x^e * rest[e],
     x the divisor, groups[e] accumulators over one denominator and rest[0]
@@ -156,9 +199,10 @@ def _hdiv(r: dict, divisor: dict, lead: int, nvars: int):
     rest = [(k, c.p) for k, c in divisor.items() if k != lead]
     heap = [-k for k in r]
     heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, r.get
     q = {}
     while heap:
-        kl = -heapq.heappop(heap)
+        kl = -pop(heap)
         p, pi = r.pop(kl)
         if not (p or pi):
             continue
@@ -168,10 +212,10 @@ def _hdiv(r: dict, divisor: dict, lead: int, nvars: int):
         q[t] = (p, pi)
         for km, s in rest:
             k = t + km
-            prev = r.get(k)
+            prev = get(k)
             if prev is None:
                 r[k] = (-s * p, -s * pi)
-                heapq.heappush(heap, -k)
+                push(heap, -k)
             else:
                 r[k] = (prev[0] - s * p, prev[1] - s * pi)
     return q
@@ -181,80 +225,90 @@ def block_degrees(key: int, nvars: int, width: int) -> tuple:
     """The degree in each run of ``width`` slots: a run times
     1 + 2^SLOT + ... + 2^(SLOT*(width-1)) holds its prefix sums, all below
     the degree cap, so that product's top slot is the run's degree."""
-    ones = (1 << (SLOT * width)) // MASK
-    mask = (1 << (SLOT * width)) - 1
-    top = SLOT * (width - 1)
-    return tuple(((((key >> (SLOT * b)) & mask) * ones) >> top) & MASK
-                 for b in range(0, nvars, width))
+    ones, mask, top, shifts = _runs(nvars, width)
+    return tuple([((((key >> s) & mask) * ones) >> top) & MASK for s in shifts])
 
 
-def _merge(out: dict, pairs) -> dict:
-    """Add (key, nonzero coefficient) pairs into ``out`` and return it:
-    coefficients of a repeated key are summed and a sum of zero drops the
-    key.  The one merge loop behind ``tadd`` and ``tcollect``."""
-    get = out.get
-    for k, c in pairs:
+@lru_cache(maxsize=None)
+def _runs(nvars: int, width: int) -> tuple:
+    """The constants of ``block_degrees``: the ones, the mask and the top
+    slot of a run, and the shift of each run."""
+    return ((1 << (SLOT * width)) // MASK, (1 << (SLOT * width)) - 1, SLOT * (width - 1),
+            tuple(range(0, SLOT * nvars, SLOT * width)))
+
+
+def tadd(a: tuple, b: tuple, nvars: int) -> tuple:
+    """The view of a + b: the pairs of each brought to the lcm of the two
+    denominators and summed, one ``tcanon`` at the end."""
+    den = math.lcm(a[0], b[0])
+    acc = _times(a, den // a[0])
+    get, f = acc.get, den // b[0]
+    for k, (p, q) in b[2].items():
         prev = get(k)
-        if prev is None:
-            out[k] = c
-        else:
-            s = prev + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+        acc[k] = (p * f, q * f) if prev is None else (prev[0] + p * f, prev[1] + q * f)
+    return tcanon(acc, den, nvars)
 
 
-def tadd(a: dict, b: dict) -> dict:
-    """Sum of two term dicts: the smaller merged into a copy of the larger."""
-    if len(a) < len(b):
-        a, b = b, a
-    return _merge(dict(a), b.items())
+def _times(a: tuple, f: int) -> dict:
+    """The pairs of the view ``a`` times the int f, as a new accumulator."""
+    if f == 1:
+        return dict(a[2])
+    return {k: (p * f, q * f) for k, (p, q) in a[2].items()}
 
 
-def tcollect(pairs) -> dict:
-    """Terms from (key, nonzero coefficient) pairs, merged into an empty
-    dict.  This is the merge behind ``rekey``."""
-    return _merge({}, pairs)
-
-
-def tneg(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
-
-
-def tsub(a: dict, b: dict) -> dict:
-    return tadd(a, tneg(b))
-
-
-def tscale(a: dict, c) -> dict:
+def tscale(a: tuple, c: GaussianRational, nvars: int) -> tuple:
+    """The view of c * a."""
     if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+        return 1, 0, {}
+    cp, cq = c.p, c.q
+    if cq:
+        acc = {k: (p * cp - q * cq, p * cq + q * cp) for k, (p, q) in a[2].items()}
+    else:
+        acc = _times(a, cp)
+    return tcanon(acc, a[0] * c.d, nvars)
 
 
-def tview(terms: dict, nvars: int) -> tuple:
-    """(den, top, pairs): the terms as Gaussian-integer pairs {key: (p, q)}
-    over den, the lcm of their denominators, and their top degree (0 if none)."""
-    den = math.lcm(*[c.d for c in terms.values()])
-    return den, max(terms, default=0) >> (SLOT * nvars), {
-        k: (c.p * (f := den // c.d), c.q * f) for k, c in terms.items()}
+def tweigh(a: tuple, weights: dict, nvars: int) -> tuple:
+    """The view of sum w_k * a_k over the keys k of ``weights``, each w_k a
+    nonzero int, Fraction or GaussianRational and a_k the term of the view
+    ``a`` at k: the weights' denominators meet at their lcm, and no scalar
+    is built for an int weight."""
+    trip = {}
+    for k, w in weights.items():
+        if isinstance(w, int):
+            trip[k] = (w, 0, 1)
+        else:
+            w = GaussianRational.coerce(w)
+            trip[k] = (w.p, w.q, w.d)
+    lcm = math.lcm(*[t[2] for t in trip.values()])
+    pairs, acc = a[2], {}
+    for k, (wp, wq, wd) in trip.items():
+        p, q = pairs[k]
+        f = lcm // wd
+        acc[k] = ((p * wp - q * wq) * f, (p * wq + q * wp) * f)
+    return tcanon(acc, a[0] * lcm, nvars)
 
 
 def tmac(acc: dict, a: tuple, b: tuple, c: int = 1) -> dict:
     """Add c*a*b into the accumulator ``acc`` and return it: a and b are
     views, and c, an int, carries the ratio of acc's denominator to
-    den_a * den_b.  Sums of zero stay in acc; ``tnorm`` drops them."""
+    den_a * den_b.  Sums of zero stay in acc; ``tcanon`` drops them."""
     if a[1] + b[1] >= DEG_CAP:
         raise ValueError(f"product degree {a[1] + b[1]} exceeds packing capacity")
     a, b = (a[2], b[2]) if len(a[2]) <= len(b[2]) else (b[2], a[2])
     get = acc.get
     for ka, (pa, qa) in a.items():
         pa, qa = pa * c, qa * c
-        for kb, (pb, qb) in b.items():
-            k = ka + kb
-            p0, q0 = get(k, (0, 0))
-            acc[k] = (p0 + pa * pb - qa * qb, q0 + pa * qb + qa * pb)
+        if qa:
+            for kb, (pb, qb) in b.items():
+                k = ka + kb
+                p0, q0 = get(k, (0, 0))
+                acc[k] = (p0 + pa * pb - qa * qb, q0 + pa * qb + qa * pb)
+        else:  # a real term, most of them: half the products
+            for kb, (pb, qb) in b.items():
+                k = ka + kb
+                p0, q0 = get(k, (0, 0))
+                acc[k] = (p0 + pa * pb, q0 + pa * qb)
     return acc
 
 
@@ -270,17 +324,16 @@ def tmacs(items) -> tuple:
     return den, groups
 
 
-def tnorm(acc: dict, den: int) -> dict:
-    """Terms from an accumulator over ``den``: one normalization per
-    surviving term, sums of zero dropped."""
-    norm = GaussianRational._norm
-    return {k: norm(p, q, den) for k, (p, q) in acc.items() if p or q}
+def tprod(a: tuple, b: tuple, nvars: int) -> tuple:
+    """The view of a * b: ``tmac`` into an empty accumulator over
+    den_a * den_b."""
+    return tcanon(tmac({}, a, b), a[0] * b[0], nvars)
 
 
 def tmul(a: dict, b: dict, nvars: int) -> dict:
-    """Product of two term dicts: ``tmacs`` on one group."""
-    den, groups = tmacs([(0, 1, tview(a, nvars), tview(b, nvars))])
-    return tnorm(groups[0], den)
+    """Product of two dicts {key: GaussianRational}: ``tprod`` on their
+    views, written back."""
+    return tterms(tprod(tview(a, nvars), tview(b, nvars), nvars))
 
 
 def tquot(a: tuple, var: int, partner: int, c: int, x: dict, nvars: int) -> dict:
@@ -303,37 +356,37 @@ def tquot(a: tuple, var: int, partner: int, c: int, x: dict, nvars: int) -> dict
     return out
 
 
-def tdiff(a: dict, var: int, nvars: int) -> dict:
-    """Partial derivative with respect to variable slot ``var``."""
+def tdiff(a: tuple, var: int, nvars: int) -> tuple:
+    """The view of the partial derivative of the view ``a`` with respect
+    to variable slot ``var``."""
     drop = (1 << (SLOT * nvars)) + (1 << (SLOT * var))
     shift = SLOT * var
     out = {}
-    for k, c in a.items():
-        e = (k >> shift) & MASK
-        if e:
-            out[k - drop] = c * e
-    return out
+    for k, (p, q) in a[2].items():
+        if e := (k >> shift) & MASK:
+            out[k - drop] = (p * e, q * e)
+    return tcanon(out, a[0], nvars)
 
 
-def teval(a: dict, values, nvars: int) -> GaussianRational:
-    """Exact value of the polynomial at a point.
+def teval(a: tuple, values, nvars: int) -> GaussianRational:
+    """Exact value of the view ``a`` at a point.
 
-    Every coefficient and every entry of ``values`` (ints, Fractions or
-    GaussianRationals) is an integer triple (p + q*i)/d.  One power table
-    is used per slot whose value is not exactly 1, built once per point and
-    top degree, so a null point's tables serve every certificate; each term
-    then multiplies its numerator pair by table entries in plain int arithmetic,
-    and the numerators are summed per denominator.  A single normalization
-    over the lcm of those denominators closes the sum, so no gcd is taken
-    and no scalar object is built per term.
+    Every entry of ``values`` (ints, Fractions or GaussianRationals) is an
+    integer triple (p + q*i)/d.  One power table is used per slot whose
+    value is not exactly 1, built once per point and top degree, so a null
+    point's tables serve every certificate; each term then multiplies its
+    pair by table entries in plain int arithmetic, and the numerators are
+    summed per denominator.  A single normalization over the lcm of those
+    denominators closes a nonzero sum, so no gcd is taken and no scalar
+    object is built per term.
     """
-    if not a:
+    den, top, pairs = a
+    if not pairs:
         return ZERO
-    top = max(a) >> (SLOT * nvars)  # graded keys: bounds every exponent
-    slots = _power_tables(tuple(values), top, nvars)
+    slots = _power_tables(tuple(values), top, nvars)  # graded keys: top bounds every exponent
     sums = {}
-    for k, c in a.items():
-        p, q, d = c.p, c.q, c.d
+    for k, (p, q) in pairs.items():
+        d = den
         for shift, table in slots:
             tp, tq, td = table[(k >> shift) & MASK]
             if tq:
@@ -354,6 +407,8 @@ def teval(a: dict, values, nvars: int) -> GaussianRational:
         f = den // d
         num_p += p * f
         num_q += q * f
+    if not (num_p or num_q):  # a null point's certificate on a multiple of x
+        return ZERO
     return GaussianRational._norm(num_p, num_q, den)
 
 

@@ -118,7 +118,7 @@ class DerivCache:
         if self._top is None:
             e, i = self.cache[(0,) * self.space.nv], ("z", "zb").index(self.block)
             self._top = (-1 if e.is_zero() else float("inf") if e.mz > 0
-                         else max(d[i] for d in map(e.num.degrees, e.num.terms)) - e.mz)
+                         else max(d[i] for d in map(e.num.degrees, e.num.view[2])) - e.mz)
         return self._top
 
 
@@ -287,7 +287,9 @@ def op_calm(T: TwoPoint, r: int) -> TwoPoint:
     if r == 0:
         return T
     space = T.f.space
-    xr = Poly.x(space).pow(r).view
+    xv = xr = Poly.x(space).view
+    for _ in range(r - 1):
+        xr = sparse.tprod(xr, xv, space.nvars)
     items = []
     for gamma in _compositions(r, space.nv):
         w = math.factorial(r) * _metric_sign(space, gamma) // _multi_factorial(gamma)
@@ -306,8 +308,8 @@ def op_calm(T: TwoPoint, r: int) -> TwoPoint:
                     key = (key_a, tuple(x + g - e for x, g, e in zip(beta, gamma, b)))
                     items.append((key, w * ca * cb, pab.view, xr))
     den, acc = sparse.tmacs(items)
-    terms = ((key, sparse.tnorm(t, den)) for key, t in acc.items())
-    return TwoPoint(T.f, T.g, {key: Poly(space, t) for key, t in terms if t})
+    views = ((key, sparse.tcanon(t, den, space.nvars)) for key, t in acc.items())
+    return TwoPoint(T.f, T.g, {key: Poly._of(space, v) for key, v in views if v[2]})
 
 
 def _partial(p: Poly, slot, a: tuple) -> Poly:

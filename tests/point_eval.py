@@ -16,7 +16,7 @@ def point_eval(elem, zs) -> GaussianRational:
     m = elem.mz
     if m == 0:
         return total
-    xv = sparse.teval(space.quad.terms, values, space.nvars)
+    xv = sparse.teval(sparse.tview(space.quad.terms, space.nvars), values, space.nvars)
     if m > 0 and not xv:
         raise ZeroDivisionError("evaluation point lies on the null set x = 0")
     return total * xv.inverse() ** m if m > 0 else total * xv ** (-m)

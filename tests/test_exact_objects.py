@@ -211,8 +211,9 @@ def int_eval_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(int_eval_cases())
 def test_teval_on_integer_points_matches_naive(case):
-    a, values, nvars = case
-    want = naive_teval(a, values, nvars)
+    terms, values, nvars = case
+    want = naive_teval(terms, values, nvars)
+    a = sparse.tview(terms, nvars)
     # twice (the second call reads the kept tables), as a list, and with
     # the same point given as GaussianRationals
     assert sparse.teval(a, values, nvars) == want
@@ -222,7 +223,7 @@ def test_teval_on_integer_points_matches_naive(case):
 
 
 def test_teval_top_exponent_on_an_integer_point():
-    a = {sparse.pack([127, 0]): ONE, sparse.pack([0, 127]): GaussianRational(0, 1)}
+    a = sparse.tview({sparse.pack([127, 0]): ONE, sparse.pack([0, 127]): GaussianRational(0, 1)}, 2)
     assert sparse.teval(a, (2, -3), 2) == GaussianRational(2 ** 127, (-3) ** 127)
 
 

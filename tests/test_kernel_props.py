@@ -8,7 +8,9 @@ localizing quadratic, and the diagonal operators against a per-term
 reference; and S, the reduction, the closed product formulas and the
 Poisson bracket, which each sum one item list per order, and calM_r on a
 tensor symbol, against references that fold their sums with pairwise +
-(calM_r one derivative at a time on the symbol); and the
+(calM_r one derivative at a time on the symbol); the canonical pair form
+(every kernel result a canonical view, equality of views, the edge round
+trip, and no per-term normalization on the kernel paths); and the
 coefficient tables A^(r)_s and c_{r,s} against the product recurrence,
 Stirling numbers of the second kind and the series oracle."""
 
@@ -23,13 +25,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wickred import sparse
-from wickred.equiv import a_coeff, closed_weights, s_apply, s_apply_xpow, tilde_star_closed
+from wickred.equiv import (SparsePoly, a_coeff, closed_weights, functional_equation_residual, s_apply,
+                           s_apply_xpow, symbol, tilde_star_closed)
 from wickred.poly import LaurentElem, Poly, VarSpace, _x_pow_poly
 from wickred.reduction import ideal_decompose, k_coeff, reduce_elem
 from wickred.scalar import ONE, ZERO, GaussianRational, power
 from wickred.series import Series, UnivarPoly
 from wickred.suites import a_table_oracle
-from wickred.wick import DerivCache, StarContext, m_op, op_calm, poisson, restrict_diagonal
+from wickred.wick import DerivCache, StarContext, m_op, op_calm, poisson, restrict_diagonal, tensor
 
 from lambda_series import dx_series, lam_over_dx
 from euler_ops import euler
@@ -81,6 +84,17 @@ def term_dicts(draw, nvars, max_deg=sparse.DEG_CAP - 1, max_terms=6):
     return out
 
 
+def tcollect(pairs) -> dict:
+    """Reference merge: terms {key: GaussianRational} from (key, nonzero
+    coefficient) pairs, a repeated key's coefficients summed and a sum of
+    zero dropped."""
+    out = {}
+    for k, c in pairs:
+        if s := out.pop(k, ZERO) + c:
+            out[k] = s
+    return out
+
+
 def naive_teval(a, values, nvars):
     """Reference: one GaussianRational product per term and variable."""
     total = ZERO
@@ -105,7 +119,7 @@ def eval_cases(draw):
 @given(eval_cases())
 def test_teval_matches_naive_reference(case):
     a, values, nvars = case
-    got = sparse.teval(a, values, nvars)
+    got = sparse.teval(sparse.tview(a, nvars), values, nvars)
     assert isinstance(got, GaussianRational)
     assert got == naive_teval(a, values, nvars)
     # the result is in canonical reduced form, like every other scalar
@@ -120,12 +134,12 @@ def test_teval_top_exponent(slot, c, v):
     exps[i] = sparse.DEG_CAP - 1
     values = [ONE] * nvars
     values[i] = v
-    a = {sparse.pack(exps): c}
+    a = sparse.tview({sparse.pack(exps): c}, nvars)
     assert sparse.teval(a, values, nvars) == c * GaussianRational.coerce(v) ** 127
 
 
 def test_teval_empty_is_zero():
-    assert sparse.teval({}, [ONE], 1) == ZERO
+    assert sparse.teval(sparse.tview({}, 1), [ONE], 1) == ZERO
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +239,9 @@ merge_pairs = st.lists(st.tuples(
 @example([(7, GaussianRational(0, 1)), (3, ONE), (7, GaussianRational(0, -1))])
 @example([(1, ONE), (1, -ONE), (1, ONE)])
 def test_tcollect_matches_folded_tadd(pairs):
-    folded = reduce(lambda acc, kc: sparse.tadd(acc, {kc[0]: kc[1]}), pairs, {})
-    got = sparse.tcollect(pairs)
+    folded = sparse.tterms(reduce(lambda acc, kc: sparse.tadd(acc, sparse.tview({kc[0]: kc[1]}, 1), 1),
+                                  pairs, sparse.tview({}, 1)))
+    got = tcollect(pairs)
     assert got == folded
     assert all(got.values())
 
@@ -287,9 +302,14 @@ mul_terms = st.dictionaries(
 )
 
 
+def normed(acc, den, nvars):
+    """The terms {key: GaussianRational} of an accumulator over ``den``."""
+    return sparse.tterms(sparse.tcanon(acc, den, nvars))
+
+
 def naive_tmul(a, b):
     """Reference: one GaussianRational product per pair, merged by tcollect."""
-    return sparse.tcollect((ka + kb, ca * cb) for ka, ca in a.items() for kb, cb in b.items())
+    return tcollect((ka + kb, ca * cb) for ka, ca in a.items() for kb, cb in b.items())
 
 
 @props
@@ -483,12 +503,12 @@ def test_tmac_matches_collected_products(triples):
     acc = {}
     for c, va, vb in views:
         assert sparse.tmac(acc, va, vb, c.numerator * den // (c.denominator * va[0] * vb[0])) is acc
-    want = sparse.tcollect((ka + kb, ca * cb * c) for c, a, b in triples
+    want = tcollect((ka + kb, ca * cb * c) for c, a, b in triples
                            for ka, ca in a.items() for kb, cb in b.items() if c)
-    got = sparse.tnorm(acc, den)
+    got = normed(acc, den, 2)
     assert got == want
     den, groups = sparse.tmacs([(0, c, va, vb) for c, va, vb in views])
-    assert sparse.tnorm(groups.get(0, {}), den) == want
+    assert normed(groups.get(0, {}), den, 2) == want
     for v in got.values():
         assert v and v == GaussianRational._norm(v.p, v.q, v.d)
 
@@ -497,7 +517,7 @@ def test_tmul_is_tmac_on_an_empty_accumulator():
     a = {sparse.pack([1, 0]): GaussianRational(Fraction(1, 2), 1), 0: -ONE}
     b = {sparse.pack([0, 2]): GaussianRational(0, Fraction(1, 3)), 0: ONE}
     va, vb = sparse.tview(a, 2), sparse.tview(b, 2)
-    assert sparse.tmul(a, b, 2) == sparse.tnorm(sparse.tmac({}, va, vb), va[0] * vb[0])
+    assert sparse.tmul(a, b, 2) == normed(sparse.tmac({}, va, vb), va[0] * vb[0], 2)
     with pytest.raises(ValueError, match="packing capacity"):
         sparse.tmac({}, sparse.tview({sparse.pack([64, 0]): ONE}, 2),
                     sparse.tview({sparse.pack([0, 64]): ONE}, 2))
@@ -612,14 +632,14 @@ def reference_divided_by_x(p):
         q[t] = c
         for km, cm in div.items():
             if km != lead:
-                r = sparse.tsub(r, {t + km: c * cm})
+                r = tcollect([*r.items(), (t + km, -c * cm)])
     return Poly(space, q)
 
 
 def lifted(space, rest, den):
     """sum_e x^e * rest[e] for the ``rest`` groups of ``sparse.tstrip``,
     accumulators over ``den``."""
-    return reduce(operator.add, (divisor(space).pow(e) * Poly(space, sparse.tnorm(acc, den))
+    return reduce(operator.add, (divisor(space).pow(e) * Poly(space, normed(acc, den, space.nvars))
                                  for e, acc in rest.items()), Poly.zero(space))
 
 
@@ -658,7 +678,7 @@ def test_tstrip_matches_repeated_reference_division(case, k, e, c):
         p, steps = r, steps + 1
     assert steps >= k and got == steps
     assert lifted(space, rest, den) == p
-    assert reference_divided_by_x(Poly(space, sparse.tnorm(rest[0], den))) is None
+    assert reference_divided_by_x(Poly(space, normed(rest[0], den, nvars))) is None
 
 
 def test_tstrip_of_a_cancelled_sum_is_zero():
@@ -678,7 +698,7 @@ def test_tstrip_of_a_cancelled_sum_is_zero():
     den, groups = strip_groups(space, [(0, 1, (divisor(space) * q).terms), (1, -1, q.terms),
                                        (3, 1, z0.terms)])
     k, rest = sparse.tstrip(groups, quad.terms, quad.lead, nvars)
-    assert (k, list(rest), sparse.tnorm(rest[0], den)) == (3, [0], z0.terms)
+    assert (k, list(rest), normed(rest[0], den, nvars)) == (3, [0], z0.terms)
 
 
 @st.composite
@@ -746,7 +766,7 @@ def reference_rekey(terms, targets, nvars, tvars):
             if j is not None:
                 out[j] += e
         return sparse.pack(out)
-    return sparse.tcollect((image(k), c) for k, c in terms.items())
+    return tcollect((image(k), c) for k, c in terms.items())
 
 
 @st.composite
@@ -784,7 +804,7 @@ def _images(targets, tvars):
            sparse.pack([0, 0, 1]): -ONE}, [None, None, 1], 3, 2))
 def test_rekey_matches_reference(case):
     terms, targets, nvars, tvars = case
-    got = sparse.rekey(terms, _images(targets, tvars))
+    got = sparse.tterms(sparse.rekey(sparse.tview(terms, nvars), _images(targets, tvars), tvars))
     assert got == reference_rekey(terms, targets, nvars, tvars)
     assert all(got.values())
 
@@ -838,8 +858,6 @@ def one_point_elems(draw, space):
 @given(st.sampled_from(REKEY_SPACES).flatmap(
     lambda sp: st.tuples(one_point_elems(sp), one_point_elems(sp))))
 def test_restrict_diagonal_of_tensor_is_product(pair):
-    from wickred.wick import tensor
-
     f, g = pair
     assert_same(restrict_diagonal(tensor(f, g)), f * g)
 
@@ -883,7 +901,7 @@ def reference_hom_to_chart(f, mode):
 
     den = [0, 0, 0, 0]
     den[den_idx] = f.mz
-    return sparse.tcollect((chart_key(k), c) for k, c in f.num.terms.items()), tuple(den)
+    return tcollect((chart_key(k), c) for k, c in f.num.terms.items()), tuple(den)
 
 
 @st.composite
@@ -1190,6 +1208,134 @@ def test_restrict_diagonal_matches_folded_reference(T):
     # P is multiplied in uncanonicalized and x may divide it, so only the
     # whole sum is canonical
     assert_same(restrict_diagonal(T), folded_restrict_diagonal(T))
+
+
+# ----------------------------------------------------------------------
+# the canonical pair form: every kernel result is a canonical view,
+# equality of polynomials is equality of views, the edge round trip is the
+# identity, and no kernel path normalizes a term
+
+def assert_canonical(view, nvars):
+    """den >= 1, no zero pair, gcd(den, every numerator) = 1, and top the
+    degree of the largest key."""
+    den, top, pairs = view
+    assert den >= 1
+    assert (0, 0) not in pairs.values()
+    assert math.gcd(den, *(v for pq in pairs.values() for v in pq)) == 1
+    assert top == sparse.total_degree(max(pairs, default=0), nvars)
+
+
+pair_settings = settings(deadline=None, max_examples=40)
+
+
+@pair_settings
+@given(product_items(), st.integers(0, 5))
+@example(three_step_sum(LAURENT_SPACES[0]), 0)
+def test_laurent_results_are_canonical_views(case, v):
+    """sum_of_products, diff, and _canonicalize on a numerator that x^2
+    divides (after tstrip)."""
+    space, items = case
+    nvars = space.nvars
+    assert_canonical(LaurentElem.sum_of_products(space, items).num.view, nvars)
+    for _, a, _ in items:
+        assert_canonical(a.diff(v % nvars).num.view, nvars)
+        lifted = LaurentElem(a.num * divisor(space).pow(2), a.mz + 2)
+        assert_canonical(lifted.num.view, nvars)
+        assert_same(lifted, a)
+
+
+@sum_settings
+@given(sum_cases(), st.integers(1, 2))
+def test_transform_results_are_canonical_views(case, r):
+    """s_apply in both directions, op_calm, and the SparsePoly products of
+    the symbol of S and its functional equation."""
+    ctx, F, _, _, _, _, T = case
+    nvars = ctx.space.nvars
+    for inverse in (False, True):
+        for c in s_apply(F, ctx, inverse).coeffs:
+            assert_canonical(c.num.view, nvars)
+    for p in op_calm(T, r).terms.values():
+        assert_canonical(p.view, nvars)
+    for p in symbol(ctx).coeffs + functional_equation_residual(ctx).coeffs:
+        assert_canonical(p.view, p.arity)
+
+
+@props
+@given(mul_terms, mul_terms)
+def test_sparse_poly_product_is_the_canonical_tmul(a, b):
+    got = SparsePoly(2, a) * SparsePoly(2, b)
+    assert_canonical(got.view, 2)
+    assert got.terms == sparse.tmul(a, b, 2)
+
+
+# few keys and coefficients, so sums that meet at equal polynomials are common
+edge_terms = st.dictionaries(
+    st.lists(st.integers(0, 1), min_size=SP.nvars, max_size=SP.nvars).map(sparse.pack),
+    mul_coeffs, max_size=4)
+
+
+@props
+@given(edge_terms, edge_terms, edge_terms)
+def test_poly_equality_is_equality_of_the_edge(a, b, c):
+    p, q = Poly(SP, a) + Poly(SP, b), Poly(SP, c)
+    assert (p == q) == (p.terms == q.terms)
+    assert (Poly(SP, a) == q) == (a == c)
+    back = p - Poly(SP, b)
+    assert back == Poly(SP, a) and back.terms == a
+
+
+@props
+@given(st.integers(1, 4).flatmap(lambda nv: st.tuples(st.just(nv), term_dicts(nv))))
+def test_edge_round_trip_is_the_identity(case):
+    nvars, terms = case
+    view = sparse.tview(terms, nvars)
+    assert_canonical(view, nvars)
+    assert sparse.tterms(view) == terms
+    assert sparse.tview(sparse.tterms(view), nvars) == view
+
+
+def guarded_paths():
+    """Each kernel path as a thunk on operands built beforehand: a sum of
+    products with a tie and a lift, derivatives by the quotient rule,
+    _canonicalize on multiples of x^2, s_apply both ways, op_calm at r = 1
+    and 2, and products of the symbol's SparsePolys."""
+    space = VarSpace.cpn(1)
+    ctx = StarContext(space, K=3, D=(1, 1))
+    z = [LaurentElem.variable(space, space.iz(k)) for k in range(2)]
+    zb = [LaurentElem.variable(space, space.izb(k)) for k in range(2)]
+    inv_x = LaurentElem.x_power(space, -1)
+    f = (z[0] * zb[1] + (z[1] * zb[1]).scale(Fraction(2, 3))) * inv_x
+    g = (z[1] * zb[0]).scale(GaussianRational(1, Fraction(1, 5))) * inv_x * inv_x
+    h = z[0] * zb[0] - (z[1] * zb[1]).scale(Fraction(1, 7))
+    items = [(Fraction(1, 2), f, g), (3, g, f), (-1, h, inv_x), (Fraction(2, 9), h, g)]
+    lifted = [(e.num * divisor(space).pow(2), e.mz + 2) for e in (f, g, h)]
+    F = Series([h, f, h * inv_x, g])
+    T = op_calm(tensor(f, g), 1)
+    sym = symbol(ctx).coeffs
+    return {
+        "sum_of_products": lambda: LaurentElem.sum_of_products(space, items),
+        "diff": lambda: [e.diff(v) for e in (f, g) for v in range(space.nvars)],
+        "_canonicalize": lambda: [LaurentElem(p, m) for p, m in lifted],
+        "s_apply": lambda: [s_apply(F, ctx, inverse) for inverse in (False, True)],
+        "op_calm": lambda: [op_calm(T, r) for r in (1, 2)],
+        "SparsePoly products": lambda: [p * q for p in sym for q in sym],
+    }
+
+
+def test_kernel_paths_normalize_no_term(monkeypatch):
+    """Each path gives the same result with GaussianRational._norm patched
+    to raise, so none builds a scalar per term.  The operands, the S
+    weights and the x-power table are built before the patch: they are
+    the edge and per-process tables, not the paths."""
+    paths = guarded_paths()
+    want = {name: run() for name, run in paths.items()}
+
+    def refuse(cls, p, q, d):
+        raise AssertionError("a kernel path normalized a term")
+
+    monkeypatch.setattr(GaussianRational, "_norm", classmethod(refuse))
+    for name, run in paths.items():
+        assert run() == want[name], name
 
 
 # ----------------------------------------------------------------------
